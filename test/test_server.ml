@@ -577,6 +577,78 @@ let test_access_log_untimed_nulls () =
               (Json.member k d = Some Json.Null))
           [ "queue_ns"; "service_ns" ])
 
+(* --- pinned op outputs --- *)
+
+(* Byte-identity pins for the simulate/diag/estimate report surface: the
+   MD5 of each op's "output" for a fixed request, which is also the
+   one-shot CLI's stdout for the same flags (e.g. the first row is
+   `statsim simulate -b gcc -n 20000 -s 2000 --seed 42`). A refactor of
+   the synthesis, replication or rendering path must leave every digest
+   unchanged. *)
+let pinned_outputs =
+  let base bench syn =
+    [
+      ("bench", Json.Str bench);
+      ("length", Json.Num 20000.0);
+      ("synthetic", Json.Num (float_of_int syn));
+      ("seed", Json.Num 42.0);
+    ]
+  in
+  let t = Json.Bool true in
+  [
+    ("simulate", base "gcc" 2000, "b9ed0880adfef5b32b806ab59e2f5f9d");
+    ( "simulate",
+      base "gcc" 2000 @ [ ("stream", t) ],
+      "b9ed0880adfef5b32b806ab59e2f5f9d" );
+    ( "simulate",
+      base "twolf" 2000 @ [ ("replicas", Json.Num 4.0); ("json", t) ],
+      "dd5a95904669a5ad6cfed005382bfc8d" );
+    ( "simulate",
+      base "twolf" 2000 @ [ ("replicas", Json.Num 4.0); ("stream", t) ],
+      "526cd98162d7f06d3b657f16d5a2f972" );
+    ( "simulate",
+      base "gcc" 800 @ [ ("ci_target", Json.Num 25.0) ],
+      "40dc59a4df1664a81f818e12e9dbc916" );
+    ( "simulate",
+      base "gcc" 2000 @ [ ("stratify", t); ("replicas", Json.Num 16.0) ],
+      "b4ccaeb94247036984a271f9f0f55838" );
+    ( "simulate",
+      base "vortex" 2000
+      @ [
+          ("stratify", t);
+          ("ci_target", Json.Num 5.0);
+          ("replicas", Json.Num 12.0);
+          ("json", t);
+        ],
+      "e6734f90b30c1a3a89cbc0dc43a7dcc8" );
+    ( "diag",
+      base "gcc" 40000
+      @ [ ("reduction", Json.Num 1.0); ("json", t); ("check", Json.Num 0.05) ],
+      "5a17edb46e567d4b822867da97775eef" );
+    ( "diag",
+      base "twolf" 2000 @ [ ("eds", t) ],
+      "7eb4f6e30e03a3a660925a2200311269" );
+    ( "estimate",
+      [ ("bench", Json.Str "gcc"); ("length", Json.Num 20000.0); ("json", t) ],
+      "d8fc218217ab7901d57fe2dc923b4d96" );
+  ]
+
+let test_pinned_outputs () =
+  let env =
+    { Server.Ops.cache = Runner.Cache.create (); jobs = 1;
+      check = (fun () -> ()); trace = None }
+  in
+  List.iteri
+    (fun i (op, fields, digest) ->
+      match Server.Ops.dispatch env ~op (Json.Obj fields) with
+      | Ok r ->
+        Alcotest.(check string)
+          (Printf.sprintf "row %d (%s) output digest" i op)
+          digest
+          (Digest.to_hex (Digest.string (Server.Ops.output r)))
+      | Error e -> Alcotest.failf "row %d (%s) rejected: %s" i op e)
+    pinned_outputs
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_frame_roundtrip;
@@ -601,4 +673,5 @@ let suite =
     Alcotest.test_case "access log nulls untimed fields" `Quick
       test_access_log_untimed_nulls;
     Alcotest.test_case "unknown op" `Quick test_unknown_op;
+    Alcotest.test_case "pinned op output digests" `Quick test_pinned_outputs;
   ]
