@@ -149,13 +149,13 @@ let run_streaming () =
       ("metrics_identical", Telemetry.Json.Bool identical);
     ]
 
-(* --- compiled kernel vs interpreted walk: the throughput win --- *)
+(* --- compiled kernel: plan compilation, generation, pipeline --- *)
 
 (* filled by [run_kernel]; lands under the summary's "kernel" key *)
 let kernel_results : (string * Telemetry.Json.t) list ref = ref []
 
 let run_kernel () =
-  Format.fprintf ppf "== compiled kernel vs interpreted SFG walk ==@.";
+  Format.fprintf ppf "== compiled synthesis kernel ==@.";
   let cfg = Config.Machine.baseline in
   let spec = Workload.Suite.find "gcc" in
   let scale = Experiments.Exp_common.scale in
@@ -165,10 +165,11 @@ let run_kernel () =
   let p = Statsim.profile cfg (Workload.Suite.stream spec ~length:plen) in
   (* Each region is timed best-of-N: the bench shares the machine with
      whatever else is running, and a single sample regularly absorbs a
-     scheduling hiccup that swamps the engine difference being measured.
+     scheduling hiccup that swamps the cost being measured.
      Gc.compact before every repetition — with the previous repetition's
      result dropped first — so no timed region pays marking cost for a
-     live 400k-instruction trace from an earlier one. *)
+     live 400k-instruction trace from an earlier one; thunks with large
+     outputs must reduce to scalars for the same reason. *)
   let reps = 7 in
   let time f =
     let best = ref infinity and res = ref None in
@@ -185,9 +186,7 @@ let run_kernel () =
   in
   (* the two sides of a comparison interleave their repetitions, so a
      load spike on the shared machine lands on adjacent reps of both
-     engines instead of skewing whichever ran second; thunks with large
-     outputs must reduce to scalars so no trace stays live across a
-     timed rep *)
+     instead of skewing whichever ran second *)
   let time_pair f g =
     let bf = ref infinity and bg = ref infinity in
     let rf = ref None and rg = ref None in
@@ -212,43 +211,22 @@ let run_kernel () =
   let plan, compile_seconds = time (fun () -> Statsim.compile_plan ~reduction:1 p) in
   Format.fprintf ppf "  plan compiled in %.3fs (%d nodes, %d slots)@."
     compile_seconds (Kernel.Plan.nnodes plan) (Kernel.Plan.nslots plan);
-  (* the engine comparison measures draw and allocation cost, not
-     instrumentation: both walks observe the same histograms, and the
-     shared atomic-counter tax only blurs the ratio being reported *)
+  (* the kernel timings measure draw and allocation cost, not
+     instrumentation: the atomic-counter tax only blurs them *)
   let telemetry_was = Telemetry.enabled () in
   Telemetry.set_enabled false;
-  (* both engines materialize a 400k-instruction trace, and under the
-     default 256k-word nursery the survivor-promotion cadence — not
-     engine cost — is the dominant term for either of them. A 1M-word
-     minor heap is the size that maximizes the *interpreted* baseline
-     as well as the compiled walk on this workload (larger nurseries
-     start to hurt the interpreted side), so both run under it *)
+  (* generation materializes a 400k-instruction trace, and under the
+     default 256k-word nursery the survivor-promotion cadence, not walk
+     cost, is the dominant term; a 1M-word minor heap keeps it out of
+     the measurement *)
   let gc_was = Gc.get () in
   Gc.set { gc_was with Gc.minor_heap_size = 1 lsl 20 };
-  let gen_json n dt =
-    let ips = if dt > 0.0 then float_of_int n /. dt else 0.0 in
-    let open Telemetry.Json in
-    ( ips,
-      Obj
-        [
-          ("seconds", Num dt);
-          ("ips", Num ips);
-          ("instructions", Num (float_of_int n));
-        ] )
-  in
-  let ni, dti, nc, dtc =
-    time_pair
-      (fun () ->
-        Synth.Trace.length
-          (Statsim.synthesize ~compile:false ~reduction:1 p ~seed:9))
-      (fun () ->
+  let nc, dtc =
+    time (fun () ->
         Synth.Trace.length (Synth.Generate.generate_of_plan plan ~seed:9))
   in
-  let interp_ips, ji = gen_json ni dti in
-  let compiled_ips, jc = gen_json nc dtc in
-  let gen_speedup = if interp_ips > 0.0 then compiled_ips /. interp_ips else 0.0 in
-  Format.fprintf ppf "  generate  interpreted %9.0f ips   compiled %9.0f ips   speedup %.2fx@."
-    interp_ips compiled_ips gen_speedup;
+  let compiled_ips = if dtc > 0.0 then float_of_int nc /. dtc else 0.0 in
+  Format.fprintf ppf "  generate  %9.0f ips@." compiled_ips;
   let pipe_json (m : Uarch.Metrics.t) dt =
     let ips = if dt > 0.0 then float_of_int m.committed /. dt else 0.0 in
     let open Telemetry.Json in
@@ -278,9 +256,13 @@ let run_kernel () =
       ( "generate",
         Obj
           [
-            ("interpreted", ji);
-            ("compiled", jc);
-            ("speedup", Num gen_speedup);
+            ( "compiled",
+              Obj
+                [
+                  ("seconds", Num dtc);
+                  ("ips", Num compiled_ips);
+                  ("instructions", Num (float_of_int nc));
+                ] );
           ] );
       ( "pipeline",
         Obj
@@ -544,7 +526,7 @@ let usage () =
   Format.fprintf ppf "  %-8s %s@." "streaming"
     "streamed vs materialized synthetic simulation (time and memory)";
   Format.fprintf ppf "  %-8s %s@." "kernel"
-    "compiled plan vs interpreted walk, event-driven vs dense pipeline";
+    "compiled plan generation, event-driven vs dense pipeline";
   (* "dse" is taken by the paper's DSE case-study experiment above *)
   Format.fprintf ppf "  %-8s %s@." "sweep"
     "64-point design-space sweep: one profile + one plan, points/sec";
@@ -693,7 +675,7 @@ let write_summary ~out =
   let ts = List.rev !timings in
   if
     ts = [] && !streaming_results = [] && !kernel_results = []
-    && !dse_results = [] && !replication_results = []
+    && !dse_results = [] && !serve_results = [] && !replication_results = []
   then ()
   else
     let oc = open_out out in

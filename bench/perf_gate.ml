@@ -117,15 +117,9 @@ let () =
   | Some b, Some c ->
     Printf.printf "  (total_seconds %.3f -> %.3f, informational)\n" b c
   | _ -> ());
-  (* informational: compiled-over-interpreted throughput ratios from the
-     current run — speed is what the kernel exists for, but a ratio on a
-     shared CI machine is too noisy to gate on *)
-  (match Gate.num_field current [ "kernel"; "generate"; "speedup" ] with
-  | Some s ->
-    Printf.printf
-      "  (kernel generate speedup %.2fx compiled/interpreted, informational)\n"
-      s
-  | None -> ());
+  (* informational: the event-driven-over-dense pipeline ratio from the
+     current run — a ratio on a shared CI machine is too noisy to gate
+     on *)
   (match Gate.num_field current [ "kernel"; "pipeline"; "speedup" ] with
   | Some s ->
     Printf.printf

@@ -104,15 +104,6 @@ let ci_target_arg =
   Arg.(
     value & opt (some float) None & info [ "ci-target" ] ~docv:"PCT" ~doc)
 
-let no_compile_arg =
-  let doc =
-    "Use the interpreted SFG walk instead of the compiled execution plan. \
-     The compiled kernel (the default) lowers the graph into flat arrays \
-     with alias samplers and is statistically equivalent; this escape hatch \
-     exists for cross-checking the two engines and for debugging."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
 let cache_dir_arg =
   let doc =
     "Persistent artifact-store directory: statistical profiles and EDS \
@@ -129,8 +120,8 @@ let jopt k f v =
   match v with None -> [] | Some v -> [ (k, f v) ]
 
 let simulate_cmd =
-  let run bench length syn seed k profile_file stream no_compile replicas
-      ci_target stratify no_control_variate strata pilot jobs json cache_dir =
+  let run bench length syn seed k profile_file stream replicas ci_target
+      stratify no_control_variate strata pilot jobs json cache_dir =
     let params =
       Telemetry.Json.Obj
         ([
@@ -139,7 +130,6 @@ let simulate_cmd =
            ("synthetic", jnum syn);
            ("seed", jnum seed);
            ("stream", Telemetry.Json.Bool stream);
-           ("no_compile", Telemetry.Json.Bool no_compile);
            ("stratify", Telemetry.Json.Bool stratify);
            ("control_variate", Telemetry.Json.Bool (not no_control_variate));
            ("json", Telemetry.Json.Bool json);
@@ -194,7 +184,7 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run $ bench_arg $ length_arg $ syn_arg $ seed_arg $ k_opt_arg
-      $ load_arg $ stream_arg $ no_compile_arg $ replicas_arg $ ci_target_arg
+      $ load_arg $ stream_arg $ replicas_arg $ ci_target_arg
       $ stratify_arg $ no_cv_arg $ strata_arg $ pilot_arg $ jobs_arg $ json_arg
       $ cache_dir_arg)
 
@@ -244,8 +234,8 @@ let force_arg =
 (* --- fidelity observatory: statsim diag --- *)
 
 let diag_cmd =
-  let run bench length syn reduction seed k profile_file no_compile json check
-      eds cache_dir =
+  let run bench length syn reduction seed k profile_file json check eds
+      cache_dir =
     let params =
       Telemetry.Json.Obj
         ([
@@ -253,7 +243,6 @@ let diag_cmd =
            ("length", jnum length);
            ("synthetic", jnum syn);
            ("seed", jnum seed);
-           ("no_compile", Telemetry.Json.Bool no_compile);
            ("json", Telemetry.Json.Bool json);
            ("eds", Telemetry.Json.Bool eds);
          ]
@@ -299,8 +288,7 @@ let diag_cmd =
   Cmd.v (Cmd.info "diag" ~doc)
     Term.(
       const run $ bench_arg $ length_arg $ syn_arg $ reduction_arg $ seed_arg
-      $ k_opt_arg $ load_arg $ no_compile_arg $ json_arg $ check_arg
-      $ eds_arg $ cache_dir_arg)
+      $ k_opt_arg $ load_arg $ json_arg $ check_arg $ eds_arg $ cache_dir_arg)
 
 let profile_cmd =
   let run bench length k save force =
@@ -433,7 +421,7 @@ let experiment_cmd =
               (Experiments.Exp_common.src spec)
           in
           let r =
-            Statsim.replicate ~jobs:ctx.Runner.Exec.jobs ~stream:true
+            Synth.Replicate.run ~jobs:ctx.Runner.Exec.jobs ~stream:true
               ~target_length:Experiments.Exp_common.syn_length cfg p
               ~master_seed:Experiments.Exp_common.seed ~replicas:n
           in

@@ -60,11 +60,9 @@ val compile_plan :
 (** Lower a profile into a compiled execution plan: flat arrays, alias
     samplers and fixed-point rate thresholds (see {!Kernel.Compile}).
     Plans are immutable, shareable across machine configs and domains,
-    and are what every generation entry point below executes unless
-    [~compile:false] selects the interpreted SFG walk. *)
+    and are what every generation entry point below executes. *)
 
 val synthesize :
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Profile.Stat_profile.t ->
@@ -75,25 +73,12 @@ val synthesize :
 val simulate : Config.Machine.t -> Synth.Trace.t -> result
 (** Step 3. *)
 
-val simulate_stream :
-  ?compile:bool ->
-  ?reduction:int ->
-  ?target_length:int ->
-  Config.Machine.t ->
-  Profile.Stat_profile.t ->
-  seed:int ->
-  result
-(** Steps 2+3 fused: stream the SFG walk straight into the pipeline in
-    constant memory, never materializing the trace. Bit-identical to
-    {!run_profile} for equal arguments (see {!Synth.Run.run_stream}). *)
-
 val run :
   ?k:int ->
   ?dep_cap:int ->
   ?branch_mode:Profile.Branch_profiler.mode ->
   ?perfect_caches:bool ->
   ?perfect_bpred:bool ->
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Config.Machine.t ->
@@ -103,7 +88,6 @@ val run :
 (** The full statistical-simulation pipeline on one stream. *)
 
 val run_profile :
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Config.Machine.t ->
@@ -119,41 +103,9 @@ val run_profile :
 val run_plan : Config.Machine.t -> Kernel.Plan.t -> seed:int -> result
 (** Steps 2+3 from an already-compiled plan (streamed, constant
     memory) — the fast path for design-space sweeps and cached plans:
-    equals [simulate_stream] at the plan's baked-in reduction. *)
-
-val replicate :
-  ?jobs:int ->
-  ?stream:bool ->
-  ?compile:bool ->
-  ?reduction:int ->
-  ?target_length:int ->
-  Config.Machine.t ->
-  Profile.Stat_profile.t ->
-  master_seed:int ->
-  replicas:int ->
-  Synth.Replicate.t
-(** Steps 2+3 over [replicas] independent seeds split from
-    [master_seed], reporting mean/stddev/95% CI for IPC and the
-    stall-cause fractions (see {!Synth.Replicate.run}). [jobs]
-    distributes replicas over the Domain pool without changing the
-    result. *)
-
-val replicate_ci :
-  ?jobs:int ->
-  ?stream:bool ->
-  ?compile:bool ->
-  ?reduction:int ->
-  ?target_length:int ->
-  ?min_replicas:int ->
-  ?max_replicas:int ->
-  Config.Machine.t ->
-  Profile.Stat_profile.t ->
-  master_seed:int ->
-  ci_target:float ->
-  Synth.Replicate.t
-(** Adaptive variant: grow the replica count until the IPC confidence
-    half-width is within [ci_target] percent of the mean (see
-    {!Synth.Replicate.run_ci}). *)
+    bit-identical to {!run_profile} at the plan's baked-in reduction
+    (see {!Synth.Run.run_stream}). Replication over many seeds is
+    {!Synth.Replicate.run}/{!Synth.Replicate.run_ci}. *)
 
 val reference :
   ?max_instructions:int ->

@@ -72,15 +72,14 @@ let default_checks =
           abs_slack = 0.05;
         })
       [ "streamed"; "materialized" ]
-  (* compiled-kernel bench: plan compilation and both engines' wall
-     times, gated one-directionally like every timing *)
+  (* compiled-kernel bench: plan compilation, generation and both
+     pipeline schedulers' wall times, gated one-directionally like every
+     timing *)
   @ List.map
       (fun (label, path) ->
         { label; path; both_directions = false; abs_slack = 0.05 })
       [
         ("kernel.compile_seconds", [ "kernel"; "compile_seconds" ]);
-        ( "kernel.generate.interpreted.seconds",
-          [ "kernel"; "generate"; "interpreted"; "seconds" ] );
         ( "kernel.generate.compiled.seconds",
           [ "kernel"; "generate"; "compiled"; "seconds" ] );
         ( "kernel.pipeline.dense.seconds",

@@ -3,9 +3,10 @@
    arrays. Node indices follow SFG key order so the layout never
    depends on hash-table iteration order. *)
 
-(* Shared with the interpreted path (Synth.Generate delegates here);
-   the error text keeps the historical [Generate.generate] prefix
-   because that is the user-facing entry point. *)
+(* Also used by every caller that needs the R a plan will be compiled
+   at (Synth.Stratify, Runner.Cache, Server.Ops); the error text keeps
+   the [Generate.generate] prefix because that is the user-facing entry
+   point. *)
 let derive_reduction ?reduction ?target_length total =
   match (reduction, target_length) with
   | Some r, None -> r
@@ -114,8 +115,8 @@ let plan ?reduction ?target_length (p : Profile.Stat_profile.t) =
     thr_taken =
       Array.map
         (fun (n : Profile.Sfg.node) ->
-          (* a node that never executed its branch emits taken branches,
-             matching the interpreted taken-by-default rule *)
+          (* a node that never executed its branch emits taken
+             branches: taken by default *)
           if n.br_execs = 0 then Plan.always
           else thr n.br_taken n.br_execs)
         nodes;

@@ -16,7 +16,7 @@ val plan :
   ?reduction:int -> ?target_length:int -> Profile.Stat_profile.t -> Plan.t
 (** Compile the profile at the resolved reduction. Surviving nodes
     (those with [occurrences / R > 0]) get dense indices in SFG key
-    order; edges to non-surviving nodes are dropped, exactly as the
-    interpreted reducer does. Raises [Invalid_argument] on [R < 1] or
-    when reduction empties the graph (same messages as
-    [Synth.Generate.generate], which delegates here). *)
+    order; edges to non-surviving nodes are dropped. Raises
+    [Invalid_argument] on [R < 1] or when reduction empties the graph
+    (the messages name [Generate.generate], which compiles through
+    here). *)

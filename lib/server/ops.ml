@@ -72,6 +72,21 @@ let bool_def params k default =
        | _ -> bad "%S must be a boolean" what))
     ~default
 
+(* Range checks: an out-of-range value is a client mistake, rejected as
+   a bad request here instead of escaping an engine as
+   [Invalid_argument]. *)
+let in_range ?(hi = max_int) lo k v =
+  if v < lo || v > hi then
+    if hi = max_int then bad "%S must be >= %d (got %d)" k lo v
+    else bad "%S must be in [%d, %d] (got %d)" k lo hi v;
+  v
+
+let int_min params k ~min default = in_range min k (int_def params k default)
+let int_opt_min params k ~min = Option.map (in_range min k) (int_opt params k)
+
+let k_opt params =
+  Option.map (in_range ~hi:Profile.Sfg.max_k 0 "k") (int_opt params "k")
+
 let str_list params k =
   match Json.member k params with
   | None | Some Json.Null -> []
@@ -82,6 +97,23 @@ let str_list params k =
   | Some _ -> bad "%S must be an array of strings" k
 
 (* --- shared pieces --- *)
+
+(* The data-dependent twin of the range checks: a reduction factor so
+   large that no SFG node keeps a nonzero count ([occurrences / R = 0],
+   the survival rule every engine applies) leaves nothing to walk or
+   solve. Checked against the R the engines derive, before any of them
+   runs. *)
+let require_survivors ?reduction ?target_length (p : Profile.Stat_profile.t) =
+  let r =
+    Kernel.Compile.derive_reduction ?reduction ?target_length
+      (max 1 p.instructions)
+  in
+  let survives = ref false in
+  Profile.Sfg.iter_nodes p.sfg (fun n ->
+      if n.occurrences / r > 0 then survives := true);
+  if not !survives then
+    bad "reduction factor %d leaves an empty graph (R too large for this \
+         profile)" r
 
 let find_spec name =
   match Workload.Suite.find name with
@@ -127,33 +159,48 @@ let result_obj ?(extra = []) ~warnings buf =
 (* --- simulate / replicate --- *)
 
 (* [force_replicas] is the `replicate` op: same engine, but always the
-   multi-seed dispersion report (default 4 replicas). *)
+   multi-seed dispersion report (default 4 replicas, or the stratified
+   engine's own default budget with "stratify"). *)
 let simulate env ~force_replicas params =
   let bench = str_def params "bench" "gcc" in
-  let length = int_def params "length" 300_000 in
-  let syn = int_def params "synthetic" 40_000 in
+  let length = int_min params "length" ~min:1 300_000 in
+  let syn = int_min params "synthetic" ~min:1 40_000 in
   let seed = int_def params "seed" 42 in
-  let k = int_opt params "k" in
+  let k = k_opt params in
   let profile_file = str_opt params "profile" in
   let stream = bool_def params "stream" false in
-  let compile = not (bool_def params "no_compile" false) in
-  let replicas =
-    match int_opt params "replicas" with
-    | Some n -> Some n
-    | None -> if force_replicas then Some 4 else None
-  in
-  let ci_target = float_opt params "ci_target" in
   let stratify = bool_def params "stratify" false in
+  let replicas =
+    match int_opt_min params "replicas" ~min:1 with
+    | Some n -> Some n
+    | None -> if force_replicas && not stratify then Some 4 else None
+  in
+  let ci_target =
+    Option.map
+      (fun v ->
+        if not (v > 0.0) then bad "%S must be positive (got %g)" "ci_target" v;
+        v)
+      (float_opt params "ci_target")
+  in
+  (* blind adaptive replication doubles from [replicas] up to
+     Replicate.run_ci's 64-replica cap *)
+  (match (ci_target, replicas) with
+  | Some _, Some n when (not stratify) && (n < 2 || n > 64) ->
+    bad "%S starts the %S doubling and must be in [2, 64] (got %d)"
+      "replicas" "ci_target" n
+  | _ -> ());
   let control_variate = bool_def params "control_variate" true in
-  let strata = int_opt params "strata" in
-  let pilot = int_opt params "pilot" in
+  let strata = int_opt_min params "strata" ~min:1 in
+  let pilot = int_opt_min params "pilot" ~min:2 in
   let jobs = max 1 (int_def params "jobs" env.jobs) in
   let json = bool_def params "json" false in
   let cfg = Config.Machine.baseline in
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
   let collect () =
-    collect_profile env ~warn cfg ~bench ~length ~k ~profile_file
+    let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+    require_survivors ~target_length:syn p;
+    p
   in
   let buf = Buffer.create 512 in
   (match (replicas, ci_target) with
@@ -170,27 +217,17 @@ let simulate env ~force_replicas params =
     let ss =
       let p = collect () in
       env.check ();
-      if compile then begin
-        (* the cached plan samples bit-identically to a fresh
-           Generate.generate ~compile, so this equals the one-shot
-           Statsim.run_profile/simulate_stream path byte-for-byte *)
-        let plan =
-          tspan env "cache.plan" (fun () ->
-              Runner.Cache.plan env.cache ~target_length:syn p)
-        in
-        env.check ();
-        tspan env "simulate.run" (fun () ->
-            if stream then Statsim.run_plan cfg plan ~seed
-            else
-              Statsim.simulate cfg (Synth.Generate.generate_of_plan plan ~seed))
-      end
-      else
-        tspan env "simulate.run" (fun () ->
-            if stream then
-              Statsim.simulate_stream ~compile:false ~target_length:syn cfg p
-                ~seed
-            else
-              Statsim.run_profile ~compile:false ~target_length:syn cfg p ~seed)
+      (* the cached plan samples bit-identically to a fresh
+         Generate.generate, so this equals the one-shot
+         Statsim.run_profile path byte-for-byte *)
+      let plan =
+        tspan env "cache.plan" (fun () ->
+            Runner.Cache.plan env.cache ~target_length:syn p)
+      in
+      env.check ();
+      tspan env "simulate.run" (fun () ->
+          if stream then Statsim.run_plan cfg plan ~seed
+          else Statsim.simulate cfg (Synth.Generate.generate_of_plan plan ~seed))
     in
     Printf.bprintf buf "%-22s %10s %10s %8s\n" "" "EDS" "statsim" "error";
     let line name get =
@@ -240,11 +277,11 @@ let simulate env ~force_replicas params =
       tspan env "replicate.run" (fun () ->
           match ci_target with
           | Some ci_target ->
-            Synth.Replicate.run_ci ~jobs ~stream ~compile ~check:env.check
+            Synth.Replicate.run_ci ~jobs ~stream ~check:env.check
               ~target_length:syn ?min_replicas:replicas cfg p ~master_seed:seed
               ~ci_target
           | None ->
-            Synth.Replicate.run ~jobs ~stream ~compile ~check:env.check
+            Synth.Replicate.run ~jobs ~stream ~check:env.check
               ~target_length:syn cfg p ~master_seed:seed
               ~replicas:(Option.value replicas ~default:4))
     in
@@ -320,22 +357,22 @@ let render_estimate buf (e : Analytical.Steady_state.estimate) =
    part), the solved estimate through its own memo tier. *)
 let estimate env params =
   let bench = str_def params "bench" "gcc" in
-  let length = int_def params "length" 300_000 in
-  let syn = int_def params "synthetic" 40_000 in
-  let reduction = int_opt params "reduction" in
-  let k = int_opt params "k" in
+  let length = int_min params "length" ~min:1 300_000 in
+  let syn = int_min params "synthetic" ~min:1 40_000 in
+  let reduction = int_opt_min params "reduction" ~min:1 in
+  let target_length = if reduction = None then Some syn else None in
+  let k = k_opt params in
   let profile_file = str_opt params "profile" in
   let json = bool_def params "json" false in
   let cfg = Config.Machine.baseline in
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
   let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+  require_survivors ?reduction ?target_length p;
   env.check ();
   let e =
     tspan env "estimate.solve" (fun () ->
-        match reduction with
-        | Some r -> Runner.Cache.estimate env.cache ~reduction:r cfg p
-        | None -> Runner.Cache.estimate env.cache ~target_length:syn cfg p)
+        Runner.Cache.estimate env.cache ?reduction ?target_length cfg p)
   in
   let buf = Buffer.create 512 in
   let extra = [ ("estimate", estimate_json e) ] in
@@ -348,13 +385,13 @@ let estimate env params =
 
 let diag env params =
   let bench = str_def params "bench" "gcc" in
-  let length = int_def params "length" 300_000 in
-  let syn = int_def params "synthetic" 40_000 in
-  let reduction = int_opt params "reduction" in
+  let length = int_min params "length" ~min:1 300_000 in
+  let syn = int_min params "synthetic" ~min:1 40_000 in
+  let reduction = int_opt_min params "reduction" ~min:1 in
+  let target_length = if reduction = None then Some syn else None in
   let seed = int_def params "seed" 42 in
-  let k = int_opt params "k" in
+  let k = k_opt params in
   let profile_file = str_opt params "profile" in
-  let compile = not (bool_def params "no_compile" false) in
   let json = bool_def params "json" false in
   let check_eps = float_opt params "check" in
   let eds = bool_def params "eds" false in
@@ -362,26 +399,15 @@ let diag env params =
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
   let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+  require_survivors ?reduction ?target_length p;
+  env.check ();
+  let plan =
+    tspan env "cache.plan" (fun () ->
+        Runner.Cache.plan env.cache ?reduction ?target_length p)
+  in
   env.check ();
   let tr =
-    if compile then begin
-      let plan =
-        tspan env "cache.plan" (fun () ->
-            match reduction with
-            | Some r -> Runner.Cache.plan env.cache ~reduction:r p
-            | None -> Runner.Cache.plan env.cache ~target_length:syn p)
-      in
-      env.check ();
-      tspan env "generate" (fun () ->
-          Synth.Generate.generate_of_plan plan ~seed)
-    end
-    else
-      tspan env "generate" (fun () ->
-          match reduction with
-          | Some r ->
-            Synth.Generate.generate ~compile:false ~reduction:r p ~seed
-          | None ->
-            Synth.Generate.generate ~compile:false ~target_length:syn p ~seed)
+    tspan env "generate" (fun () -> Synth.Generate.generate_of_plan plan ~seed)
   in
   env.check ();
   let d = tspan env "diag.compare" (fun () -> Diag.compare ~label:bench p tr) in
@@ -485,10 +511,10 @@ let dse env params =
     | None -> bad "missing \"sweep\" (inline sweep object or file path)"
   in
   let bench = str_def params "bench" "gcc" in
-  let length = int_def params "length" 300_000 in
-  let syn = int_def params "synthetic" 40_000 in
+  let length = int_min params "length" ~min:1 300_000 in
+  let syn = int_min params "synthetic" ~min:1 40_000 in
   let seed = int_def params "seed" 42 in
-  let replicas = int_def params "replicas" 1 in
+  let replicas = int_min params "replicas" ~min:1 1 in
   let max_points = int_opt params "max_points" in
   let format =
     let name = str_def params "format" "text" in
@@ -581,7 +607,11 @@ let dispatch_inner env ~op params =
       Error
         (Printf.sprintf "unknown op %S (one of: %s)" op
            (String.concat " " op_names))
-  with Bad_param m -> Error m
+  with
+  | Bad_param m -> Error m
+  (* the one engine rejection that depends on the data: the stratum
+     count is only known once the SFG is partitioned *)
+  | Synth.Stratify.Budget_too_small m -> Error m
 
 let dispatch env ~op params =
   (* Resolve the request's trace: the daemon creates one at frame decode

@@ -1,24 +1,11 @@
-(* Two walk engines share this module: the interpreted walk samples the
-   reduced SFG's histograms and rates directly, while the compiled walk
-   (the default) executes a Kernel.Plan — flat arrays, alias samplers
-   and fixed-point thresholds. Both implement the paper's nine-step
-   algorithm with identical control structure; they differ only in how
-   each draw is serviced, so they agree in distribution while the
-   compiled path does no hashing, float division or CDF scans per
-   instruction. *)
+(* The walk executes a Kernel.Plan — the reduced SFG lowered into flat
+   arrays, alias samplers and fixed-point thresholds — so the
+   per-instruction path does no hashing, float division or CDF scans.
+   The control structure is the paper's nine-step algorithm. *)
 
-type rnode = {
-  node : Profile.Sfg.node;
-  mutable remaining : int;
-  mutable out_keys : int array;  (* successor keys surviving reduction *)
-  mutable out_weights : float array;
-}
-
-(* Stage telemetry: the whole generation pass, the SFG-reduction /
-   plan-compilation step within it, and the synthetic instructions
-   produced. *)
+(* Stage telemetry: the whole generation pass, the plan compilation
+   within it, and the synthetic instructions produced. *)
 let span_generate = Telemetry.span "synth.generate"
-let span_reduce = Telemetry.span "synth.reduce"
 let span_compile = Telemetry.span "synth.compile"
 let c_instructions = Telemetry.counter "synth.instructions"
 
@@ -38,375 +25,124 @@ let h_redirect_run = Telemetry.histogram "synth.redirect_run"
 
 let dep_retries = 1_000
 
-let sample_flag rng num den =
-  den > 0 && Prng.bernoulli rng (float_of_int num /. float_of_int den)
-
-(* conditional L2 sampling: P(l2 | l1 miss) = l2_misses / l1_misses *)
-let sample_l2 rng ~l1 ~l2_misses ~l1_misses =
-  l1 && sample_flag rng l2_misses l1_misses
-
-(* Where the random walk stands between two [next] calls. [After rn]
-   means the block [rn] has been fully emitted and its outgoing edge has
-   not yet been drawn — deferring the draw to the next pull keeps the
-   RNG call sequence identical to the materialized path, since there is
-   a single consumer of the stream's generator. *)
-type walk_state =
-  | Start
-  | Emitting of rnode * int  (* block, next slot index *)
-  | After of rnode
-  | Finished
-
-type istream = {
-  rng : Prng.t;
-  by_key : (int, rnode) Hashtbl.t;
-  live : int;  (* total block visits the walk owes *)
-  use_edges : bool;
-  (* recent destination-producing status, for the dependency retry rule *)
-  recent_has_dest : bool array;
-  mutable pos : int;
-  mutable redirect_run : int;
-  mutable visits : int;
-  mutable state : walk_state;
-  stream_k : int;
-  stream_reduction : int;
-  stream_seed : int;
-}
-
-(* Compiled-walk state: same phases as [walk_state], against Plan
-   indices, but unboxed into three mutable ints so the per-instruction
-   path allocates nothing beyond the emitted record — a [C_emitting]
-   analogue would cost a 3-word block per instruction. [ph_after]
-   defers the edge draw exactly as [After rn] does; [c_node] carries
-   its payload, and [c_slot] the next absolute slot index while
-   emitting. *)
+(* Where the random walk stands between two [next] calls, unboxed into
+   three mutable ints so the per-instruction path allocates nothing
+   beyond the emitted record. [ph_after] means the block [node] has been
+   fully emitted and its outgoing edge has not yet been drawn — deferring
+   the draw to the next pull keeps the RNG call sequence identical to the
+   materialized path, since there is a single consumer of the stream's
+   generator. While emitting, [slot] is the next absolute slot index. *)
 let ph_start = 0
 let ph_emitting = 1
 let ph_after = 2
 let ph_finished = 3
 
-type cstream = {
+type stream = {
   plan : Kernel.Plan.t;
-  c_rng : Prng.t;
-  c_remaining : int array;  (* per dense node index *)
+  rng : Prng.t;
+  remaining : int array;  (* per dense node index *)
   start_tree : Kernel.Fenwick.t;  (* remaining counts, for start picks *)
-  c_live : int;
-  c_recent_has_dest : bool array;
-  mutable c_pos : int;
-  (* [c_pos mod (dep_cap + 1)]: the ring write cursor, kept incrementally
+  live : int;  (* total block visits the walk owes *)
+  (* recent destination-producing status, for the dependency retry rule *)
+  recent_has_dest : bool array;
+  mutable pos : int;
+  (* [pos mod (dep_cap + 1)]: the ring write cursor, kept incrementally
      so the per-instruction path never pays an integer division *)
-  mutable c_ring : int;
-  mutable c_redirect_run : int;
-  mutable c_visits : int;
-  mutable c_phase : int;
-  mutable c_node : int;
-  mutable c_slot : int;
-  c_seed : int;
+  mutable ring : int;
+  mutable redirect_run : int;
+  mutable visits : int;
+  mutable phase : int;
+  mutable node : int;
+  mutable slot : int;
 }
 
-type stream = I of istream | C of cstream
-
-let derive_reduction = Kernel.Compile.derive_reduction
-
-let istream ?reduction ?target_length (p : Profile.Stat_profile.t) ~seed =
-  let total_instructions = max 1 p.instructions in
-  let r = derive_reduction ?reduction ?target_length total_instructions in
-  if r < 1 then invalid_arg "Generate.generate: reduction must be >= 1";
-  let rng = Prng.create ~seed in
-  (* step 0: the reduced statistical flow graph *)
-  let tel_reduce = Telemetry.start () in
-  let by_key = Hashtbl.create 1024 in
-  Profile.Sfg.iter_nodes p.sfg (fun n ->
-      let remaining = n.occurrences / r in
-      if remaining > 0 then
-        Hashtbl.add by_key n.key
-          { node = n; remaining; out_keys = [||]; out_weights = [||] });
-  if Hashtbl.length by_key = 0 then
-    invalid_arg
-      "Generate.generate: reduction factor leaves an empty graph (R too \
-       large for this profile)";
-  Hashtbl.iter
-    (fun _ rn ->
-      let keys = ref [] and weights = ref [] in
-      Hashtbl.iter
-        (fun succ count ->
-          if Hashtbl.mem by_key succ then begin
-            keys := succ :: !keys;
-            weights := float_of_int !count :: !weights
-          end)
-        rn.node.edges;
-      rn.out_keys <- Array.of_list !keys;
-      rn.out_weights <- Array.of_list !weights)
-    by_key;
-  Telemetry.stop span_reduce tel_reduce;
-  let live = Hashtbl.fold (fun _ rn acc -> acc + rn.remaining) by_key 0 in
+let stream_of_plan (plan : Kernel.Plan.t) ~seed =
+  let remaining = Array.copy plan.node_occ in
   {
-    rng;
-    by_key;
-    live;
-    (* k = 0 means "no edges in the graph" (Section 2.1.1): blocks are
-       drawn independently from the occurrence distribution *)
-    use_edges = p.k > 0;
+    plan;
+    rng = Prng.create ~seed;
+    remaining;
+    start_tree = Kernel.Fenwick.create remaining;
+    live = Array.fold_left ( + ) 0 remaining;
     recent_has_dest = Array.make (Profile.Sfg.dep_cap + 1) true;
     pos = 0;
+    ring = 0;
     redirect_run = 0;
     visits = 0;
-    state = Start;
-    stream_k = p.k;
-    stream_reduction = r;
-    stream_seed = seed;
+    phase = ph_start;
+    node = -1;
+    slot = 0;
   }
 
-let stream_of_plan (plan : Kernel.Plan.t) ~seed =
-  let c_remaining = Array.copy plan.node_occ in
-  C
-    {
-      plan;
-      c_rng = Prng.create ~seed;
-      c_remaining;
-      start_tree = Kernel.Fenwick.create c_remaining;
-      c_live = Array.fold_left ( + ) 0 c_remaining;
-      c_recent_has_dest = Array.make (Profile.Sfg.dep_cap + 1) true;
-      c_pos = 0;
-      c_ring = 0;
-      c_redirect_run = 0;
-      c_visits = 0;
-      c_phase = ph_start;
-      c_node = -1;
-      c_slot = 0;
-      c_seed = seed;
-    }
-
-let stream ?(compile = true) ?reduction ?target_length
-    (p : Profile.Stat_profile.t) ~seed =
-  if compile then begin
-    let tel = Telemetry.start () in
-    let plan = Kernel.Compile.plan ?reduction ?target_length p in
-    Telemetry.stop span_compile tel;
-    stream_of_plan plan ~seed
-  end
-  else I (istream ?reduction ?target_length p ~seed)
-
-let stream_reduction = function
-  | I s -> s.stream_reduction
-  | C s -> s.plan.reduction
-
-let stream_k = function I s -> s.stream_k | C s -> s.plan.k
-let stream_seed = function I s -> s.stream_seed | C s -> s.c_seed
-
-(* --- interpreted walk --- *)
+let stream ?reduction ?target_length (p : Profile.Stat_profile.t) ~seed =
+  let tel = Telemetry.start () in
+  let plan = Kernel.Compile.plan ?reduction ?target_length p in
+  Telemetry.stop span_compile tel;
+  stream_of_plan plan ~seed
 
 let producer_has_dest t delta =
-  let target = t.pos - delta in
-  target < 0 || t.recent_has_dest.(target mod (Profile.Sfg.dep_cap + 1))
-
-let sample_dep t hist =
-  if Stats.Histogram.is_empty hist then 0
-  else begin
-    let rec try_draw n =
-      if n = 0 then begin
-        (* squash the dependency, per the paper *)
-        Telemetry.incr c_dep_squashed;
-        0
-      end
-      else
-        let delta = Stats.Histogram.sample hist t.rng in
-        if producer_has_dest t delta then delta else try_draw (n - 1)
-    in
-    let delta = try_draw dep_retries in
-    Telemetry.observe h_dep_distance delta;
-    delta
-  end
-
-let emit_slot t (n : Profile.Sfg.node) (slot : Profile.Sfg.slot) =
-  let rng = t.rng in
-  let raw = Array.map (sample_dep t) slot.deps in
-  let deps =
-    (* anti/output dependencies generated only when the profile
-       recorded them (in-order / no-renaming machines) *)
-    if Stats.Histogram.is_empty slot.waw && Stats.Histogram.is_empty slot.war
-    then raw
-    else Array.append raw [| sample_dep t slot.waw; sample_dep t slot.war |]
-  in
-  let l1i = sample_flag rng n.l1i_misses n.fetches in
-  let l2i =
-    sample_l2 rng ~l1:l1i ~l2_misses:n.l2i_misses ~l1_misses:n.l1i_misses
-  in
-  let itlb = sample_flag rng n.itlb_misses n.fetches in
-  let is_load = Isa.Iclass.is_load slot.klass in
-  let l1d = is_load && sample_flag rng n.l1d_misses n.loads in
-  let l2d =
-    is_load
-    && sample_l2 rng ~l1:l1d ~l2_misses:n.l2d_misses ~l1_misses:n.l1d_misses
-  in
-  let dtlb = is_load && sample_flag rng n.dtlb_misses n.loads in
-  let branch =
-    if not (Isa.Iclass.is_branch slot.klass) then None
-    else begin
-      let taken =
-        if n.br_execs = 0 then true else sample_flag rng n.br_taken n.br_execs
-      in
-      let mis_p = Profile.Sfg.mispredict_rate n in
-      let red_p = Profile.Sfg.redirect_rate n in
-      let u = Prng.unit_float rng in
-      let mispredict = u < mis_p in
-      let redirect = (not mispredict) && u < mis_p +. red_p in
-      Some { Trace.taken; mispredict; redirect }
-    end
-  in
-  let i =
-    {
-      Trace.klass = slot.klass;
-      deps;
-      l1i_miss = l1i;
-      l2i_miss = l2i;
-      itlb_miss = itlb;
-      l1d_miss = l1d;
-      l2d_miss = l2d;
-      dtlb_miss = dtlb;
-      block = n.block;
-      branch;
-    }
-  in
-  t.recent_has_dest.(t.pos mod (Profile.Sfg.dep_cap + 1)) <-
-    Isa.Iclass.has_dest i.klass;
-  t.pos <- t.pos + 1;
-  Telemetry.incr c_instructions;
-  (match i.branch with
-  | Some b when b.Trace.redirect ->
-    Telemetry.observe h_redirect_run t.redirect_run;
-    t.redirect_run <- 0
-  | _ -> t.redirect_run <- t.redirect_run + 1);
-  i
-
-(* step 1: start-node selection by cumulative occurrence distribution *)
-let pick_start t =
-  let total = Hashtbl.fold (fun _ rn acc -> acc + rn.remaining) t.by_key 0 in
-  if total = 0 then None
-  else begin
-    let x = 1 + Prng.int t.rng total in
-    let acc = ref 0 and chosen = ref None in
-    (try
-       Hashtbl.iter
-         (fun _ rn ->
-           if rn.remaining > 0 then begin
-             acc := !acc + rn.remaining;
-             if !acc >= x then begin
-               chosen := Some rn;
-               raise Exit
-             end
-           end)
-         t.by_key
-     with Exit -> ());
-    !chosen
-  end
-
-let start_block t rn =
-  rn.remaining <- rn.remaining - 1;
-  t.visits <- t.visits + 1;
-  t.state <- Emitting (rn, 0)
-
-let restart t =
-  if t.visits >= t.live then t.state <- Finished
-  else
-    match pick_start t with
-    | Some rn -> start_block t rn
-    | None -> t.state <- Finished
-
-(* step 9: follow an outgoing edge by transition probability *)
-let advance t rn =
-  if (not t.use_edges) || Array.length rn.out_keys = 0 then restart t
-  else begin
-    let idx = Prng.choose_weighted t.rng ~weights:rn.out_weights in
-    let succ = Hashtbl.find t.by_key rn.out_keys.(idx) in
-    if succ.remaining > 0 then start_block t succ else restart t
-  end
-
-let rec i_next t =
-  match t.state with
-  | Finished -> None
-  | Start ->
-    restart t;
-    i_next t
-  | After rn ->
-    advance t rn;
-    i_next t
-  | Emitting (rn, i) ->
-    let slots = rn.node.slots in
-    if i >= Array.length slots then begin
-      t.state <- After rn;
-      i_next t
-    end
-    else begin
-      t.state <- Emitting (rn, i + 1);
-      Some (emit_slot t rn.node slots.(i))
-    end
-
-(* --- compiled walk: the same nine steps against the plan's arrays --- *)
-
-let c_producer_has_dest t delta =
-  delta > t.c_pos
+  delta > t.pos
   ||
-  let len = Array.length t.c_recent_has_dest in
+  let len = Array.length t.recent_has_dest in
   if delta < len then
     (* the common case — profiled distances never exceed dep_cap, so the
        cursor-relative index stays within one wrap of the ring and a
        conditional add replaces the division *)
-    let i = t.c_ring - delta in
-    Array.unsafe_get t.c_recent_has_dest (if i < 0 then i + len else i)
-  else t.c_recent_has_dest.((t.c_pos - delta) mod len)
+    let i = t.ring - delta in
+    Array.unsafe_get t.recent_has_dest (if i < 0 then i + len else i)
+  else t.recent_has_dest.((t.pos - delta) mod len)
 
 (* top-level so each dependency draw costs calls, not a fresh closure *)
-let rec c_try_draw t sampler n =
+let rec try_draw t sampler n =
   if n = 0 then begin
     (* squash the dependency, per the paper *)
     Telemetry.incr c_dep_squashed;
     0
   end
   else
-    let delta = Stats.Alias.sample sampler t.c_rng in
-    if c_producer_has_dest t delta then delta else c_try_draw t sampler (n - 1)
+    let delta = Stats.Alias.sample sampler t.rng in
+    if producer_has_dest t delta then delta else try_draw t sampler (n - 1)
 
-let c_sample_dep t sampler =
+let sample_dep t sampler =
   if Stats.Alias.is_empty sampler then 0
   else begin
-    let delta = c_try_draw t sampler dep_retries in
+    let delta = try_draw t sampler dep_retries in
     Telemetry.observe h_dep_distance delta;
     delta
   end
 
-(* [c_emit] is the per-instruction floor of the compiled engine, so it
-   reads the plan with [unsafe_get]: every index is established by
-   construction — [ni] and [si] come from the walk over
-   [node_slot_off], and [Plan.of_string]/[Compile.plan] validate the
-   per-slot offsets against the array lengths they index. *)
-let c_emit t ni si =
+(* [emit] is the per-instruction floor of the walk, so it reads the
+   plan with [unsafe_get]: every index is established by construction —
+   [ni] and [si] come from the walk over [node_slot_off], and
+   [Plan.of_string]/[Compile.plan] validate the per-slot offsets against
+   the array lengths they index. *)
+let emit t ni si =
   let p = t.plan in
-  let rng = t.c_rng in
+  let rng = t.rng in
   let sr thr =
     thr > 0 && (thr >= Kernel.Plan.two32 || Prng.bits rng < thr)
   in
   let meta = Array.unsafe_get p.Kernel.Plan.slot_meta si in
   let d0 = Array.unsafe_get p.slot_dep_off si in
   let nd = Kernel.Plan.meta_ndeps meta in
-  (* operand order, then waw/war when present — same order the
-     interpreted path draws in. The common arities build the array from
-     a literal: [Array.make] with a runtime length is an out-of-line
-     runtime call, and this allocation happens once per instruction.
-     The lets pin the draw order — array literals evaluate
+  (* operand order, then waw/war when present. The common arities build
+     the array from a literal: [Array.make] with a runtime length is an
+     out-of-line runtime call, and this allocation happens once per
+     instruction. The lets pin the draw order — array literals evaluate
      right-to-left, which would flip it. *)
   let deps =
     if nd = 0 then [||]
-    else if nd = 1 then [| c_sample_dep t (Array.unsafe_get p.slot_deps d0) |]
+    else if nd = 1 then [| sample_dep t (Array.unsafe_get p.slot_deps d0) |]
     else if nd = 2 then begin
-      let a = c_sample_dep t (Array.unsafe_get p.slot_deps d0) in
-      let b = c_sample_dep t (Array.unsafe_get p.slot_deps (d0 + 1)) in
+      let a = sample_dep t (Array.unsafe_get p.slot_deps d0) in
+      let b = sample_dep t (Array.unsafe_get p.slot_deps (d0 + 1)) in
       [| a; b |]
     end
     else begin
       let deps = Array.make nd 0 in
       for j = 0 to nd - 1 do
         Array.unsafe_set deps j
-          (c_sample_dep t (Array.unsafe_get p.slot_deps (d0 + j)))
+          (sample_dep t (Array.unsafe_get p.slot_deps (d0 + j)))
       done;
       deps
     end
@@ -424,8 +160,7 @@ let c_emit t ni si =
       let taken = sr (Array.unsafe_get p.thr_taken ni) in
       let thr_misred = Array.unsafe_get p.thr_misred ni in
       let mispredict, redirect =
-        (* one raw draw classifies the branch outcome, like the
-           interpreted path's single unit_float *)
+        (* one raw draw classifies the branch outcome *)
         if thr_misred <= 0 then (false, false)
         else begin
           let u = Prng.bits rng in
@@ -450,151 +185,133 @@ let c_emit t ni si =
       branch;
     }
   in
-  Array.unsafe_set t.c_recent_has_dest t.c_ring
-    (Kernel.Plan.meta_has_dest meta);
-  t.c_pos <- t.c_pos + 1;
-  t.c_ring <-
-    (let r = t.c_ring + 1 in
-     if r = Array.length t.c_recent_has_dest then 0 else r);
-  (* synth.instructions is charged by the caller: per pull in [c_next],
+  Array.unsafe_set t.recent_has_dest t.ring (Kernel.Plan.meta_has_dest meta);
+  t.pos <- t.pos + 1;
+  t.ring <-
+    (let r = t.ring + 1 in
+     if r = Array.length t.recent_has_dest then 0 else r);
+  (* synth.instructions is charged by the caller: per pull in [next],
      batched in the materializing fill loop *)
   (match branch with
   | Some b when b.Trace.redirect ->
-    Telemetry.observe h_redirect_run t.c_redirect_run;
-    t.c_redirect_run <- 0
-  | _ -> t.c_redirect_run <- t.c_redirect_run + 1);
+    Telemetry.observe h_redirect_run t.redirect_run;
+    t.redirect_run <- 0
+  | _ -> t.redirect_run <- t.redirect_run + 1);
   i
 
-(* step 1 against the Fenwick tree over remaining counts: O(log n)
-   instead of the interpreted path's full rescan per restart *)
-let c_pick_start t =
+(* step 1: start-node selection by cumulative occurrence distribution,
+   against the Fenwick tree over remaining counts (O(log n)) *)
+let pick_start t =
   let total = Kernel.Fenwick.total t.start_tree in
   if total = 0 then None
   else
-    let x = 1 + Prng.int t.c_rng total in
+    let x = 1 + Prng.int t.rng total in
     Some (Kernel.Fenwick.find t.start_tree x)
 
-let c_start_block t ni =
-  t.c_remaining.(ni) <- t.c_remaining.(ni) - 1;
+let start_block t ni =
+  t.remaining.(ni) <- t.remaining.(ni) - 1;
   Kernel.Fenwick.add t.start_tree ni (-1);
-  t.c_visits <- t.c_visits + 1;
-  t.c_phase <- ph_emitting;
-  t.c_node <- ni;
-  t.c_slot <- t.plan.node_slot_off.(ni)
+  t.visits <- t.visits + 1;
+  t.phase <- ph_emitting;
+  t.node <- ni;
+  t.slot <- t.plan.node_slot_off.(ni)
 
-let c_restart t =
-  if t.c_visits >= t.c_live then t.c_phase <- ph_finished
+let restart t =
+  if t.visits >= t.live then t.phase <- ph_finished
   else
-    match c_pick_start t with
-    | Some ni -> c_start_block t ni
-    | None -> t.c_phase <- ph_finished
+    match pick_start t with
+    | Some ni -> start_block t ni
+    | None -> t.phase <- ph_finished
 
-(* step 9 via the node's alias table over successor indices *)
-let c_advance t ni =
+(* step 9: follow an outgoing edge by transition probability, via the
+   node's alias table over successor indices *)
+let advance t ni =
   let edges = t.plan.edges.(ni) in
-  if (not t.plan.use_edges) || Stats.Alias.is_empty edges then c_restart t
+  if (not t.plan.use_edges) || Stats.Alias.is_empty edges then restart t
   else begin
-    let succ = Stats.Alias.sample edges t.c_rng in
-    if t.c_remaining.(succ) > 0 then c_start_block t succ else c_restart t
+    let succ = Stats.Alias.sample edges t.rng in
+    if t.remaining.(succ) > 0 then start_block t succ else restart t
   end
 
-let rec c_next t =
-  if t.c_phase = ph_emitting then begin
-    let ni = t.c_node in
-    let si = t.c_slot in
+let rec next t =
+  if t.phase = ph_emitting then begin
+    let ni = t.node in
+    let si = t.slot in
     if si >= t.plan.node_slot_off.(ni + 1) then begin
-      t.c_phase <- ph_after;
-      c_next t
+      t.phase <- ph_after;
+      next t
     end
     else begin
-      t.c_slot <- si + 1;
-      let inst = c_emit t ni si in
+      t.slot <- si + 1;
+      let inst = emit t ni si in
       Telemetry.incr c_instructions;
       Some inst
     end
   end
-  else if t.c_phase = ph_after then begin
-    c_advance t t.c_node;
-    c_next t
+  else if t.phase = ph_after then begin
+    advance t t.node;
+    next t
   end
-  else if t.c_phase = ph_start then begin
-    c_restart t;
-    c_next t
+  else if t.phase = ph_start then begin
+    restart t;
+    next t
   end
   else None
 
-let next = function I s -> i_next s | C s -> c_next s
-
-(* Instructions a compiled stream will still emit: slots of every
-   remaining visit plus the unemitted slots of the visit in flight.
-   Exact, so the materializer can fill a right-sized array. *)
-let c_expected t =
+(* Instructions the stream will still emit: slots of every remaining
+   visit plus the unemitted slots of the visit in flight. Exact, so the
+   materializer can fill a right-sized array. *)
+let expected t =
   let p = t.plan in
   let n = ref 0 in
   Array.iteri
     (fun ni rem ->
       n := !n + (rem * (p.Kernel.Plan.node_slot_off.(ni + 1) - p.node_slot_off.(ni))))
-    t.c_remaining;
-  if t.c_phase = ph_emitting then
-    n := !n + (p.node_slot_off.(t.c_node + 1) - t.c_slot);
+    t.remaining;
+  if t.phase = ph_emitting then
+    n := !n + (p.node_slot_off.(t.node + 1) - t.slot);
   !n
 
-let drain s ~seed =
+let drain t ~seed =
   let insts =
-    match s with
-    | C t -> begin
-      (* the compiled walk's length is known up front; filling a
-         right-sized array skips the list accumulation below and its
-         rev + copy *)
-      let n = c_expected t in
-      match c_next t with
-      | None -> [||]
-      | Some first ->
-        (* drive the phase machine directly: per instruction this costs
-           one [c_emit] and an array write, with no option wrapper or
-           per-pull dispatch, and the instruction counter is settled
-           once at the end *)
-        let out = Array.make n first in
-        let i = ref 1 in
-        while t.c_phase <> ph_finished do
-          if t.c_phase = ph_emitting then begin
-            let ni = t.c_node in
-            let s1 = t.plan.node_slot_off.(ni + 1) in
-            let si = ref t.c_slot in
-            while !si < s1 do
-              (* in bounds because [c_expected] counts exactly the
-                 slots this loop will emit (asserted below) *)
-              Array.unsafe_set out !i (c_emit t ni !si);
-              incr i;
-              incr si
-            done;
-            t.c_slot <- s1;
-            t.c_phase <- ph_after
-          end
-          else c_advance t t.c_node
-        done;
-        assert (!i = n);
-        Telemetry.add c_instructions (n - 1);
-        out
-    end
-    | I _ ->
-      let out = ref [] in
-      let rec loop () =
-        match next s with
-        | Some i ->
-          out := i :: !out;
-          loop ()
-        | None -> ()
-      in
-      loop ();
-      Array.of_list (List.rev !out)
+    (* the walk's length is known up front, so the trace fills a
+       right-sized array instead of accumulating a list *)
+    let n = expected t in
+    match next t with
+    | None -> [||]
+    | Some first ->
+      (* drive the phase machine directly: per instruction this costs
+         one [emit] and an array write, with no option wrapper or
+         per-pull dispatch, and the instruction counter is settled once
+         at the end *)
+      let out = Array.make n first in
+      let i = ref 1 in
+      while t.phase <> ph_finished do
+        if t.phase = ph_emitting then begin
+          let ni = t.node in
+          let s1 = t.plan.node_slot_off.(ni + 1) in
+          let si = ref t.slot in
+          while !si < s1 do
+            (* in bounds because [expected] counts exactly the slots
+               this loop will emit (asserted below) *)
+            Array.unsafe_set out !i (emit t ni !si);
+            incr i;
+            incr si
+          done;
+          t.slot <- s1;
+          t.phase <- ph_after
+        end
+        else advance t t.node
+      done;
+      assert (!i = n);
+      Telemetry.add c_instructions (n - 1);
+      out
   in
-  { Trace.insts; k = stream_k s; reduction = stream_reduction s; seed }
+  { Trace.insts; k = t.plan.k; reduction = t.plan.reduction; seed }
 
-let generate ?compile ?reduction ?target_length (p : Profile.Stat_profile.t)
-    ~seed =
+let generate ?reduction ?target_length (p : Profile.Stat_profile.t) ~seed =
   let tel = Telemetry.start () in
-  let trace = drain (stream ?compile ?reduction ?target_length p ~seed) ~seed in
+  let trace = drain (stream ?reduction ?target_length p ~seed) ~seed in
   Telemetry.stop span_generate tel;
   trace
 

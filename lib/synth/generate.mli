@@ -18,16 +18,10 @@
     register) is re-drawn up to 1,000 times, then dropped (each drop is
     counted on the [synth.dep_squashed] telemetry counter).
 
-    Two engines implement the walk. By default the profile is first
-    {e compiled} to a {!Kernel.Plan.t} — flat arrays, O(1) alias
-    samplers, fixed-point rate thresholds — and the walk executes the
-    plan; [~compile:false] selects the interpreted engine, which
-    samples the SFG's histograms directly. The engines make the same
-    draws in the same order from distributions equal up to the plan's
-    2^-32 fixed-point quantization, and both visit every surviving node
-    exactly [occurrences / R] times, so trace length and per-block mix
-    are identical; the walk order differs because the raw PRNG
-    trajectories do.
+    The reduced SFG is first {e compiled} to a {!Kernel.Plan.t} — flat
+    arrays, O(1) alias samplers, fixed-point rate thresholds — and the
+    walk executes the plan, visiting every surviving node exactly
+    [occurrences / R] times.
 
     The walk is exposed in two forms over the same sampling core:
     {!generate} materializes a {!Trace.t}, while {!stream}/{!next} pull
@@ -40,16 +34,14 @@ type stream
 (** An in-progress random walk: a single-consumer pull generator. *)
 
 val stream :
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Profile.Stat_profile.t ->
   seed:int ->
   stream
-(** Reduce the SFG (compiling it to a plan unless [~compile:false]) and
-    position the walk before its first block. Argument handling is
-    exactly {!generate}'s; raises [Invalid_argument] under the same
-    conditions. *)
+(** Compile the reduced SFG to a plan and position the walk before its
+    first block. Argument handling is exactly {!generate}'s; raises
+    [Invalid_argument] under the same conditions. *)
 
 val stream_of_plan : Kernel.Plan.t -> seed:int -> stream
 (** A walk over an already-compiled plan, skipping compilation — the
@@ -59,17 +51,7 @@ val next : stream -> Trace.inst option
 (** The walk's next instruction, or [None] once every reduced
     occurrence count has been consumed. *)
 
-val stream_reduction : stream -> int
-(** The reduction factor R in effect (derived when [target_length] was
-    given). *)
-
-val stream_k : stream -> int
-(** The SFG order of the profile the stream walks. *)
-
-val stream_seed : stream -> int
-
 val generate :
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Profile.Stat_profile.t ->

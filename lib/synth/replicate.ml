@@ -97,44 +97,29 @@ let observe_replica m =
     (int_of_float (Float.round (1000.0 *. Uarch.Metrics.ipc m)));
   m
 
-(* The per-seed replica function. With [compile] (the default) the
-   profile is lowered to a plan once, up front, and every replica —
-   streamed or materialized — walks that shared plan: the tables are
-   immutable, so sharing across Parallel's domains is safe, and the
-   compile cost is paid once instead of per replica. *)
+(* The per-seed replica function. The profile is lowered to a plan
+   once, up front, and every replica — streamed or materialized — walks
+   that shared plan: the tables are immutable, so sharing across
+   Parallel's domains is safe, and the compile cost is paid once instead
+   of per replica. *)
 let replica_runner ?(check = fun () -> ()) ?wrong_path_locality ~stream
-    ~compile ?reduction ?target_length cfg p =
-  if compile then begin
-    let plan = Kernel.Compile.plan ?reduction ?target_length p in
-    fun seed ->
-      check ();
-      Telemetry.time span_replica (fun () ->
-          observe_replica
-            (if stream then
-               Run.run_stream_of_plan ?wrong_path_locality cfg plan ~seed
-             else
-               Run.run ?wrong_path_locality cfg
-                 (Generate.generate_of_plan plan ~seed)))
-  end
-  else
-    fun seed ->
-      check ();
-      Telemetry.time span_replica (fun () ->
-          observe_replica
-            (if stream then
-               Run.run_stream ?wrong_path_locality ~compile:false ?reduction
-                 ?target_length cfg p ~seed
-             else
-               Run.run ?wrong_path_locality cfg
-                 (Generate.generate ~compile:false ?reduction ?target_length p
-                    ~seed)))
+    ?reduction ?target_length cfg p =
+  let plan = Kernel.Compile.plan ?reduction ?target_length p in
+  fun seed ->
+    check ();
+    Telemetry.time span_replica (fun () ->
+        observe_replica
+          (if stream then
+             Run.run_stream_of_plan ?wrong_path_locality cfg plan ~seed
+           else
+             Run.run ?wrong_path_locality cfg
+               (Generate.generate_of_plan plan ~seed)))
 
-let run ?(jobs = 1) ?(stream = false) ?(compile = true) ?check
-    ?wrong_path_locality ?reduction ?target_length cfg p ~master_seed
-    ~replicas =
+let run ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality ?reduction
+    ?target_length cfg p ~master_seed ~replicas =
   let seeds = split_seeds ~master_seed ~n:replicas in
   let replica =
-    replica_runner ?check ?wrong_path_locality ~stream ~compile ?reduction
+    replica_runner ?check ?wrong_path_locality ~stream ?reduction
       ?target_length cfg p
   in
   let metrics = Parallel.map ~jobs replica seeds in
@@ -146,9 +131,9 @@ let converged ~ci_target r =
      of the mean IPC *)
   r.ipc.ci95 <= ci_target /. 100.0 *. Float.abs r.ipc.mean
 
-let run_ci ?(jobs = 1) ?(stream = false) ?(compile = true) ?check
-    ?wrong_path_locality ?reduction ?target_length ?(min_replicas = 4)
-    ?(max_replicas = 64) cfg p ~master_seed ~ci_target =
+let run_ci ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality
+    ?reduction ?target_length ?(min_replicas = 4) ?(max_replicas = 64) cfg p
+    ~master_seed ~ci_target =
   if ci_target <= 0.0 then
     invalid_arg "Replicate.run_ci: ci_target must be positive";
   if min_replicas < 2 then
@@ -157,7 +142,7 @@ let run_ci ?(jobs = 1) ?(stream = false) ?(compile = true) ?check
     invalid_arg "Replicate.run_ci: max_replicas < min_replicas";
   let all_seeds = split_seeds ~master_seed ~n:max_replicas in
   let replica =
-    replica_runner ?check ?wrong_path_locality ~stream ~compile ?reduction
+    replica_runner ?check ?wrong_path_locality ~stream ?reduction
       ?target_length cfg p
   in
   let simulate seeds = Parallel.map ~jobs replica seeds in

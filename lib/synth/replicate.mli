@@ -40,7 +40,6 @@ val split_seeds : master_seed:int -> n:int -> int array
 val run :
   ?jobs:int ->
   ?stream:bool ->
-  ?compile:bool ->
   ?check:(unit -> unit) ->
   ?wrong_path_locality:bool ->
   ?reduction:int ->
@@ -52,11 +51,10 @@ val run :
   t
 (** Simulate [replicas] independent seeds and aggregate. [stream]
     selects the constant-memory {!Run.run_stream} path (default
-    materializes each trace). With [compile] (the default) the profile
-    is lowered to a {!Kernel.Plan.t} once and shared — immutably, so
-    domain-safe — by all replicas; [~compile:false] interprets the SFG
-    directly. [jobs] only distributes the work; it never changes the
-    result.
+    materializes each trace). The profile is lowered to a
+    {!Kernel.Plan.t} once and shared — immutably, so domain-safe — by
+    all replicas. [jobs] only distributes the work; it never changes
+    the result.
 
     [check] is the cooperative cancellation point: it runs at every
     replica boundary, on whichever domain executes that replica, before
@@ -67,7 +65,6 @@ val run :
 val run_ci :
   ?jobs:int ->
   ?stream:bool ->
-  ?compile:bool ->
   ?check:(unit -> unit) ->
   ?wrong_path_locality:bool ->
   ?reduction:int ->

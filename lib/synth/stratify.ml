@@ -30,8 +30,7 @@
    is one uniform 32-bit draw against the plan's fixed-point
    thresholds — so mu_X is a finite sum over plan thresholds, the
    closed-form steady-state expectation of the reduced chain.
-   Exactness is what keeps Y - beta*(X - mu_X) unbiased.  This needs
-   the compiled-kernel path; [run]/[run_ci] always compile. *)
+   Exactness is what keeps Y - beta*(X - mu_X) unbiased. *)
 
 let span_replica = Telemetry.span "synth.stratify.replica"
 let span_prepare = Telemetry.span "synth.stratify.prepare"
@@ -548,12 +547,15 @@ let analytical_estimate ~reduction cfg (p : Profile.Stat_profile.t) =
   (Analytical.Steady_state.estimate ~reduction cfg p).Analytical.Steady_state
   .ipc
 
+exception Budget_too_small of string
+
 let validate_budget ~pilot ~what n h =
   if pilot < 2 then invalid_arg (Printf.sprintf "Stratify.%s: pilot < 2" what);
   if n < pilot * h then
-    invalid_arg
-      (Printf.sprintf
-         "Stratify.%s: budget %d below pilot * strata = %d" what n (pilot * h))
+    raise
+      (Budget_too_small
+         (Printf.sprintf "Stratify.%s: budget %d below pilot * strata = %d"
+            what n (pilot * h)))
 
 let run ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality ?reduction
     ?target_length ?strata ?max_strata ?strata_seed ?(pilot = 3)

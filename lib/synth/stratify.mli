@@ -17,9 +17,8 @@
     pair is fixed before simulation and aggregation is in (stratum,
     seed) order, so reports are byte-identical at any [jobs] value;
     per-stratum seed tables are prefix-stable as the budget grows
-    (house-monotone allocation + frozen pilot shares).  The engine
-    always uses the compiled-kernel path — the control variate's exact
-    expectation is a finite sum over plan thresholds. *)
+    (house-monotone allocation + frozen pilot shares).  The control
+    variate's exact expectation is a finite sum over plan thresholds. *)
 
 val neyman_allocate :
   weights:float array -> sigmas:float array -> pilot:int -> total:int ->
@@ -101,6 +100,13 @@ val cv_expectation : Config.Machine.t -> Kernel.Plan.t -> float
     thresholds (the closed-form steady-state expectation of the reduced
     chain). *)
 
+exception Budget_too_small of string
+(** Raised by {!run} and {!run_ci} when the replica budget cannot seat
+    [pilot] replicas in every stratum. Unlike the other argument
+    checks this one depends on the data — the BIC-selected stratum
+    count is only known once the SFG is partitioned — so callers taking
+    the budget from a user convert it into a request error. *)
+
 val run :
   ?jobs:int ->
   ?stream:bool ->
@@ -123,7 +129,7 @@ val run :
     variances.  [strata] forces an exact k; by default
     {!Simpoint.classify_nodes} picks up to [max_strata] (default 4) by
     BIC.  [check] is the cooperative cancellation hook, as in
-    {!Replicate.run}.  Raises [Invalid_argument] when
+    {!Replicate.run}.  Raises {!Budget_too_small} when
     [replicas < pilot * strata]. *)
 
 val run_ci :

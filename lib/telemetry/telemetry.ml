@@ -645,16 +645,17 @@ module Window = struct
   (* A rotating ring of [nslots] slots, each covering [slot_ns] of
      monotonic time. Slot for time [t]: epoch = t / slot_ns, ring index
      = epoch mod nslots. An observer that finds its slot stamped with an
-     older epoch CASes the new epoch in; the CAS winner zeroes the
-     slot's cells before anyone (including itself) accumulates into it.
-     The stamp only ever advances: a delayed observer holding a [now]
-     older than the slot's current epoch drops its observation rather
-     than recycling the slot backwards and zeroing live counts. The
-     zeroing is not atomic with respect to concurrent observers of
-     the same new epoch, so a handful of observations can land in a
-     cell just before it is zeroed — a benign, monitoring-grade race
-     confined to the instant of slot turnover. Queries merge all slots
-     whose stamped epoch is still inside the window. *)
+     older epoch claims it by CASing in the [busy] sentinel, zeroes the
+     cells, and only then publishes the new epoch; observers that see
+     [busy] spin until the epoch is published, so no observation of the
+     new epoch can land in a cell that is about to be zeroed. The stamp
+     only ever advances: a delayed observer holding a [now] older than
+     the slot's current epoch drops its observation rather than
+     recycling the slot backwards and zeroing live counts. One race
+     remains: an observer delayed between finding its slot and adding
+     to it can count into the slot's next interval if the slot turns
+     over in between. Queries merge all slots whose stamped epoch is
+     still inside the window. *)
 
   type slot = {
     sl_epoch : int Atomic.t;
@@ -700,20 +701,31 @@ module Window = struct
             });
     }
 
+  (* The stamp of a slot being claimed: its cells are being zeroed and
+     its new epoch is not yet published. Never an epoch, nor the
+     never-stamped [min_int]. *)
+  let busy = min_int + 1
+
   (* [None] when [now]'s epoch is older than the slot's stamp: the slot
      has already turned over to a newer interval, so the observation is
      dropped instead of CASing the stamp backwards. The retry on a lost
-     CAS terminates because the stamp strictly advances. *)
+     CAS terminates because the stamp strictly advances; the spin on
+     [busy] because the claimer publishes right after zeroing. *)
   let rec slot_for t now =
     let epoch = now / t.slot_ns in
     let s = t.ring.(epoch mod t.nslots) in
     let stamped = Atomic.get s.sl_epoch in
     if stamped = epoch then Some s
+    else if stamped = busy then begin
+      Domain.cpu_relax ();
+      slot_for t now
+    end
     else if stamped > epoch then None
-    else if Atomic.compare_and_set s.sl_epoch stamped epoch then begin
+    else if Atomic.compare_and_set s.sl_epoch stamped busy then begin
       Array.iter (fun c -> Atomic.set c 0) s.sl_cells;
       Atomic.set s.sl_count 0;
       Atomic.set s.sl_sum 0;
+      Atomic.set s.sl_epoch epoch;
       Some s
     end
     else slot_for t now
@@ -732,7 +744,7 @@ module Window = struct
   let live t now s =
     let e = Atomic.get s.sl_epoch in
     let cur = now / t.slot_ns in
-    e > cur - t.nslots && e <= cur
+    e <> busy && e > cur - t.nslots && e <= cur
 
   let query ?now t =
     let now = match now with Some n -> n | None -> now_ns () in

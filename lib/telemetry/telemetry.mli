@@ -160,12 +160,14 @@ val now_ns : unit -> int
 
     Windowed instruments for SLO-style "last N minutes" statistics: a
     rotating ring of slots, each an array of lock-free
-    [Stats.Qsketch]-indexed atomic cells. Observation is wait-free
-    (one index computation plus two or three atomic adds); slot
-    turnover is claimed by CAS, with the winner zeroing the slot — a
-    benign monitoring-grade race can drop a handful of observations at
-    the instant a slot rotates. Queries merge all in-window slots into
-    a sketch and report count / mean / p50 / p95 / p99.
+    [Stats.Qsketch]-indexed atomic cells. Observation is one index
+    computation plus two or three atomic adds; slot turnover is claimed
+    by CAS, and the winner zeroes the slot before publishing its new
+    epoch, so observers of that epoch wait out the zeroing (one atomic
+    store per cell) instead of losing counts to it. An
+    observation stamped with an interval the slot has already rotated
+    past is dropped. Queries merge all in-window slots into a sketch
+    and report count / mean / p50 / p95 / p99.
 
     Unlike the registry instruments above, windows are NOT gated on
     {!enabled} — callers owning a hot path gate themselves (one atomic

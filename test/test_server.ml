@@ -579,6 +579,10 @@ let test_access_log_untimed_nulls () =
 
 (* --- pinned op outputs --- *)
 
+let fresh_env () =
+  { Server.Ops.cache = Runner.Cache.create (); jobs = 1;
+    check = (fun () -> ()); trace = None }
+
 (* Byte-identity pins for the simulate/diag/estimate report surface: the
    MD5 of each op's "output" for a fixed request, which is also the
    one-shot CLI's stdout for the same flags (e.g. the first row is
@@ -634,10 +638,7 @@ let pinned_outputs =
   ]
 
 let test_pinned_outputs () =
-  let env =
-    { Server.Ops.cache = Runner.Cache.create (); jobs = 1;
-      check = (fun () -> ()); trace = None }
-  in
+  let env = fresh_env () in
   List.iteri
     (fun i (op, fields, digest) ->
       match Server.Ops.dispatch env ~op (Json.Obj fields) with
@@ -648,6 +649,95 @@ let test_pinned_outputs () =
           (Digest.to_hex (Digest.string (Server.Ops.output r)))
       | Error e -> Alcotest.failf "row %d (%s) rejected: %s" i op e)
     pinned_outputs
+
+(* --- out-of-range params --- *)
+
+(* [fields] over a small gcc request, later keys replacing earlier *)
+let small_request fields =
+  let base =
+    [
+      ("bench", Json.Str "gcc");
+      ("length", Json.Num 6000.0);
+      ("synthetic", Json.Num 800.0);
+    ]
+  in
+  Json.Obj
+    (List.filter (fun (k, _) -> not (List.mem_assoc k fields)) base @ fields)
+
+(* Every row is a client mistake, so [dispatch] must answer [Error]
+   (a bad_request reply) rather than raise. The last rows of each op
+   depend on the data: an empty reduced graph, and a stratified budget
+   below pilot x the BIC-selected strata (3 for this profile). *)
+let out_of_range =
+  let n v = Json.Num (float_of_int v) and t = Json.Bool true in
+  [
+    ("simulate", [ ("replicas", n 0) ]);
+    ("simulate", [ ("ci_target", n 0) ]);
+    ("simulate", [ ("ci_target", n 5); ("replicas", n 1) ]);
+    ("simulate", [ ("ci_target", n 5); ("replicas", n 65) ]);
+    ("simulate", [ ("stratify", t); ("pilot", n 0) ]);
+    ("simulate", [ ("stratify", t); ("strata", n 0) ]);
+    ("simulate", [ ("synthetic", n 0) ]);
+    ("simulate", [ ("length", n 0) ]);
+    ("simulate", [ ("k", n 4) ]);
+    ("replicate", [ ("replicas", n 0) ]);
+    ("simulate", [ ("synthetic", n 1) ]);
+    ("simulate", [ ("stratify", t); ("synthetic", n 1) ]);
+    ("simulate", [ ("stratify", t); ("replicas", n 4) ]);
+    ("simulate", [ ("stratify", t); ("ci_target", n 5); ("replicas", n 4) ]);
+    ("diag", [ ("reduction", n 0) ]);
+    ("diag", [ ("k", n (-1)) ]);
+    ("diag", [ ("reduction", n 100_000_000) ]);
+    ("estimate", [ ("reduction", n 0) ]);
+    ("estimate", [ ("synthetic", n 0) ]);
+    ("estimate", [ ("synthetic", n 1) ]);
+    ( "dse",
+      [
+        ( "sweep",
+          Json.Obj
+            [
+              ("name", Json.Str "t");
+              ( "sweep",
+                Json.Obj
+                  [ ("axis", Json.Str "ruu"); ("values", Json.Arr [ n 16 ]) ] );
+            ] );
+        ("replicas", n 0);
+      ] );
+  ]
+
+let test_out_of_range_params () =
+  let env = fresh_env () in
+  List.iter
+    (fun (op, fields) ->
+      let req = small_request fields in
+      match Server.Ops.dispatch env ~op req with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s %s accepted" op (Json.to_string req)
+      | exception e ->
+        Alcotest.failf "%s %s raised %s" op (Json.to_string req)
+          (Printexc.to_string e))
+    out_of_range;
+  (* the stratified replicate default budget seats the pilot round *)
+  match
+    Server.Ops.dispatch env ~op:"replicate"
+      (small_request [ ("stratify", Json.Bool true) ])
+  with
+  | Ok r -> check "stratified replicate report" true (Server.Ops.output r <> "")
+  | Error e -> Alcotest.failf "stratified replicate rejected: %s" e
+
+let test_out_of_range_bad_request () =
+  with_server (fun sock _t ->
+      match
+        Server.Client.oneshot ~socket:sock ~op:"simulate"
+          (small_request [ ("replicas", Json.Num 0.0) ])
+      with
+      | Ok { Protocol.outcome = Error (Protocol.Bad_request, msg); _ } ->
+        check "names the param" true (contains msg "replicas")
+      | Ok { Protocol.outcome = Error (code, msg); _ } ->
+        Alcotest.failf "expected bad_request, got %s: %s"
+          (Protocol.code_name code) msg
+      | Ok _ -> Alcotest.fail "replicas 0 accepted"
+      | Error e -> Alcotest.failf "transport error: %s" e)
 
 let suite =
   [
@@ -674,4 +764,8 @@ let suite =
       test_access_log_untimed_nulls;
     Alcotest.test_case "unknown op" `Quick test_unknown_op;
     Alcotest.test_case "pinned op output digests" `Quick test_pinned_outputs;
+    Alcotest.test_case "out-of-range params rejected" `Quick
+      test_out_of_range_params;
+    Alcotest.test_case "out-of-range param answers bad_request" `Quick
+      test_out_of_range_bad_request;
   ]

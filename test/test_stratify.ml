@@ -199,7 +199,8 @@ let test_prefix_stable_growth () =
 let test_run_rejects () =
   let p = Lazy.force shared_p in
   Alcotest.check_raises "budget below pilot seats"
-    (Invalid_argument "Stratify.run: budget 5 below pilot * strata = 6")
+    (Synth.Stratify.Budget_too_small
+       "Stratify.run: budget 5 below pilot * strata = 6")
     (fun () ->
       ignore
         (Synth.Stratify.run ~target_length:2_000 ~strata:2 ~pilot:3 cfg p

@@ -342,9 +342,9 @@ let prop_window_domains =
       && st.Telemetry.Window.w_sum
          = 4 * (n * (n + 1) / 2) + (n * (0 + 37 + 74 + 111)))
 
-(* rotation under contention: domains racing across slot boundaries may
-   lose observations that land in a slot mid-zeroing (documented benign
-   race), but the window never over-counts or crashes *)
+(* rotation under contention: domains racing across slot boundaries
+   drop observations whose slot has already turned over to a newer
+   epoch, but the window never over-counts or crashes *)
 let prop_window_rotation_hammer =
   QCheck.Test.make ~count:5 ~name:"window sane under racing rotation"
     QCheck.(int_range 100 1_000)
