@@ -583,8 +583,41 @@ let fresh_env () =
   { Server.Ops.cache = Runner.Cache.create (); jobs = 1;
     check = (fun () -> ()); trace = None }
 
-(* Byte-identity pins for the simulate/diag/estimate report surface: the
-   MD5 of each op's "output" for a fixed request, which is also the
+(* `statsim dse --sweep examples/sweep_smoke.json -b gcc -n 20000 -s 2000
+   --replicas 2`, with the sweep file's contents inline because the
+   tests do not run from the repository root. *)
+let dse_smoke =
+  let n v = Json.Num (float_of_int v) in
+  let axis name values =
+    Json.Obj
+      [ ("axis", Json.Str name); ("values", Json.Arr (List.map n values)) ]
+  in
+  [
+    ( "sweep",
+      Json.Obj
+        [
+          ("name", Json.Str "smoke");
+          ("max_points", n 16);
+          ( "sweep",
+            Json.Obj
+              [
+                ( "cross",
+                  Json.Arr
+                    [
+                      axis "ruu" [ 16; 32; 64 ];
+                      axis "lsq" [ 8; 16 ];
+                      axis "width" [ 2; 4 ];
+                    ] );
+              ] );
+        ] );
+    ("bench", Json.Str "gcc");
+    ("length", n 20000);
+    ("synthetic", n 2000);
+    ("replicas", n 2);
+  ]
+
+(* Byte-identity pins for the simulate/diag/estimate/dse report surface:
+   the MD5 of each op's "output" for a fixed request, which is also the
    one-shot CLI's stdout for the same flags (e.g. the first row is
    `statsim simulate -b gcc -n 20000 -s 2000 --seed 42`). A refactor of
    the synthesis, replication or rendering path must leave every digest
@@ -635,6 +668,13 @@ let pinned_outputs =
     ( "estimate",
       [ ("bench", Json.Str "gcc"); ("length", Json.Num 20000.0); ("json", t) ],
       "d8fc218217ab7901d57fe2dc923b4d96" );
+    ( "dse",
+      dse_smoke @ [ ("format", Json.Str "csv") ],
+      "a34b0e3f4356e9578d93be6adc94722b" );
+    ("dse", dse_smoke, "9dd54965785f3964da7c58b201862162");
+    ( "dse",
+      dse_smoke @ [ ("format", Json.Str "json") ],
+      "ad3187ab1a4c39c91017b08127970b7c" );
   ]
 
 let test_pinned_outputs () =
