@@ -11,30 +11,37 @@
      client      send one request to a running daemon
      list        list workloads and experiments
 
-   simulate and diag execute through Server.Ops — the same dispatcher
-   the daemon runs — so a server reply is byte-identical to the
-   one-shot output by construction. *)
+   simulate, estimate, diag, experiment and dse execute through
+   Server.Ops.dispatch — the same dispatcher the daemon runs — so a
+   server reply is byte-identical to the one-shot output by
+   construction. profile, dot, cache, list, serve, client and top are
+   local-only. *)
 
 open Cmdliner
+module Json = Telemetry.Json
 
-(* Print an Ops result the way the pre-server CLI did: report on
-   stdout, warnings and diag-check verdicts on stderr, exit 1 on a
-   failed check. *)
-let print_ops_result r =
-  print_string (Server.Ops.output r);
-  List.iter
-    (fun w -> Printf.eprintf "%s\n" w)
-    (Server.Ops.warnings r);
-  (match Telemetry.Json.member "check_message" r with
-  | Some (Telemetry.Json.Str m) -> Printf.eprintf "%s\n" m
+(* Print an op's result: the report on stdout (the whole result object
+   as JSON with [raw], or when it carries no report), warnings and
+   diag-check verdicts on stderr. False on a failed check. *)
+let print_result ?(raw = false) r =
+  (match Json.member "output" r with
+  | Some (Json.Str s) when not raw -> print_string s
+  | _ -> print_string (Json.to_string r ^ "\n"));
+  List.iter (fun w -> Printf.eprintf "%s\n" w) (Server.Ops.warnings r);
+  (match Json.member "check_message" r with
+  | Some (Json.Str m) -> Printf.eprintf "%s\n" m
   | _ -> ());
-  match Telemetry.Json.member "check_ok" r with
-  | Some (Telemetry.Json.Bool false) -> exit 1
-  | _ -> ()
+  match Json.member "check_ok" r with
+  | Some (Json.Bool false) -> false
+  | _ -> true
 
+(* One op in-process, printed as [client] prints its reply; exit 2 on a
+   rejected request, 1 on a failed check. *)
 let run_ops env ~op params =
   match Server.Ops.dispatch env ~op params with
-  | Ok r -> print_ops_result r
+  | Ok r ->
+    if not (print_result r) then exit 1;
+    r
   | Error msg ->
     Printf.eprintf "%s\n" msg;
     exit 2
@@ -62,6 +69,14 @@ let k_arg =
 let k_opt_arg =
   let doc = "SFG order (0-3): blocks are qualified by K predecessors." in
   Arg.(value & opt (some int) None & info [ "k" ] ~docv:"K" ~doc)
+
+(* profile and dot have no Ops twin: they range-check -k here, with the
+   message Ops gives *)
+let check_k k =
+  if k < 0 || k > Profile.Sfg.max_k then begin
+    Printf.eprintf "%S must be in [0, %d] (got %d)\n" "k" Profile.Sfg.max_k k;
+    exit 2
+  end
 
 let spec_of_name name =
   match Workload.Suite.find name with
@@ -114,7 +129,7 @@ let cache_dir_arg =
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
 (* Optional-field helpers for building op params. *)
-let jnum i = Telemetry.Json.Num (float_of_int i)
+let jnum i = Json.Num (float_of_int i)
 
 let jopt k f v =
   match v with None -> [] | Some v -> [ (k, f v) ]
@@ -123,27 +138,27 @@ let simulate_cmd =
   let run bench length syn seed k profile_file stream replicas ci_target
       stratify no_control_variate strata pilot jobs json cache_dir =
     let params =
-      Telemetry.Json.Obj
+      Json.Obj
         ([
-           ("bench", Telemetry.Json.Str bench);
+           ("bench", Json.Str bench);
            ("length", jnum length);
            ("synthetic", jnum syn);
            ("seed", jnum seed);
-           ("stream", Telemetry.Json.Bool stream);
-           ("stratify", Telemetry.Json.Bool stratify);
-           ("control_variate", Telemetry.Json.Bool (not no_control_variate));
-           ("json", Telemetry.Json.Bool json);
+           ("stream", Json.Bool stream);
+           ("stratify", Json.Bool stratify);
+           ("control_variate", Json.Bool (not no_control_variate));
+           ("json", Json.Bool json);
          ]
         @ jopt "k" jnum k
-        @ jopt "profile" (fun s -> Telemetry.Json.Str s) profile_file
+        @ jopt "profile" (fun s -> Json.Str s) profile_file
         @ jopt "replicas" jnum replicas
-        @ jopt "ci_target" (fun v -> Telemetry.Json.Num v) ci_target
+        @ jopt "ci_target" (fun v -> Json.Num v) ci_target
         @ jopt "strata" jnum strata
         @ jopt "pilot" jnum pilot
         @ jopt "jobs" jnum jobs)
     in
     let env = Server.Ops.default_env ?jobs ?cache_dir () in
-    run_ops env ~op:"simulate" params
+    run_ops env ~op:"simulate" params |> ignore
   in
   let stratify_arg =
     let doc =
@@ -193,19 +208,19 @@ let simulate_cmd =
 let estimate_cmd =
   let run bench length syn reduction k profile_file json cache_dir =
     let params =
-      Telemetry.Json.Obj
+      Json.Obj
         ([
-           ("bench", Telemetry.Json.Str bench);
+           ("bench", Json.Str bench);
            ("length", jnum length);
            ("synthetic", jnum syn);
-           ("json", Telemetry.Json.Bool json);
+           ("json", Json.Bool json);
          ]
         @ jopt "reduction" jnum reduction
         @ jopt "k" jnum k
-        @ jopt "profile" (fun s -> Telemetry.Json.Str s) profile_file)
+        @ jopt "profile" (fun s -> Json.Str s) profile_file)
     in
     let env = Server.Ops.default_env ?cache_dir () in
-    run_ops env ~op:"estimate" params
+    run_ops env ~op:"estimate" params |> ignore
   in
   let reduction_arg =
     let doc =
@@ -237,22 +252,22 @@ let diag_cmd =
   let run bench length syn reduction seed k profile_file json check eds
       cache_dir =
     let params =
-      Telemetry.Json.Obj
+      Json.Obj
         ([
-           ("bench", Telemetry.Json.Str bench);
+           ("bench", Json.Str bench);
            ("length", jnum length);
            ("synthetic", jnum syn);
            ("seed", jnum seed);
-           ("json", Telemetry.Json.Bool json);
-           ("eds", Telemetry.Json.Bool eds);
+           ("json", Json.Bool json);
+           ("eds", Json.Bool eds);
          ]
         @ jopt "reduction" jnum reduction
         @ jopt "k" jnum k
-        @ jopt "profile" (fun s -> Telemetry.Json.Str s) profile_file
-        @ jopt "check" (fun v -> Telemetry.Json.Num v) check)
+        @ jopt "profile" (fun s -> Json.Str s) profile_file
+        @ jopt "check" (fun v -> Json.Num v) check)
     in
     let env = Server.Ops.default_env ?cache_dir () in
-    run_ops env ~op:"diag" params
+    run_ops env ~op:"diag" params |> ignore
   in
   let reduction_arg =
     let doc =
@@ -292,6 +307,7 @@ let diag_cmd =
 
 let profile_cmd =
   let run bench length k save force =
+    check_k k;
     (* fail on a clobber before paying for the profiling pass *)
     (match save with
     | Some path when (not force) && Sys.file_exists path ->
@@ -332,17 +348,9 @@ let profile_cmd =
 
 let format_arg =
   let doc = "Report format: $(b,text) (the paper tables), $(b,csv) or $(b,json)." in
+  let formats = List.map (fun f -> (f, f)) Runner.Report.format_names in
   Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("text", Runner.Report.Text);
-             ("csv", Runner.Report.Csv);
-             ("json", Runner.Report.Json);
-           ])
-        Runner.Report.Text
-    & info [ "f"; "format" ] ~docv:"FMT" ~doc)
+    value & opt (enum formats) "text" & info [ "f"; "format" ] ~docv:"FMT" ~doc)
 
 let jobs_arg =
   let doc =
@@ -361,98 +369,38 @@ let telemetry_arg =
   in
   Arg.(value & flag & info [ "telemetry" ] ~doc)
 
+(* The --telemetry epilogue: this process's registry after the report,
+   in the report's format. *)
+let print_telemetry ~format =
+  if Telemetry.enabled () then begin
+    let snap = Telemetry.snapshot () in
+    if format = "json" then print_string (Telemetry.render_json snap)
+    else Telemetry.render_text Format.std_formatter snap
+  end
+
 let experiment_cmd =
   let run ids format jobs telemetry cache_dir trace_out diag replicas =
-    let ppf = Format.std_formatter in
     if telemetry then Telemetry.set_enabled true;
     if trace_out <> None then Telemetry.set_capture true;
-    let entries =
-      match ids with
-      | [] -> Experiments.Registry.all
-      | ids ->
-        List.map
-          (fun id ->
-            match Experiments.Registry.find id with
-            | Some e -> e
-            | None ->
-              Printf.eprintf "unknown experiment %S\n" id;
-              exit 2)
-          ids
+    let params =
+      Json.Obj
+        ([
+           ("ids", Json.Arr (List.map (fun id -> Json.Str id) ids));
+           ("format", Json.Str format);
+           ("diag", Json.Bool diag);
+         ]
+        @ jopt "replicas" jnum replicas)
     in
-    (* one ctx for the whole selection: references and profiles are
+    (* one env for the whole selection: references and profiles are
        computed once and shared across experiments *)
-    let ctx = Runner.Exec.create_ctx ?jobs ?cache_dir () in
-    List.iter
-      (fun (e : Experiments.Registry.entry) ->
-        Runner.Report.render format ppf
-          (Runner.Exec.run ~label:e.id ctx e.plan))
-      entries;
-    if diag then begin
-      let cfg = Config.Machine.baseline in
-      List.iter
-        (fun (spec : Workload.Spec.t) ->
-          let p =
-            Experiments.Exp_common.profile ctx.Runner.Exec.cache cfg
-              (Experiments.Exp_common.src spec)
-          in
-          let tr =
-            Synth.Generate.generate
-              ~target_length:Experiments.Exp_common.syn_length p
-              ~seed:Experiments.Exp_common.seed
-          in
-          let d = Diag.compare ~label:spec.Workload.Spec.name p tr in
-          match format with
-          | Runner.Report.Json ->
-            print_string (Telemetry.Json.to_string (Diag.to_json d) ^ "\n")
-          | Runner.Report.Text | Runner.Report.Csv ->
-            print_string (Diag.render_text d))
-        Experiments.Exp_common.benches
-    end;
-    (match replicas with
-    | None -> ()
-    | Some n ->
-      (* dispersion context for the tables above: how much of each
-         number is seed noise *)
-      let cfg = Config.Machine.baseline in
-      List.iter
-        (fun (spec : Workload.Spec.t) ->
-          let p =
-            Experiments.Exp_common.profile ctx.Runner.Exec.cache cfg
-              (Experiments.Exp_common.src spec)
-          in
-          let r =
-            Synth.Replicate.run ~jobs:ctx.Runner.Exec.jobs ~stream:true
-              ~target_length:Experiments.Exp_common.syn_length cfg p
-              ~master_seed:Experiments.Exp_common.seed ~replicas:n
-          in
-          match format with
-          | Runner.Report.Json ->
-            print_string
-              (Telemetry.Json.to_string
-                 (Telemetry.Json.Obj
-                    [
-                      ("bench", Telemetry.Json.Str spec.Workload.Spec.name);
-                      ("replication", Synth.Replicate.to_json r);
-                    ])
-              ^ "\n")
-          | Runner.Report.Text | Runner.Report.Csv ->
-            Format.printf "%s %a" spec.Workload.Spec.name
-              (fun ppf -> Synth.Replicate.render_text ppf)
-              r)
-        Experiments.Exp_common.benches);
-    if Telemetry.enabled () then begin
-      let snap = Telemetry.snapshot () in
-      (match format with
-      | Runner.Report.Json -> print_string (Telemetry.render_json snap)
-      | Runner.Report.Text | Runner.Report.Csv -> Telemetry.render_text ppf snap);
-    end;
+    let env = Server.Ops.default_env ?jobs ?cache_dir () in
+    run_ops env ~op:"experiment" params |> ignore;
+    print_telemetry ~format;
     match trace_out with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Telemetry.Json.to_string (Telemetry.chrome_trace ()));
-      output_char oc '\n';
-      close_out oc;
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Json.to_string (Telemetry.chrome_trace ()) ^ "\n"));
       Printf.printf "Chrome trace written to %s (load in chrome://tracing)\n"
         path
   in
@@ -496,46 +444,33 @@ let dse_cmd =
   let run sweep_file bench length syn seed replicas jobs format telemetry
       cache_dir max_points pareto_out =
     if telemetry then Telemetry.set_enabled true;
-    let sweep =
-      match Dse.Sweep.load_file sweep_file with
-      | Ok s -> s
-      | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
+    let params =
+      Json.Obj
+        ([
+           ("sweep", Json.Str sweep_file);
+           ("bench", Json.Str bench);
+           ("length", jnum length);
+           ("synthetic", jnum syn);
+           ("seed", jnum seed);
+           ("replicas", jnum replicas);
+           ("format", Json.Str format);
+         ]
+        @ jopt "max_points" jnum max_points)
     in
-    let spec = spec_of_name bench in
-    (* same ctx as `experiment`: the sweep's one profile and one plan go
-       through the shared memo cache and, with --cache-dir, the
-       persistent store — a warm store resumes a sweep without
+    (* with --cache-dir the sweep's one profile and one plan go through
+       the persistent store: a warm store resumes a sweep without
        recollecting anything *)
-    let ctx = Runner.Exec.create_ctx ?jobs ?cache_dir () in
-    match
-      Dse.Driver.run ~cache:ctx.Runner.Exec.cache ~jobs:ctx.Runner.Exec.jobs
-        ~replicas ?max_points ~length ~target_length:syn ~sweep ~bench:spec
-        ~seed ()
-    with
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-    | Ok r ->
-      Runner.Report.render format Format.std_formatter (Dse.Driver.to_report r);
-      (match pareto_out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        let ppf = Format.formatter_of_out_channel oc in
-        Runner.Report.to_csv ppf (Dse.Driver.pareto_report r);
-        Format.pp_print_flush ppf ();
-        close_out oc;
-        (* stderr: --format=json must stay a clean document on stdout *)
-        Printf.eprintf "pareto frontier CSV written to %s\n" path);
-      if Telemetry.enabled () then begin
-        let snap = Telemetry.snapshot () in
-        match format with
-        | Runner.Report.Json -> print_string (Telemetry.render_json snap)
-        | Runner.Report.Text | Runner.Report.Csv ->
-          Telemetry.render_text Format.std_formatter snap
-      end
+    let env = Server.Ops.default_env ?jobs ?cache_dir () in
+    let r = run_ops env ~op:"dse" params in
+    (match pareto_out with
+    | None -> ()
+    | Some path ->
+      Out_channel.with_open_text path (fun oc ->
+          Option.iter (output_string oc)
+            (Option.bind (Json.member "pareto_csv" r) Json.to_str));
+      (* stderr: --format=json must stay a clean document on stdout *)
+      Printf.eprintf "pareto frontier CSV written to %s\n" path);
+    print_telemetry ~format
   in
   let sweep_arg =
     let doc =
@@ -580,6 +515,7 @@ let dse_cmd =
 
 let dot_cmd =
   let run bench length k cfg_out sfg_out =
+    check_k k;
     let spec = spec_of_name bench in
     let prog = Workload.Suite.program spec in
     (match cfg_out with
@@ -795,7 +731,7 @@ let tcp_arg =
 let client_cmd =
   let run socket tcp op params_str deadline_ms repeat parallel raw =
     let params =
-      match Telemetry.Json.of_string params_str with
+      match Json.of_string params_str with
       | Ok j -> j
       | Error e ->
         Printf.eprintf "bad --params: %s\n" e;
@@ -830,21 +766,7 @@ let client_cmd =
       | Error (code, msg) ->
         Printf.eprintf "error %s: %s\n" (Server.Protocol.code_name code) msg;
         false
-      | Ok result ->
-        (if raw then print_string (Telemetry.Json.to_string result ^ "\n")
-         else
-           match Telemetry.Json.member "output" result with
-           | Some (Telemetry.Json.Str s) -> print_string s
-           | _ -> print_string (Telemetry.Json.to_string result ^ "\n"));
-        List.iter
-          (fun w -> Printf.eprintf "%s\n" w)
-          (Server.Ops.warnings result);
-        (match Telemetry.Json.member "check_message" result with
-        | Some (Telemetry.Json.Str m) -> Printf.eprintf "%s\n" m
-        | _ -> ());
-        (match Telemetry.Json.member "check_ok" result with
-        | Some (Telemetry.Json.Bool false) -> false
-        | _ -> true)
+      | Ok result -> print_result ~raw result
     in
     let results =
       if parallel <= 1 then [| one () |]
@@ -914,7 +836,6 @@ let client_cmd =
       $ repeat_arg $ parallel_arg $ raw_arg)
 
 let top_cmd =
-  let module Json = Telemetry.Json in
   let num j k =
     match Option.bind (Json.member k j) Json.to_num with
     | Some v -> v

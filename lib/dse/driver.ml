@@ -34,98 +34,94 @@ let stat_of samples =
       | _ -> Stats.Summary.ci95_half_width samples);
   }
 
-(* the same stream-key scheme as Exp_common.src, so a sweep and an
-   experiment run against the same workload share store entries *)
-let stream_key (spec : Workload.Spec.t) ~length =
-  Printf.sprintf "int:%s:o0:n%d" spec.name length
-
 let run ~cache ?(jobs = 1) ?(replicas = 1) ?max_points
     ?(base = Config.Machine.baseline) ?(length = 300_000)
     ?(target_length = 40_000) ~sweep ~(bench : Workload.Spec.t) ~seed () =
   if replicas < 1 then invalid_arg "Dse.Driver.run: replicas < 1";
-  match Sweep.expand ?max_points sweep with
-  | Error _ as e -> e
-  | Ok points ->
-    Telemetry.time span_sweep (fun () ->
-        let before = Runner.Cache.stats cache in
-        (* one profile and one plan for the whole sweep: both are
-           invariant across the machine axes being swept *)
-        let profile =
-          Runner.Cache.profile cache base ~stream_key:(stream_key bench ~length)
-            (fun () -> Workload.Suite.stream bench ~length)
-        in
-        let plan = Runner.Cache.plan cache ~target_length profile in
-        let after = Runner.Cache.stats cache in
-        if after.profile_computes - before.profile_computes > 1 then
-          failwith "Dse.Driver.run: profile collected more than once";
-        if after.plan_computes - before.plan_computes > 1 then
-          failwith "Dse.Driver.run: plan compiled more than once";
-        Telemetry.add c_store_reuse
-          (after.store_hits - before.store_hits
-          + (after.profile_hits - before.profile_hits)
-          + (after.plan_hits - before.plan_hits));
-        (* replica traces are config-independent: generate once, share
-           read-only across every point and worker domain *)
-        let seeds = Synth.Replicate.split_seeds ~master_seed:seed ~n:replicas in
-        let traces =
-          Array.map (fun s -> Synth.Generate.generate_of_plan plan ~seed:s) seeds
-        in
-        let points = Array.of_list points in
-        Telemetry.add c_points (Array.length points);
-        let evaluated =
-          Parallel.map ~jobs
-            (fun point ->
-              let cfg = Sweep.apply base point in
-              let results =
-                Array.map
-                  (fun tr ->
-                    Statsim.result_of_metrics cfg (Synth.Run.run cfg tr))
-                  traces
-              in
-              let of_field f = Array.to_list (Array.map f results) in
-              ( point,
-                stat_of (of_field (fun r -> r.Statsim.ipc)),
-                Stats.Summary.mean (of_field (fun r -> r.Statsim.epc)),
-                stat_of (of_field (fun r -> r.Statsim.edp)) ))
-            points
-        in
-        let flags =
-          Pareto.frontier_flags
-            (Array.map
-               (fun (_, ipc, _, edp) ->
-                 {
-                   Pareto.ipc = { value = ipc.mean; ci = ipc.ci95 };
-                   edp = { value = edp.mean; ci = edp.ci95 };
-                 })
-               evaluated)
-        in
-        let results =
-          Array.mapi
-            (fun i (point, ipc, epc, edp) ->
-              {
-                point;
-                label = Sweep.label point;
-                ipc;
-                epc;
-                edp;
-                on_frontier = flags.(i);
-              })
-            evaluated
-        in
-        Ok
-          {
-            sweep_name = sweep.Sweep.sweep_name;
-            axes =
-              List.map
-                (fun a -> a.Config.Machine.axis_name)
-                (Sweep.axes_of sweep.Sweep.spec);
-            bench = bench.Workload.Spec.name;
-            replicas;
-            seed;
-            points = results;
-            frontier_count =
-              Array.fold_left (fun n f -> if f then n + 1 else n) 0 flags;
-          })
+  let ( let* ) = Result.bind in
+  let* points = Sweep.expand ?max_points sweep in
+  Telemetry.time span_sweep (fun () ->
+      let before = Runner.Cache.stats cache in
+      (* one profile and one plan for the whole sweep: both are
+         invariant across the machine axes being swept *)
+      let profile =
+        Runner.Cache.profile cache base
+          ~stream_key:(Workload.Suite.stream_key bench.name ~length)
+          (fun () -> Workload.Suite.stream bench ~length)
+      in
+      let* () = Kernel.Compile.check_survivors ~target_length profile in
+      let plan = Runner.Cache.plan cache ~target_length profile in
+      let after = Runner.Cache.stats cache in
+      if after.profile_computes - before.profile_computes > 1 then
+        failwith "Dse.Driver.run: profile collected more than once";
+      if after.plan_computes - before.plan_computes > 1 then
+        failwith "Dse.Driver.run: plan compiled more than once";
+      Telemetry.add c_store_reuse
+        (after.store_hits - before.store_hits
+        + (after.profile_hits - before.profile_hits)
+        + (after.plan_hits - before.plan_hits));
+      (* replica traces are config-independent: generate once, share
+         read-only across every point and worker domain *)
+      let seeds = Synth.Replicate.split_seeds ~master_seed:seed ~n:replicas in
+      let traces =
+        Array.map (fun s -> Synth.Generate.generate_of_plan plan ~seed:s) seeds
+      in
+      let points = Array.of_list points in
+      Telemetry.add c_points (Array.length points);
+      let evaluated =
+        Parallel.map ~jobs
+          (fun point ->
+            let cfg = Sweep.apply base point in
+            let results =
+              Array.map
+                (fun tr ->
+                  Statsim.result_of_metrics cfg (Synth.Run.run cfg tr))
+                traces
+            in
+            let of_field f = Array.to_list (Array.map f results) in
+            ( point,
+              stat_of (of_field (fun r -> r.Statsim.ipc)),
+              Stats.Summary.mean (of_field (fun r -> r.Statsim.epc)),
+              stat_of (of_field (fun r -> r.Statsim.edp)) ))
+          points
+      in
+      let flags =
+        Pareto.frontier_flags
+          (Array.map
+             (fun (_, ipc, _, edp) ->
+               {
+                 Pareto.ipc = { value = ipc.mean; ci = ipc.ci95 };
+                 edp = { value = edp.mean; ci = edp.ci95 };
+               })
+             evaluated)
+      in
+      let results =
+        Array.mapi
+          (fun i (point, ipc, epc, edp) ->
+            {
+              point;
+              label = Sweep.label point;
+              ipc;
+              epc;
+              edp;
+              on_frontier = flags.(i);
+            })
+          evaluated
+      in
+      Ok
+        {
+          sweep_name = sweep.Sweep.sweep_name;
+          axes =
+            List.map
+              (fun a -> a.Config.Machine.axis_name)
+              (Sweep.axes_of sweep.Sweep.spec);
+          bench = bench.Workload.Spec.name;
+          replicas;
+          seed;
+          points = results;
+          frontier_count =
+            Array.fold_left (fun n f -> if f then n + 1 else n) 0 flags;
+        })
 
 let frontier t =
   let pts =

@@ -58,7 +58,9 @@ val run :
 (** Defaults: [jobs = 1], [replicas = 1], [base = baseline],
     [length = 300_000] (profiling stream), [target_length = 40_000]
     (synthetic trace). [Error] reproduces {!Sweep.expand} failures
-    (oversize sweep, zip mismatch). Raises [Failure] if the shared
+    (oversize sweep, zip mismatch) and a [target_length] whose
+    reduction factor empties the profile's graph
+    ({!Kernel.Compile.check_survivors}). Raises [Failure] if the shared
     cache reports more than one profile collection or plan compilation
     for the sweep — the invariant the whole driver exists to exploit. *)
 

@@ -63,7 +63,7 @@ let phased_src (spec : Workload.Spec.t) ~phases ~length =
 
 let src_key = function
   | Int_src { name; seed_offset; length } ->
-    Printf.sprintf "int:%s:o%d:n%d" name seed_offset length
+    Workload.Suite.stream_key ~seed_offset name ~length
   | Fp_src { name; length } -> Printf.sprintf "fp:%s:n%d" name length
   | Phased_src { name; phases; length } ->
     Printf.sprintf "phased:%s:p%d:n%d" name phases length

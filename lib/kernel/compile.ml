@@ -4,7 +4,7 @@
    depends on hash-table iteration order. *)
 
 (* Also used by every caller that needs the R a plan will be compiled
-   at (Synth.Stratify, Runner.Cache, Server.Ops); the error text keeps
+   at (Synth.Stratify, Runner.Cache, [check_survivors]); the error text keeps
    the [Generate.generate] prefix because that is the user-facing entry
    point. *)
 let derive_reduction ?reduction ?target_length total =
@@ -20,6 +20,21 @@ let derive_reduction ?reduction ?target_length total =
   | None, None -> 100
   | Some _, Some _ ->
     invalid_arg "Generate.generate: give reduction or target_length, not both"
+
+(* [plan]'s survival rule, checked before any engine runs: an R so large
+   that every node's [occurrences / R] is 0 leaves nothing to walk. *)
+let check_survivors ?reduction ?target_length (p : Profile.Stat_profile.t) =
+  let r = derive_reduction ?reduction ?target_length (max 1 p.instructions) in
+  let survives = ref false in
+  Profile.Sfg.iter_nodes p.sfg (fun n ->
+      if n.occurrences / r > 0 then survives := true);
+  if !survives then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "reduction factor %d leaves an empty graph (R too large for this \
+          profile)"
+         r)
 
 let lower_node_edges index_of_key (n : Profile.Sfg.node) =
   let out = ref [] in

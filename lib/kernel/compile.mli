@@ -12,6 +12,15 @@ val derive_reduction : ?reduction:int -> ?target_length:int -> int -> int
     stays at or under target); defaults to 100 (the paper's R). Raises
     [Invalid_argument] when both are given. *)
 
+val check_survivors :
+  ?reduction:int ->
+  ?target_length:int ->
+  Profile.Stat_profile.t ->
+  (unit, string) result
+(** [Error], naming R, when the reduction {!derive_reduction} resolves
+    leaves no node with [occurrences / R > 0]: the empty graph {!plan}
+    rejects. Request boundaries call it before any engine runs. *)
+
 val plan :
   ?reduction:int -> ?target_length:int -> Profile.Stat_profile.t -> Plan.t
 (** Compile the profile at the resolved reduction. Surviving nodes

@@ -96,24 +96,17 @@ let str_list params k =
       items
   | Some _ -> bad "%S must be an array of strings" k
 
-(* --- shared pieces --- *)
+let format_param params =
+  let name = str_def params "format" "text" in
+  match Runner.Report.format_of_string name with
+  | Some f -> f
+  | None ->
+    bad "unknown format %S (one of: %s)" name
+      (String.concat " " Runner.Report.format_names)
 
-(* The data-dependent twin of the range checks: a reduction factor so
-   large that no SFG node keeps a nonzero count ([occurrences / R = 0],
-   the survival rule every engine applies) leaves nothing to walk or
-   solve. Checked against the R the engines derive, before any of them
-   runs. *)
-let require_survivors ?reduction ?target_length (p : Profile.Stat_profile.t) =
-  let r =
-    Kernel.Compile.derive_reduction ?reduction ?target_length
-      (max 1 p.instructions)
-  in
-  let survives = ref false in
-  Profile.Sfg.iter_nodes p.sfg (fun n ->
-      if n.occurrences / r > 0 then survives := true);
-  if not !survives then
-    bad "reduction factor %d leaves an empty graph (R too large for this \
-         profile)" r
+let ok_exn = function Ok v -> v | Error m -> raise (Bad_param m)
+
+(* --- shared pieces --- *)
 
 let find_spec name =
   match Workload.Suite.find name with
@@ -121,10 +114,6 @@ let find_spec name =
   | exception Not_found ->
     bad "unknown workload %S; try: %s" name
       (String.concat " " Workload.Suite.names)
-
-(* the same stream key Exp_common.src_key builds for an Int_src, so a
-   server answering both `simulate` and `experiment` shares entries *)
-let stream_key ~bench ~length = Printf.sprintf "int:%s:o0:n%d" bench length
 
 (* A profile either loaded from a file (with the CLI's -k mismatch
    warning) or collected through the shared cache. *)
@@ -144,7 +133,7 @@ let collect_profile env ~warn cfg ~bench ~length ~k ~profile_file =
   | None ->
     let spec = find_spec bench in
     Runner.Cache.profile env.cache ?k cfg
-      ~stream_key:(stream_key ~bench ~length) (fun () ->
+      ~stream_key:(Workload.Suite.stream_key bench ~length) (fun () ->
         Workload.Suite.stream spec ~length)
 
 let result_obj ?(extra = []) ~warnings buf =
@@ -199,7 +188,7 @@ let simulate env ~force_replicas params =
   let warn m = warnings := m :: !warnings in
   let collect () =
     let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
-    require_survivors ~target_length:syn p;
+    ok_exn (Kernel.Compile.check_survivors ~target_length:syn p);
     p
   in
   let buf = Buffer.create 512 in
@@ -210,7 +199,7 @@ let simulate env ~force_replicas params =
     let eds =
       tspan env "cache.reference" (fun () ->
           Runner.Cache.reference env.cache cfg
-            ~stream_key:(stream_key ~bench ~length) (fun () ->
+            ~stream_key:(Workload.Suite.stream_key bench ~length) (fun () ->
               Workload.Suite.stream spec ~length))
     in
     env.check ();
@@ -261,14 +250,9 @@ let simulate env ~force_replicas params =
               ~replicas:(Option.value replicas ~default:16))
     in
     tspan env "render" (fun () ->
-        if json then
-          Buffer.add_string buf
-            (Json.to_string (Synth.Stratify.to_json r) ^ "\n")
-        else begin
-          let ppf = Format.formatter_of_buffer buf in
-          Synth.Stratify.render_text ppf r;
-          Format.pp_print_flush ppf ()
-        end)
+        Buffer.add_string buf
+          (if json then Json.to_string (Synth.Stratify.to_json r) ^ "\n"
+           else Format.asprintf "%a" Synth.Stratify.render_text r))
   | _ ->
     (* replication mode: dispersion across seeds, no EDS reference *)
     let p = collect () in
@@ -286,14 +270,9 @@ let simulate env ~force_replicas params =
               ~replicas:(Option.value replicas ~default:4))
     in
     tspan env "render" (fun () ->
-        if json then
-          Buffer.add_string buf
-            (Json.to_string (Synth.Replicate.to_json r) ^ "\n")
-        else begin
-          let ppf = Format.formatter_of_buffer buf in
-          Synth.Replicate.render_text ppf r;
-          Format.pp_print_flush ppf ()
-        end));
+        Buffer.add_string buf
+          (if json then Json.to_string (Synth.Replicate.to_json r) ^ "\n"
+           else Format.asprintf "%a" Synth.Replicate.render_text r)));
   result_obj ~warnings:!warnings buf
 
 (* --- estimate --- *)
@@ -338,9 +317,8 @@ let render_estimate buf (e : Analytical.Steady_state.estimate) =
       Printf.sprintf "by power iteration (%d iterations)"
         e.solution.iterations);
   Printf.bprintf buf "  residual %.2e\n" e.solution.residual;
-  let ppf = Format.formatter_of_buffer buf in
-  Analytical.pp_breakdown ppf e.breakdown;
-  Format.pp_print_flush ppf ();
+  Buffer.add_string buf
+    (Format.asprintf "%a" Analytical.pp_breakdown e.breakdown);
   Buffer.add_char buf '\n';
   Buffer.add_string buf "  stationary mix:";
   List.iter
@@ -368,7 +346,7 @@ let estimate env params =
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
   let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
-  require_survivors ?reduction ?target_length p;
+  ok_exn (Kernel.Compile.check_survivors ?reduction ?target_length p);
   env.check ();
   let e =
     tspan env "estimate.solve" (fun () ->
@@ -399,7 +377,7 @@ let diag env params =
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
   let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
-  require_survivors ?reduction ?target_length p;
+  ok_exn (Kernel.Compile.check_survivors ?reduction ?target_length p);
   env.check ();
   let plan =
     tspan env "cache.plan" (fun () ->
@@ -419,7 +397,7 @@ let diag env params =
       let eds_res =
         tspan env "cache.reference" (fun () ->
             Runner.Cache.reference env.cache cfg
-              ~stream_key:(stream_key ~bench ~length) (fun () ->
+              ~stream_key:(Workload.Suite.stream_key bench ~length) (fun () ->
                 Workload.Suite.stream spec ~length))
       in
       let syn_m = Synth.Run.run cfg tr in
@@ -463,16 +441,16 @@ let diag env params =
 
 (* --- experiment --- *)
 
+(* The selected tables, then for every workload of [Exp_common.benches]
+   a divergence report ("diag") and a streamed replication report
+   ("replicas"): how far the experiments' synthetic traces sit from
+   their profiles, and how much of each table entry is seed noise. *)
 let experiment env params =
+  let module E = Experiments.Exp_common in
   let ids = str_list params "ids" in
-  let format =
-    let name = str_def params "format" "text" in
-    match Runner.Report.format_of_string name with
-    | Some f -> f
-    | None ->
-      bad "unknown format %S (one of: %s)" name
-        (String.concat " " Runner.Report.format_names)
-  in
+  let format = format_param params in
+  let diag = bool_def params "diag" false in
+  let replicas = int_opt_min params "replicas" ~min:1 in
   let entries =
     match ids with
     | [] -> Experiments.Registry.all
@@ -494,7 +472,42 @@ let experiment env params =
           Runner.Report.render format ppf
             (Runner.Exec.run ~label:e.id ctx e.plan)))
     entries;
-  Format.pp_print_flush ppf ();
+  let cfg = Config.Machine.baseline in
+  let per_bench f =
+    List.iter
+      (fun (spec : Workload.Spec.t) ->
+        env.check ();
+        f spec.name (E.profile env.cache cfg (E.src spec)))
+      E.benches
+  in
+  let json = format = Runner.Report.Json in
+  if diag then
+    per_bench (fun name p ->
+        let tr =
+          Synth.Generate.generate ~target_length:E.syn_length p ~seed:E.seed
+        in
+        let d = Diag.compare ~label:name p tr in
+        Buffer.add_string buf
+          (if json then Json.to_string (Diag.to_json d) ^ "\n"
+           else Diag.render_text d));
+  Option.iter
+    (fun n ->
+      per_bench (fun name p ->
+          let r =
+            Synth.Replicate.run ~jobs:env.jobs ~stream:true ~check:env.check
+              ~target_length:E.syn_length cfg p ~master_seed:E.seed ~replicas:n
+          in
+          Buffer.add_string buf
+            (if json then
+               Json.to_string
+                 (Json.Obj
+                    [
+                      ("bench", Json.Str name);
+                      ("replication", Synth.Replicate.to_json r);
+                    ])
+               ^ "\n"
+             else Format.asprintf "%s %a" name Synth.Replicate.render_text r)))
+    replicas;
   result_obj ~warnings:[] buf
 
 (* --- dse --- *)
@@ -502,12 +515,8 @@ let experiment env params =
 let dse env params =
   let sweep =
     match Json.member "sweep" params with
-    | Some (Json.Str path) -> (
-      match Dse.Sweep.load_file path with
-      | Ok s -> s
-      | Error m -> bad "%s" m)
-    | Some j -> (
-      match Dse.Sweep.of_json j with Ok s -> s | Error m -> bad "%s" m)
+    | Some (Json.Str path) -> ok_exn (Dse.Sweep.load_file path)
+    | Some j -> ok_exn (Dse.Sweep.of_json j)
     | None -> bad "missing \"sweep\" (inline sweep object or file path)"
   in
   let bench = str_def params "bench" "gcc" in
@@ -516,14 +525,7 @@ let dse env params =
   let seed = int_def params "seed" 42 in
   let replicas = int_min params "replicas" ~min:1 1 in
   let max_points = int_opt params "max_points" in
-  let format =
-    let name = str_def params "format" "text" in
-    match Runner.Report.format_of_string name with
-    | Some f -> f
-    | None ->
-      bad "unknown format %S (one of: %s)" name
-        (String.concat " " Runner.Report.format_names)
-  in
+  let format = format_param params in
   let spec = find_spec bench in
   env.check ();
   match
@@ -533,12 +535,15 @@ let dse env params =
   with
   | Error m -> Error m
   | Ok r ->
-    let buf = Buffer.create 1024 in
+    let buf = Buffer.create 1024 and csv = Buffer.create 512 in
     tspan env "render" (fun () ->
-        let ppf = Format.formatter_of_buffer buf in
-        Runner.Report.render format ppf (Dse.Driver.to_report r);
-        Format.pp_print_flush ppf ());
-    result_obj ~warnings:[] buf
+        Runner.Report.render format (Format.formatter_of_buffer buf)
+          (Dse.Driver.to_report r);
+        Runner.Report.to_csv (Format.formatter_of_buffer csv)
+          (Dse.Driver.pareto_report r));
+    result_obj
+      ~extra:[ ("pareto_csv", Json.Str (Buffer.contents csv)) ]
+      ~warnings:[] buf
 
 (* --- small ops --- *)
 

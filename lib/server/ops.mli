@@ -1,11 +1,11 @@
 (** The request dispatcher: every server op, executable in-process.
 
     Each op renders its human-readable report into the reply's
-    ["output"] field with exactly the format strings the one-shot CLI
-    uses — the CLI subcommands call {!dispatch} themselves and print
-    ["output"] verbatim, so a server reply is byte-identical to the
-    one-shot CLI's stdout by construction, not by parallel maintenance
-    of two code paths.
+    ["output"] field — the CLI's [simulate], [estimate], [diag],
+    [experiment] and [dse] subcommands call {!dispatch} themselves and
+    print ["output"] verbatim, so a server reply is byte-identical to
+    the one-shot CLI's stdout by construction, not by parallel
+    maintenance of two code paths.
 
     All heavy artifacts flow through the {!env}'s shared
     {!Runner.Cache}: SFG profiles, compiled {!Kernel.Plan}s and EDS
@@ -48,7 +48,14 @@ val op_names : string list
     replication-mode requests through {!Synth.Stratify}; [estimate] is
     the zero-simulation {!Analytical.Steady_state} instant answer
     (structured reply in its ["estimate"] field, cached through
-    {!Runner.Cache.estimate}). *)
+    {!Runner.Cache.estimate}).
+
+    After its tables, [experiment] adds per workload of
+    {!Experiments.Exp_common.benches} a {!Diag} report with
+    ["diag": true] and a streamed {!Synth.Replicate} report with
+    ["replicas": n] (n >= 1). [dse] adds the Pareto frontier CSV
+    ({!Dse.Driver.pareto_report}), the CLI's [--pareto-out] file, as a
+    ["pareto_csv"] string member. *)
 
 val dispatch :
   env -> op:string -> Telemetry.Json.t -> (Telemetry.Json.t, string) result

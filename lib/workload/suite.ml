@@ -332,3 +332,6 @@ let program s = Program.generate s ~seed:(program_seed s)
 let stream ?(seed_offset = 0) s ~length =
   let p = program s in
   Interp.generator p ~seed:(program_seed s + 7919 + seed_offset) ~length
+
+let stream_key ?(seed_offset = 0) name ~length =
+  Printf.sprintf "int:%s:o%d:n%d" name seed_offset length

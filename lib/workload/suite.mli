@@ -31,3 +31,8 @@ val stream :
 (** Fresh dynamic-stream generator of [length] instructions.
     [seed_offset] shifts the data-behaviour seed, e.g. to model a
     different program phase or input. *)
+
+val stream_key : ?seed_offset:int -> string -> length:int -> string
+(** The cache key ["int:<name>:o<seed_offset>:n<length>"] of
+    [stream ?seed_offset (find name) ~length]. Persistent stores key
+    their entries by it, so the format must not change. *)

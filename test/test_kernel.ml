@@ -166,6 +166,25 @@ let test_compiled_stream_equals_materialized () =
   check "bit-identical instructions" true
     (t.insts = Array.of_list (List.rev !streamed))
 
+(* [check_survivors] must reject exactly the reductions [plan] rejects
+   as an empty graph, so request boundaries can answer before it runs *)
+let test_survivors_agree_with_plan () =
+  let p = profile_of "vpr" 8_000 in
+  List.iter
+    (fun r ->
+      let compiles =
+        match Kernel.Compile.plan ~reduction:r p with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      check
+        (Printf.sprintf "R = %d" r)
+        compiles
+        (Kernel.Compile.check_survivors ~reduction:r p = Ok ()))
+    [ 1; 10; 100; 1_000; 2_000; 4_000; 8_000; 100_000 ];
+  check "target length 1 empties the graph" true
+    (Result.is_error (Kernel.Compile.check_survivors ~target_length:1 p))
+
 let test_empty_count_node () =
   (* a node whose branch/fetch/load denominators are all zero must
      compile (thresholds guard the zero denominators) and generate
@@ -312,6 +331,8 @@ let suite =
     Alcotest.test_case "compiled stream equals materialized" `Quick
       test_compiled_stream_equals_materialized;
     Alcotest.test_case "empty-count node" `Quick test_empty_count_node;
+    Alcotest.test_case "survivor check agrees with plan" `Quick
+      test_survivors_agree_with_plan;
     Alcotest.test_case "plan codec roundtrip" `Quick test_plan_codec_roundtrip;
     Alcotest.test_case "plan codec rejects" `Quick test_plan_codec_rejects;
     Alcotest.test_case "skip-idle equivalence" `Quick test_skip_idle_equivalence;

@@ -688,7 +688,20 @@ let test_pinned_outputs () =
           digest
           (Digest.to_hex (Digest.string (Server.Ops.output r)))
       | Error e -> Alcotest.failf "row %d (%s) rejected: %s" i op e)
-    pinned_outputs
+    pinned_outputs;
+  (* the --pareto-out file of the json row's CLI twin *)
+  match
+    Server.Ops.dispatch env ~op:"dse"
+      (Json.Obj (dse_smoke @ [ ("format", Json.Str "json") ]))
+  with
+  | Ok r -> (
+    match Json.member "pareto_csv" r with
+    | Some (Json.Str csv) ->
+      Alcotest.(check string)
+        "pareto_csv digest" "9194066f7a37749264aa275654fbff18"
+        (Digest.to_hex (Digest.string csv))
+    | _ -> Alcotest.fail "dse result carries no pareto_csv string")
+  | Error e -> Alcotest.failf "dse rejected: %s" e
 
 (* --- out-of-range params --- *)
 
@@ -707,9 +720,21 @@ let small_request fields =
 (* Every row is a client mistake, so [dispatch] must answer [Error]
    (a bad_request reply) rather than raise. The last rows of each op
    depend on the data: an empty reduced graph, and a stratified budget
-   below pilot x the BIC-selected strata (3 for this profile). *)
+   below pilot x the BIC-selected strata (3 for this profile). The
+   experiment row must be rejected before table1 runs. *)
 let out_of_range =
   let n v = Json.Num (float_of_int v) and t = Json.Bool true in
+  let sweep =
+    ( "sweep",
+      Json.Obj
+        [
+          ("name", Json.Str "t");
+          ( "sweep",
+            Json.Obj
+              [ ("axis", Json.Str "ruu"); ("values", Json.Arr [ n 16; n 32 ]) ]
+          );
+        ] )
+  in
   [
     ("simulate", [ ("replicas", n 0) ]);
     ("simulate", [ ("ci_target", n 0) ]);
@@ -731,18 +756,11 @@ let out_of_range =
     ("estimate", [ ("reduction", n 0) ]);
     ("estimate", [ ("synthetic", n 0) ]);
     ("estimate", [ ("synthetic", n 1) ]);
-    ( "dse",
-      [
-        ( "sweep",
-          Json.Obj
-            [
-              ("name", Json.Str "t");
-              ( "sweep",
-                Json.Obj
-                  [ ("axis", Json.Str "ruu"); ("values", Json.Arr [ n 16 ]) ] );
-            ] );
-        ("replicas", n 0);
-      ] );
+    ( "experiment",
+      [ ("ids", Json.Arr [ Json.Str "table1" ]); ("replicas", n 0) ] );
+    ("dse", [ sweep; ("replicas", n 0) ]);
+    ("dse", [ sweep; ("length", n 0) ]);
+    ("dse", [ sweep; ("length", n 20000); ("synthetic", n 1) ]);
   ]
 
 let test_out_of_range_params () =

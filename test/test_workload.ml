@@ -132,6 +132,13 @@ let test_seed_offset_changes_behavior () =
   let b = take 5000 (Workload.Suite.stream ~seed_offset:1 spec ~length:5000) in
   check "different data behaviour" true (a <> b)
 
+(* persistent stores key their entries by this exact text *)
+let test_stream_key_format () =
+  Alcotest.(check string) "default offset" "int:gcc:o0:n300000"
+    (Workload.Suite.stream_key "gcc" ~length:300_000);
+  Alcotest.(check string) "seed offset" "int:crafty:o7717:n5000"
+    (Workload.Suite.stream_key ~seed_offset:7717 "crafty" ~length:5000)
+
 let test_table1_ipc_spread () =
   (* the suite must be performance-diverse: fastest/slowest ratio > 2 *)
   let cfg = Config.Machine.baseline in
@@ -214,6 +221,7 @@ let suite =
     Alcotest.test_case "pcs within code" `Quick test_pcs_within_code;
     Alcotest.test_case "addresses in regions" `Quick test_addresses_in_regions;
     Alcotest.test_case "seed offset" `Quick test_seed_offset_changes_behavior;
+    Alcotest.test_case "stream key format" `Quick test_stream_key_format;
     Alcotest.test_case "IPC spread" `Slow test_table1_ipc_spread;
     QCheck_alcotest.to_alcotest prop_any_spec_interprets;
     Alcotest.test_case "fp suite valid" `Quick test_fp_suite_valid;
