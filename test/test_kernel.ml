@@ -269,23 +269,42 @@ let test_plan_codec_rejects () =
 
 (* --- event-driven pipeline equivalence --- *)
 
-let test_skip_idle_equivalence () =
-  let p = profile_of "gcc" 30_000 in
-  let trace = Statsim.synthesize ~target_length:6_000 p ~seed:31 in
-  List.iter
-    (fun (label, c) ->
-      let dense = Synth.Run.run ~skip_idle:false c trace in
-      let evented = Synth.Run.run c trace in
-      Alcotest.(check string)
-        (label ^ ": identical metrics")
-        (Uarch.Metrics.encode dense)
-        (Uarch.Metrics.encode evented))
-    [
-      ("baseline", cfg);
-      (* a tiny window plus in-order issue maximizes idle windows *)
-      ("small window", Config.Machine.with_window cfg ~ruu:8 ~lsq:4);
-      ("in-order", Config.Machine.in_order_variant cfg);
-    ]
+(* Dense and event-driven loops agree on random machines: window, LSQ,
+   fetch queue and width drawn independently (tiny windows and in-order
+   issue maximize idle windows), over three workloads. *)
+let skip_idle_traces =
+  lazy
+    (Array.map
+       (fun (profile, trace_seed) ->
+         Statsim.synthesize ~target_length:3_000 (Lazy.force profile)
+           ~seed:trace_seed)
+       [|
+         (lazy (profile_of "gcc" 20_000), 31);
+         (lazy (profile_of "twolf" 20_000), 32);
+         ( lazy
+             (Statsim.profile cfg
+                (Workload.Suite_fp.stream (Workload.Suite_fp.find "swim")
+                   ~length:20_000)),
+           33 );
+       |])
+
+let prop_skip_idle_equivalence =
+  QCheck.Test.make ~name:"skip-idle equivalence" ~count:60
+    QCheck.(
+      pair
+        (quad (int_range 1 160) (int_range 1 64) (int_range 1 64)
+           (int_range 1 8))
+        (pair bool (int_bound 2)))
+    (fun ((ruu, lsq, ifq, width), (in_order, which)) ->
+      let c =
+        Config.Machine.with_width
+          (Config.Machine.with_ifq (Config.Machine.with_window cfg ~ruu ~lsq) ifq)
+          width
+      in
+      let c = if in_order then Config.Machine.in_order_variant c else c in
+      let trace = (Lazy.force skip_idle_traces).(which) in
+      Uarch.Metrics.encode (Synth.Run.run ~skip_idle:false c trace)
+      = Uarch.Metrics.encode (Synth.Run.run c trace))
 
 (* --- runner plan cache tier --- *)
 
@@ -335,6 +354,6 @@ let suite =
       test_survivors_agree_with_plan;
     Alcotest.test_case "plan codec roundtrip" `Quick test_plan_codec_roundtrip;
     Alcotest.test_case "plan codec rejects" `Quick test_plan_codec_rejects;
-    Alcotest.test_case "skip-idle equivalence" `Quick test_skip_idle_equivalence;
+    QCheck_alcotest.to_alcotest prop_skip_idle_equivalence;
     Alcotest.test_case "cache plan tier" `Quick test_cache_plan_tier;
   ]
