@@ -2,13 +2,15 @@ type istate = Wait | Ready | Exec | Done
 
 type slot = {
   f : Feed.fetched;
+  seq : int;  (* [f.seq], one indirection closer *)
+  pool : int;
   mutable st : istate;
   mutable complete_at : int;
   wrong_path : bool;
   mutable pending : int;  (* producers not yet Done *)
   mutable waiters : slot list;
   uses_lsq : bool;
-  mutable valid : bool;
+  mutable valid : bool;  (* false once squashed; never set again *)
 }
 
 (* functional-unit pools, cf. Config.Machine.fu_pool *)
@@ -20,7 +22,53 @@ let pool_of (c : Isa.Iclass.t) =
   | Fp_alu | Fp_branch -> 3
   | Fp_mult | Fp_div | Fp_sqrt -> 4
 
-let watchdog_cycles = 200_000
+(* Filler for the preallocated rings; never read as a live entry. *)
+let no_fetch =
+  {
+    Feed.seq = -1;
+    pc = 0;
+    klass = Isa.Iclass.Int_alu;
+    mem_addr = -1;
+    producers = [||];
+    branch = None;
+  }
+
+let sentinel =
+  {
+    f = no_fetch;
+    seq = -1;
+    pool = 0;
+    st = Done;
+    complete_at = max_int;
+    wrong_path = false;
+    pending = 0;
+    waiters = [];
+    uses_lsq = false;
+    valid = false;
+  }
+
+(* The watchdog fires when nothing commits for this many cycles. A legal
+   machine never gets there: once the oldest instruction is fetched its
+   producers have all committed, so the longest commit gap is one fetch
+   miss, one load miss, the longest operation and the front-end
+   penalties. Four times that, and never below the historical 200,000,
+   so a stuck model still fails fast at realistic latencies. *)
+let watchdog_floor = 200_000
+
+let watchdog_cycles (cfg : Config.Machine.t) =
+  let worst ~instruction =
+    Cache.Hierarchy.latency_of_outcome cfg ~instruction
+      { Cache.Hierarchy.l1_miss = true; l2_miss = true; tlb_miss = true }
+  in
+  let longest_op =
+    Array.fold_left
+      (fun acc c -> max acc (Config.Machine.op_latency c))
+      0 Isa.Iclass.all
+  in
+  max watchdog_floor
+    (4
+    * (worst ~instruction:true + worst ~instruction:false + longest_op
+      + cfg.mispredict_restart + cfg.fetch_redirect_penalty))
 
 (* Why the front end last stopped fetching. Sticky: it is cleared only
    when a fetch burst actually resumes, because the bubble a stalled
@@ -36,17 +84,47 @@ let h_ruu_occ = Telemetry.histogram "uarch.occupancy.ruu"
 let h_lsq_occ = Telemetry.histogram "uarch.occupancy.lsq"
 let h_ifq_occ = Telemetry.histogram "uarch.occupancy.ifq"
 
+(* Per-stage work, counted in machine-local ints and published once per
+   run. *)
+let c_wakeups = Telemetry.counter "uarch.wakeups"
+let c_issue_examined = Telemetry.counter "uarch.issue_examined"
+let c_cycles_skipped = Telemetry.counter "uarch.cycles_skipped"
+let c_squashed = Telemetry.counter "uarch.squashed"
+
 module Make (F : Feed.S) = struct
   type machine = {
     cfg : Config.Machine.t;
     feed : F.t;
     act : Power.Activity.t;
-    ruu : slot option array;
+    in_order : bool;
+    watchdog : int;
+    (* RUU: a ring of [ruu_size] slots. Dispatch is in order and a
+       squash removes a suffix, so the in-flight seqs are always the
+       contiguous range [head_seq, head_seq + count) and seq [p] sits
+       at ring offset [p - head_seq] from [head]. *)
+    ruu : slot array;
     mutable head : int;
+    mutable head_seq : int;
     mutable count : int;
     mutable lsq : int;
-    table : (int, slot) Hashtbl.t;
-    ifq : (Feed.fetched * bool) Queue.t;
+    (* IFQ: a ring of [ifq_size] fetched records and wrong-path flags *)
+    ifq : Feed.fetched array;
+    ifq_wrong : bool array;
+    mutable ifq_head : int;
+    mutable ifq_len : int;
+    (* issued slots: a binary min-heap of (complete_at, seq) pairs in
+       two int arrays. An entry is live while the slot at its seq is in
+       flight, executing and due at its key; a squashed slot's entry
+       fails that test and is dropped when it surfaces. *)
+    mutable heap_at : int array;
+    mutable heap_seq : int array;
+    mutable heap_len : int;
+    (* seqs of the Ready slots, ascending *)
+    ready : int array;
+    mutable ready_len : int;
+    mutable issue_seq : int;
+        (* in-order issue only: the oldest slot not yet issued (issued
+           slots always form a prefix of the window) *)
     mutable next_pos : int;
     mutable fetch_stall_until : int;
     mutable pending_mispredict : int;  (* seq, or -1 *)
@@ -73,14 +151,11 @@ module Make (F : Feed.S) = struct
     mutable stall_squash : int;
     mutable stall_frontend : int;
     mutable stall_cycles : int;
-    (* event-driven bookkeeping: cheap bounds that tell the run loop
-       when nothing can happen so it may jump to the next event *)
-    mutable ready_count : int;  (* slots in [Ready] *)
-    mutable exec_min : int;
-        (* lower bound on the earliest [complete_at] among [Exec]
-           slots; recomputed exactly by each writeback scan, min-updated
-           at issue, left stale-low after a squash (a too-early wake is
-           harmless — the loop just finds nothing to do and skips on) *)
+    (* work counters *)
+    mutable wakeups : int;
+    mutable issue_examined : int;
+    mutable cycles_skipped : int;
+    mutable squashed : int;
   }
 
   let create cfg feed =
@@ -88,12 +163,23 @@ module Make (F : Feed.S) = struct
       cfg;
       feed;
       act = Power.Activity.create ();
-      ruu = Array.make cfg.Config.Machine.ruu_size None;
+      in_order = cfg.Config.Machine.in_order;
+      watchdog = watchdog_cycles cfg;
+      ruu = Array.make cfg.ruu_size sentinel;
       head = 0;
+      head_seq = 0;
       count = 0;
       lsq = 0;
-      table = Hashtbl.create 512;
-      ifq = Queue.create ();
+      ifq = Array.make cfg.ifq_size no_fetch;
+      ifq_wrong = Array.make cfg.ifq_size false;
+      ifq_head = 0;
+      ifq_len = 0;
+      heap_at = Array.make (cfg.ruu_size + 1) 0;
+      heap_seq = Array.make (cfg.ruu_size + 1) 0;
+      heap_len = 0;
+      ready = Array.make cfg.ruu_size 0;
+      ready_len = 0;
+      issue_seq = 0;
       next_pos = 0;
       fetch_stall_until = 0;
       pending_mispredict = -1;
@@ -125,163 +211,260 @@ module Make (F : Feed.S) = struct
       stall_squash = 0;
       stall_frontend = 0;
       stall_cycles = 0;
-      ready_count = 0;
-      exec_min = max_int;
+      wakeups = 0;
+      issue_examined = 0;
+      cycles_skipped = 0;
+      squashed = 0;
     }
 
-  let nth m k = m.ruu.((m.head + k) mod Array.length m.ruu)
-
-  let remove_youngest m =
+  (* ring index of the slot [k] places behind [head], [0 <= k < cap] *)
+  let ruu_index m k =
+    let i = m.head + k in
     let cap = Array.length m.ruu in
-    let idx = (m.head + m.count - 1) mod cap in
-    (match m.ruu.(idx) with
-    | Some s ->
-      s.valid <- false;
-      if s.st = Ready then m.ready_count <- m.ready_count - 1;
-      Hashtbl.remove m.table s.f.seq;
-      if s.uses_lsq then m.lsq <- m.lsq - 1
-    | None -> ());
-    m.ruu.(idx) <- None;
-    m.count <- m.count - 1
+    if i >= cap then i - cap else i
 
-  (* Squash everything younger than [seq] and restart the front end just
-     after it. *)
-  let squash m ~seq =
-    let youngest_newer () =
-      m.count > 0
-      &&
-      match nth m (m.count - 1) with
-      | Some s -> s.f.seq > seq
-      | None -> false
-    in
-    while youngest_newer () do
-      remove_youngest m
+  let slot_of m seq = m.ruu.(ruu_index m (seq - m.head_seq))
+
+  (* --- completion heap --- *)
+
+  let heap_push m ~at ~seq =
+    if m.heap_len = Array.length m.heap_at then begin
+      let grow a =
+        let bigger = Array.make (2 * m.heap_len) 0 in
+        Array.blit a 0 bigger 0 m.heap_len;
+        bigger
+      in
+      m.heap_at <- grow m.heap_at;
+      m.heap_seq <- grow m.heap_seq
+    end;
+    let ha = m.heap_at and hs = m.heap_seq in
+    let i = ref m.heap_len in
+    m.heap_len <- m.heap_len + 1;
+    while !i > 0 && ha.((!i - 1) / 2) > at do
+      let p = (!i - 1) / 2 in
+      ha.(!i) <- ha.(p);
+      hs.(!i) <- hs.(p);
+      i := p
     done;
-    Queue.clear m.ifq;
+    ha.(!i) <- at;
+    hs.(!i) <- seq
+
+  let heap_pop m =
+    let ha = m.heap_at and hs = m.heap_seq in
+    let n = m.heap_len - 1 in
+    m.heap_len <- n;
+    if n > 0 then begin
+      let at = ha.(n) and seq = hs.(n) in
+      let i = ref 0 in
+      let sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        if l >= n then sifting := false
+        else begin
+          let c = if l + 1 < n && ha.(l + 1) < ha.(l) then l + 1 else l in
+          if ha.(c) < at then begin
+            ha.(!i) <- ha.(c);
+            hs.(!i) <- hs.(c);
+            i := c
+          end
+          else sifting := false
+        end
+      done;
+      ha.(!i) <- at;
+      hs.(!i) <- seq
+    end
+
+  let live m ~at ~seq =
+    let k = seq - m.head_seq in
+    k >= 0
+    && k < m.count
+    &&
+    let s = m.ruu.(ruu_index m k) in
+    s.st = Exec && s.complete_at = at
+
+  (* Earliest pending completion, after dropping dead entries from the
+     top; [max_int] when nothing is executing. *)
+  let next_completion m =
+    while
+      m.heap_len > 0 && not (live m ~at:m.heap_at.(0) ~seq:m.heap_seq.(0))
+    do
+      heap_pop m
+    done;
+    if m.heap_len > 0 then m.heap_at.(0) else max_int
+
+  (* --- ready list --- *)
+
+  (* Dispatch appends (the new slot is the youngest in flight); a wakeup
+     inserts by seq. *)
+  let ready_insert m seq =
+    let r = m.ready in
+    let i = ref m.ready_len in
+    while !i > 0 && r.(!i - 1) > seq do
+      r.(!i) <- r.(!i - 1);
+      decr i
+    done;
+    r.(!i) <- seq;
+    m.ready_len <- m.ready_len + 1
+
+  (* Squash everything younger than [seq] — the tail of the window — and
+     restart the front end just after it. *)
+  let squash m ~seq =
+    let keep = seq + 1 - m.head_seq in
+    while m.count > keep do
+      let s = m.ruu.(ruu_index m (m.count - 1)) in
+      s.valid <- false;
+      if s.uses_lsq then m.lsq <- m.lsq - 1;
+      m.count <- m.count - 1;
+      m.squashed <- m.squashed + 1
+    done;
+    while m.ready_len > 0 && m.ready.(m.ready_len - 1) > seq do
+      m.ready_len <- m.ready_len - 1
+    done;
+    if m.issue_seq > seq + 1 then m.issue_seq <- seq + 1;
+    m.ifq_head <- 0;
+    m.ifq_len <- 0;
     m.next_pos <- seq + 1;
     m.stream_done <- false;
-    m.fetch_stall_until <-
-      max m.fetch_stall_until (m.cycle + m.cfg.mispredict_restart);
+    let restart = m.cycle + m.cfg.mispredict_restart in
+    if restart > m.fetch_stall_until then m.fetch_stall_until <- restart;
     m.fetch_stall_reason <- Fs_squash;
     m.pending_mispredict <- -1
 
   let commit_stage m ~budget ~hook =
     let n = ref 0 in
-    let blocked = ref false in
-    while (not !blocked) && !n < budget && m.count > 0 do
-      match m.ruu.(m.head) with
-      | Some s when s.st = Done ->
-        if Isa.Iclass.is_store s.f.klass then begin
-          let o = F.on_commit_store m.feed s.f in
-          m.act.dcache_accesses <- m.act.dcache_accesses + 1;
-          if o.Cache.Hierarchy.l1_miss then
-            m.act.l2_accesses <- m.act.l2_accesses + 1
-        end;
-        Hashtbl.remove m.table s.f.seq;
-        m.ruu.(m.head) <- None;
-        m.head <- (m.head + 1) mod Array.length m.ruu;
-        m.count <- m.count - 1;
-        if s.uses_lsq then m.lsq <- m.lsq - 1;
-        m.act.committed <- m.act.committed + 1;
-        (match s.f.branch with
-        | None -> ()
-        | Some b ->
-          m.branches <- m.branches + 1;
-          if b.taken then m.taken <- m.taken + 1;
-          (match b.resolution with
-          | Branch.Predictor.Mispredict -> m.mispredicts <- m.mispredicts + 1
-          | Branch.Predictor.Fetch_redirect -> m.redirects <- m.redirects + 1
-          | Branch.Predictor.Correct -> ()));
-        if Isa.Iclass.is_load s.f.klass then m.loads <- m.loads + 1;
-        if Isa.Iclass.is_store s.f.klass then m.stores <- m.stores + 1;
-        m.last_commit_cycle <- m.cycle;
-        (match hook with
-        | Some f -> f ~committed:m.act.committed ~cycle:m.cycle
-        | None -> ());
-        incr n
-      | Some _ | None -> blocked := true
+    while !n < budget && m.count > 0 && m.ruu.(m.head).st = Done do
+      let s = m.ruu.(m.head) in
+      if Isa.Iclass.is_store s.f.klass then begin
+        let o = F.on_commit_store m.feed s.f in
+        m.act.dcache_accesses <- m.act.dcache_accesses + 1;
+        if o.Cache.Hierarchy.l1_miss then
+          m.act.l2_accesses <- m.act.l2_accesses + 1
+      end;
+      m.head <- ruu_index m 1;
+      m.head_seq <- m.head_seq + 1;
+      m.count <- m.count - 1;
+      if s.uses_lsq then m.lsq <- m.lsq - 1;
+      m.act.committed <- m.act.committed + 1;
+      (match s.f.branch with
+      | None -> ()
+      | Some b ->
+        m.branches <- m.branches + 1;
+        if b.taken then m.taken <- m.taken + 1;
+        (match b.resolution with
+        | Branch.Predictor.Mispredict -> m.mispredicts <- m.mispredicts + 1
+        | Branch.Predictor.Fetch_redirect -> m.redirects <- m.redirects + 1
+        | Branch.Predictor.Correct -> ()));
+      if Isa.Iclass.is_load s.f.klass then m.loads <- m.loads + 1;
+      if Isa.Iclass.is_store s.f.klass then m.stores <- m.stores + 1;
+      m.last_commit_cycle <- m.cycle;
+      (match hook with
+      | Some f -> f ~committed:m.act.committed ~cycle:m.cycle
+      | None -> ());
+      incr n
     done
 
-  let wake m s =
-    List.iter
-      (fun w ->
-        if w.valid then begin
-          w.pending <- w.pending - 1;
-          if w.pending = 0 && w.st = Wait then begin
-            w.st <- Ready;
-            m.ready_count <- m.ready_count + 1
-          end
-        end)
-      s.waiters;
-    s.waiters <- []
+  let rec wake m = function
+    | [] -> ()
+    | w :: rest ->
+      if w.valid then begin
+        m.wakeups <- m.wakeups + 1;
+        w.pending <- w.pending - 1;
+        if w.pending = 0 && w.st = Wait then begin
+          w.st <- Ready;
+          ready_insert m w.seq
+        end
+      end;
+      wake m rest
 
+  (* Complete every issued slot whose latency has elapsed. Completion
+     order within a cycle is immaterial: wakeups only move slots into
+     the seq-sorted ready list, and the squash waits for the loop. *)
   let writeback_stage m =
     let to_squash = ref (-1) in
-    let next_complete = ref max_int in
-    for k = 0 to m.count - 1 do
-      match nth m k with
-      | Some s when s.st = Exec && s.complete_at <= m.cycle ->
+    while m.heap_len > 0 && m.heap_at.(0) <= m.cycle do
+      let at = m.heap_at.(0) and seq = m.heap_seq.(0) in
+      heap_pop m;
+      if live m ~at ~seq then begin
+        let s = slot_of m seq in
         s.st <- Done;
         m.act.completed <- m.act.completed + 1;
-        wake m s;
-        if s.f.seq = m.pending_mispredict then to_squash := s.f.seq
-      | Some s when s.st = Exec ->
-        if s.complete_at < !next_complete then next_complete := s.complete_at
-      | Some _ | None -> ()
+        wake m s.waiters;
+        s.waiters <- [];
+        if s.seq = m.pending_mispredict then to_squash := s.seq
+      end
     done;
-    (* exact after every scan; the squash below can only remove Exec
-       slots, leaving the bound stale-low, which is safe *)
-    m.exec_min <- !next_complete;
     if !to_squash >= 0 then squash m ~seq:!to_squash
 
+  let issue m s =
+    let latency =
+      let base = Config.Machine.op_latency s.f.klass in
+      if Isa.Iclass.is_load s.f.klass then begin
+        let o, lat = F.load_access m.feed s.f ~wrong_path:s.wrong_path in
+        m.act.dcache_accesses <- m.act.dcache_accesses + 1;
+        if o.Cache.Hierarchy.l1_miss then
+          m.act.l2_accesses <- m.act.l2_accesses + 1;
+        base + lat
+      end
+      else base
+    in
+    s.st <- Exec;
+    s.complete_at <- m.cycle + latency;
+    heap_push m ~at:s.complete_at ~seq:s.seq;
+    m.fu_used.(s.pool) <- m.fu_used.(s.pool) + 1;
+    m.act.issued <- m.act.issued + 1;
+    match s.f.klass with
+    | Int_alu | Int_branch | Indirect_branch ->
+      m.act.int_alu_ops <- m.act.int_alu_ops + 1
+    | Int_mult | Int_div -> m.act.int_mult_ops <- m.act.int_mult_ops + 1
+    | Fp_alu | Fp_branch | Fp_mult | Fp_div | Fp_sqrt ->
+      m.act.fp_ops <- m.act.fp_ops + 1
+    | Load | Store -> ()
+
+  (* Walk the ready list oldest first, issuing into free functional
+     units, and compact it in place. Out of order, a slot whose pool is
+     full is kept and skipped. In order, issue stops at the oldest
+     unissued slot that cannot go: one still waiting on operands (a gap
+     in the seq run) or one whose pool is full (kept for next cycle). *)
   let issue_stage m =
-    Array.fill m.fu_used 0 5 0;
+    let fu = m.fu_used in
+    fu.(0) <- 0;
+    fu.(1) <- 0;
+    fu.(2) <- 0;
+    fu.(3) <- 0;
+    fu.(4) <- 0;
+    let r = m.ready in
+    let n = m.ready_len in
+    let width = m.cfg.issue_width in
     let issued = ref 0 in
-    let k = ref 0 in
-    let stalled = ref false in
-    while (not !stalled) && !issued < m.cfg.issue_width && !k < m.count do
-      (match nth m !k with
-      | Some s when s.st = Ready ->
-        let pool = pool_of s.f.klass in
-        if m.fu_used.(pool) >= m.fu_limit.(pool) && m.cfg.in_order then
-          (* in-order issue: a structural hazard stalls younger work *)
-          stalled := true
-        else if m.fu_used.(pool) < m.fu_limit.(pool) then begin
-          let base = Config.Machine.op_latency s.f.klass in
-          let latency =
-            if Isa.Iclass.is_load s.f.klass then begin
-              let o, lat = F.load_access m.feed s.f ~wrong_path:s.wrong_path in
-              m.act.dcache_accesses <- m.act.dcache_accesses + 1;
-              if o.Cache.Hierarchy.l1_miss then
-                m.act.l2_accesses <- m.act.l2_accesses + 1;
-              base + lat
-            end
-            else base
-          in
-          s.st <- Exec;
-          s.complete_at <- m.cycle + latency;
-          m.ready_count <- m.ready_count - 1;
-          if s.complete_at < m.exec_min then m.exec_min <- s.complete_at;
-          m.fu_used.(pool) <- m.fu_used.(pool) + 1;
-          m.act.issued <- m.act.issued + 1;
-          (match s.f.klass with
-          | Int_alu | Int_branch | Indirect_branch ->
-            m.act.int_alu_ops <- m.act.int_alu_ops + 1
-          | Int_mult | Int_div -> m.act.int_mult_ops <- m.act.int_mult_ops + 1
-          | Fp_alu | Fp_branch | Fp_mult | Fp_div | Fp_sqrt ->
-            m.act.fp_ops <- m.act.fp_ops + 1
-          | Load | Store -> ());
-          incr issued
+    let i = ref 0 in
+    let kept = ref 0 in
+    let stopped = ref false in
+    while (not !stopped) && !i < n && !issued < width do
+      let seq = r.(!i) in
+      if m.in_order && seq <> m.issue_seq then stopped := true
+      else begin
+        m.issue_examined <- m.issue_examined + 1;
+        let s = slot_of m seq in
+        if fu.(s.pool) < m.fu_limit.(s.pool) then begin
+          issue m s;
+          if m.in_order then m.issue_seq <- m.issue_seq + 1;
+          incr issued;
+          incr i
         end
-      | Some s when s.st = Wait && m.cfg.in_order ->
-        (* in-order issue: younger instructions wait behind an unready one *)
-        stalled := true
-      | Some _ | None -> ());
-      incr k
-    done
+        else if m.in_order then stopped := true
+        else begin
+          r.(!kept) <- seq;
+          incr kept;
+          incr i
+        end
+      end
+    done;
+    if !kept < !i then Array.blit r !i r !kept (n - !i);
+    m.ready_len <- n - (!i - !kept)
 
   let dispatch_stage m =
     let cap = Array.length m.ruu in
+    let ifq_cap = Array.length m.ifq in
     let n = ref 0 in
     let blocked = ref false in
     m.disp_lsq_blocked <- false;
@@ -289,19 +472,23 @@ module Make (F : Feed.S) = struct
       (not !blocked)
       && !n < m.cfg.decode_width
       && m.count < cap
-      && not (Queue.is_empty m.ifq)
+      && m.ifq_len > 0
     do
-      let f, wrong = Queue.peek m.ifq in
+      let f = m.ifq.(m.ifq_head) in
       let is_mem = Isa.Iclass.is_mem f.Feed.klass in
       if is_mem && m.lsq >= m.cfg.lsq_size then begin
         blocked := true;
         m.disp_lsq_blocked <- true
       end
       else begin
-        ignore (Queue.pop m.ifq);
+        let wrong = m.ifq_wrong.(m.ifq_head) in
+        m.ifq_head <- (if m.ifq_head + 1 = ifq_cap then 0 else m.ifq_head + 1);
+        m.ifq_len <- m.ifq_len - 1;
         let s =
           {
             f;
+            seq = f.seq;
+            pool = pool_of f.klass;
             st = Wait;
             complete_at = max_int;
             wrong_path = wrong;
@@ -311,22 +498,26 @@ module Make (F : Feed.S) = struct
             valid = true;
           }
         in
-        Array.iter
-          (fun p ->
-            if p >= 0 then
-              match Hashtbl.find_opt m.table p with
-              | Some prod when prod.valid && prod.st <> Done ->
-                prod.waiters <- s :: prod.waiters;
-                s.pending <- s.pending + 1
-              | Some _ | None -> ())
-          f.producers;
+        (* a producer still in the window is at a known ring offset;
+           one older than the head has committed *)
+        let producers = f.producers in
+        for j = 0 to Array.length producers - 1 do
+          let k = producers.(j) - m.head_seq in
+          if k >= 0 && k < m.count then begin
+            let prod = m.ruu.(ruu_index m k) in
+            if prod.st <> Done then begin
+              prod.waiters <- s :: prod.waiters;
+              s.pending <- s.pending + 1
+            end
+          end
+        done;
+        m.ruu.(ruu_index m m.count) <- s;
+        m.count <- m.count + 1;
         if s.pending = 0 then begin
           s.st <- Ready;
-          m.ready_count <- m.ready_count + 1
+          m.ready.(m.ready_len) <- s.seq;
+          m.ready_len <- m.ready_len + 1
         end;
-        m.ruu.((m.head + m.count) mod cap) <- Some s;
-        m.count <- m.count + 1;
-        Hashtbl.replace m.table f.seq s;
         if is_mem then begin
           m.lsq <- m.lsq + 1;
           m.act.mem_ops <- m.act.mem_ops + 1
@@ -337,6 +528,13 @@ module Make (F : Feed.S) = struct
       end
     done;
     m.disp_count <- !n
+
+  let charge_fetch_stall m k =
+    match m.fetch_stall_reason with
+    | Fs_redirect -> m.stall_redirect <- m.stall_redirect + k
+    | Fs_icache -> m.stall_icache <- m.stall_icache + k
+    | Fs_squash -> m.stall_squash <- m.stall_squash + k
+    | Fs_none -> m.stall_frontend <- m.stall_frontend + k
 
   (* Charge a zero-dispatch cycle to exactly one cause. Checked in
      priority order: back-pressure from the window (RUU, then LSQ)
@@ -349,13 +547,7 @@ module Make (F : Feed.S) = struct
       if m.count >= Array.length m.ruu then m.stall_ruu <- m.stall_ruu + 1
       else if m.disp_lsq_blocked then m.stall_lsq <- m.stall_lsq + 1
       else if m.stream_done then m.stall_frontend <- m.stall_frontend + 1
-      else begin
-        match m.fetch_stall_reason with
-        | Fs_redirect -> m.stall_redirect <- m.stall_redirect + 1
-        | Fs_icache -> m.stall_icache <- m.stall_icache + 1
-        | Fs_squash -> m.stall_squash <- m.stall_squash + 1
-        | Fs_none -> m.stall_frontend <- m.stall_frontend + 1
-      end
+      else charge_fetch_stall m 1
     end
 
   let fetch_stage m =
@@ -363,18 +555,13 @@ module Make (F : Feed.S) = struct
       (* the stall is over and fetch resumes; the loop below re-sets the
          reason if this very burst runs into a new redirect or miss *)
       m.fetch_stall_reason <- Fs_none;
+      let cap = Array.length m.ifq in
       let budget = ref (m.cfg.decode_width * m.cfg.fetch_speed) in
       let taken_budget = ref m.cfg.fetch_speed in
       let stop = ref false in
-      while
-        (not !stop)
-        && !budget > 0
-        && Queue.length m.ifq < m.cfg.ifq_size
-        && not m.stream_done
-      do
+      while (not !stop) && !budget > 0 && m.ifq_len < cap && not m.stream_done do
         match F.fetch m.feed m.next_pos with
-        | None ->
-          m.stream_done <- true
+        | None -> m.stream_done <- true
         | Some f ->
           let wrong = m.pending_mispredict >= 0 in
           let o, lat = F.ifetch_access m.feed f ~wrong_path:wrong in
@@ -382,7 +569,11 @@ module Make (F : Feed.S) = struct
           m.act.icache_accesses <- m.act.icache_accesses + 1;
           if o.Cache.Hierarchy.l1_miss then
             m.act.l2_accesses <- m.act.l2_accesses + 1;
-          Queue.add (f, wrong) m.ifq;
+          let tail = m.ifq_head + m.ifq_len in
+          let tail = if tail >= cap then tail - cap else tail in
+          m.ifq.(tail) <- f;
+          m.ifq_wrong.(tail) <- wrong;
+          m.ifq_len <- m.ifq_len + 1;
           m.next_pos <- m.next_pos + 1;
           decr budget;
           (match f.branch with
@@ -439,40 +630,40 @@ module Make (F : Feed.S) = struct
 
      A cycle where no stage can make progress is fully characterized by
      machine state: nothing to commit (head not Done), nothing to
-     complete (earliest completion beyond now), nothing to issue (no
-     Ready slot), dispatch blocked (window full, empty IFQ, or an IFQ
+     complete (earliest completion beyond now), nothing to issue (empty
+     ready list), dispatch blocked (window full, empty IFQ, or an IFQ
      head waiting on the LSQ), and the fetch engine stalled or out of
      input. Such a cycle changes nothing but per-cycle accounting, and
      every condition above is frozen until one of three external
-     events: the earliest in-flight completion, the fetch-stall expiry,
-     or the watchdog trip point. [idle_until] returns that next event
-     cycle when the machine is provably idle. *)
+     events: the earliest in-flight completion (the heap top), the
+     fetch-stall expiry, or the watchdog trip point. [idle_until]
+     returns that next event cycle when the machine is provably idle. *)
+  let lsq_blocks_dispatch m =
+    m.ifq_len > 0
+    && Isa.Iclass.is_mem m.ifq.(m.ifq_head).Feed.klass
+    && m.lsq >= m.cfg.lsq_size
+
   let idle_until m =
-    let head_committable =
-      m.count > 0
-      && match m.ruu.(m.head) with Some s -> s.st = Done | None -> false
-    in
-    if head_committable || m.ready_count > 0 || m.exec_min <= m.cycle then None
+    let next = next_completion m in
+    if
+      (m.count > 0 && m.ruu.(m.head).st = Done)
+      || m.ready_len > 0 || next <= m.cycle
+    then None
+    else if
+      not
+        (m.count >= Array.length m.ruu || m.ifq_len = 0 || lsq_blocks_dispatch m)
+    then None
     else begin
-      let dispatch_blocked =
-        m.count >= Array.length m.ruu
-        || Queue.is_empty m.ifq
-        ||
-        let f, _ = Queue.peek m.ifq in
-        Isa.Iclass.is_mem f.Feed.klass && m.lsq >= m.cfg.lsq_size
+      let fetch_wake =
+        if m.stream_done || m.ifq_len >= Array.length m.ifq then max_int
+        else m.fetch_stall_until
       in
-      if not dispatch_blocked then None
-      else begin
-        let fetch_wake =
-          if m.stream_done || Queue.length m.ifq >= m.cfg.ifq_size then max_int
-          else m.fetch_stall_until
-        in
-        if fetch_wake <= m.cycle then None
-        else
-          (* never jump past where the watchdog would have fired *)
-          let trip = m.last_commit_cycle + watchdog_cycles + 1 in
-          Some (min (min m.exec_min fetch_wake) trip)
-      end
+      if fetch_wake <= m.cycle then None
+      else
+        (* never jump past where the watchdog would have fired *)
+        let trip = m.last_commit_cycle + m.watchdog + 1 in
+        let wake = if fetch_wake < next then fetch_wake else next in
+        Some (if trip < wake then trip else wake)
     end
 
   (* Charge [k] skipped cycles exactly as the dense loop would have:
@@ -483,48 +674,37 @@ module Make (F : Feed.S) = struct
     m.act.cycles <- m.act.cycles + k;
     m.act.ruu_occupancy_sum <- m.act.ruu_occupancy_sum + (k * m.count);
     m.act.lsq_occupancy_sum <- m.act.lsq_occupancy_sum + (k * m.lsq);
-    m.act.ifq_occupancy_sum <-
-      m.act.ifq_occupancy_sum + (k * Queue.length m.ifq);
+    m.act.ifq_occupancy_sum <- m.act.ifq_occupancy_sum + (k * m.ifq_len);
     Telemetry.observe_many h_ruu_occ m.count k;
     Telemetry.observe_many h_lsq_occ m.lsq k;
-    Telemetry.observe_many h_ifq_occ (Queue.length m.ifq) k;
+    Telemetry.observe_many h_ifq_occ m.ifq_len k;
     m.stall_cycles <- m.stall_cycles + k;
     if m.count >= Array.length m.ruu then m.stall_ruu <- m.stall_ruu + k
-    else if
-      (not (Queue.is_empty m.ifq))
-      && (let f, _ = Queue.peek m.ifq in
-          Isa.Iclass.is_mem f.Feed.klass)
-      && m.lsq >= m.cfg.lsq_size
-    then m.stall_lsq <- m.stall_lsq + k
+    else if lsq_blocks_dispatch m then m.stall_lsq <- m.stall_lsq + k
     else if m.stream_done then m.stall_frontend <- m.stall_frontend + k
-    else begin
-      match m.fetch_stall_reason with
-      | Fs_redirect -> m.stall_redirect <- m.stall_redirect + k
-      | Fs_icache -> m.stall_icache <- m.stall_icache + k
-      | Fs_squash -> m.stall_squash <- m.stall_squash + k
-      | Fs_none -> m.stall_frontend <- m.stall_frontend + k
-    end;
+    else charge_fetch_stall m k;
+    m.cycles_skipped <- m.cycles_skipped + k;
     m.cycle <- m.cycle + k
 
   let check_watchdog m =
-    if m.cycle - m.last_commit_cycle > watchdog_cycles then
+    if m.cycle - m.last_commit_cycle > m.watchdog then
       failwith
         (Printf.sprintf
            "Pipeline: no commit for %d cycles (cycle=%d committed=%d \
             ruu=%d ifq=%d pos=%d) — model bug"
-           watchdog_cycles m.cycle m.act.committed m.count
-           (Queue.length m.ifq) m.next_pos)
+           m.watchdog m.cycle m.act.committed m.count m.ifq_len m.next_pos)
 
   let run ?(max_instructions = max_int) ?(skip_idle = true) ?commit_hook cfg
       feed =
     let m = create cfg feed in
     let finished () =
       m.act.committed >= max_instructions
-      || (m.stream_done && m.count = 0 && Queue.is_empty m.ifq)
+      || (m.stream_done && m.count = 0 && m.ifq_len = 0)
     in
     while not (finished ()) do
+      let left = max_instructions - m.act.committed in
       commit_stage m ~hook:commit_hook
-        ~budget:(min cfg.commit_width (max_instructions - m.act.committed));
+        ~budget:(if cfg.commit_width < left then cfg.commit_width else left);
       writeback_stage m;
       issue_stage m;
       dispatch_stage m;
@@ -533,10 +713,10 @@ module Make (F : Feed.S) = struct
       m.act.cycles <- m.act.cycles + 1;
       m.act.ruu_occupancy_sum <- m.act.ruu_occupancy_sum + m.count;
       m.act.lsq_occupancy_sum <- m.act.lsq_occupancy_sum + m.lsq;
-      m.act.ifq_occupancy_sum <- m.act.ifq_occupancy_sum + Queue.length m.ifq;
+      m.act.ifq_occupancy_sum <- m.act.ifq_occupancy_sum + m.ifq_len;
       Telemetry.observe h_ruu_occ m.count;
       Telemetry.observe h_lsq_occ m.lsq;
-      Telemetry.observe h_ifq_occ (Queue.length m.ifq);
+      Telemetry.observe h_ifq_occ m.ifq_len;
       m.cycle <- m.cycle + 1;
       check_watchdog m;
       if skip_idle && not (finished ()) then begin
@@ -547,5 +727,9 @@ module Make (F : Feed.S) = struct
         | None -> ()
       end
     done;
+    Telemetry.add c_wakeups m.wakeups;
+    Telemetry.add c_issue_examined m.issue_examined;
+    Telemetry.add c_cycles_skipped m.cycles_skipped;
+    Telemetry.add c_squashed m.squashed;
     metrics m
 end

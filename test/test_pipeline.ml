@@ -99,5 +99,57 @@ let test_digests_pinned () =
       Alcotest.(check string) (label ^ " metrics digest") expected (compute ()))
     pinned
 
+let gcc_trace () =
+  let _, _, trace = List.hd (Lazy.force inputs) in
+  trace
+
+(* One load miss to a 250,000-cycle memory outlasts the old fixed
+   200,000-cycle watchdog; the bound now scales with the machine. *)
+let test_watchdog_scales_with_latency () =
+  let trace = gcc_trace () in
+  let m = Synth.Run.run { base with mem_latency = 250_000 } trace in
+  Alcotest.(check int) "commits the whole trace" (Synth.Trace.length trace)
+    m.Uarch.Metrics.committed;
+  Alcotest.(check bool) "pays at least one memory miss" true
+    (m.cycles > 250_000)
+
+let stage_counters =
+  [ "uarch.wakeups"; "uarch.issue_examined"; "uarch.cycles_skipped"; "uarch.squashed" ]
+
+(* the per-stage work counters one run publishes *)
+let counted_run cfg trace =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let read () =
+    let snap = Telemetry.snapshot () in
+    List.map (Telemetry.counter_total snap) stage_counters
+  in
+  let before = read () in
+  let m = Synth.Run.run cfg trace in
+  let after = read () in
+  Telemetry.set_enabled was;
+  (m, List.map2 ( - ) after before)
+
+let test_stage_counters () =
+  let trace = gcc_trace () in
+  let m, counts = counted_run base trace in
+  match counts with
+  | [ wakeups; examined; skipped; squashed ] ->
+    Alcotest.(check bool) "some wakeups" true (wakeups > 0);
+    Alcotest.(check bool) "every issue was examined" true
+      (examined >= m.Uarch.Metrics.activity.Power.Activity.issued);
+    Alcotest.(check bool) "idle cycles skipped" true (skipped > 0);
+    Alcotest.(check bool) "fewer skipped than simulated cycles" true
+      (skipped < m.cycles);
+    Alcotest.(check bool) "mispredicts squash" true (squashed > 0);
+    let _, again = counted_run base trace in
+    Alcotest.(check (list int)) "counts repeat exactly" counts again
+  | _ -> assert false
+
 let suite =
-  [ Alcotest.test_case "metrics digests pinned" `Quick test_digests_pinned ]
+  [
+    Alcotest.test_case "metrics digests pinned" `Quick test_digests_pinned;
+    Alcotest.test_case "watchdog scales with latency" `Quick
+      test_watchdog_scales_with_latency;
+    Alcotest.test_case "stage counters" `Quick test_stage_counters;
+  ]
