@@ -33,8 +33,6 @@ let run_stream_of_plan ?wrong_path_locality ?window cfg plan ~seed =
   run_of_stream ?wrong_path_locality ?window cfg
     (Generate.stream_of_plan plan ~seed)
 
-let run_many cfg traces = List.map (run cfg) traces
-
 let mean_ipc metrics =
   let insts =
     List.fold_left (fun acc (m : Uarch.Metrics.t) -> acc + m.committed) 0 metrics

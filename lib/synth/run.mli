@@ -36,8 +36,6 @@ val run_stream_of_plan :
 (** {!run_stream} over an already-compiled plan, skipping compilation —
     for cached plans and replicas sharing one plan. *)
 
-val run_many : Config.Machine.t -> Trace.t list -> Uarch.Metrics.t list
-
 val mean_ipc : Uarch.Metrics.t list -> float
 (** Instruction-weighted mean IPC across traces (used when several
     synthetic traces model the phases of one long execution,

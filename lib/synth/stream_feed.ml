@@ -1,16 +1,12 @@
 type t = {
-  cfg : Config.Machine.t;
-  wrong_path_locality : bool;
   window : int;
   ring : Trace.inst Uarch.Feed.Ring.t;
-  charged_ifetch : Bytes.t;  (* per window slot: miss latency charged *)
-  charged_load : Bytes.t;
+  charges : Trace_feed.charges;  (* per window slot *)
 }
 
 let default_window = 16384
 
-let create ?(wrong_path_locality = false) ?(window = default_window) cfg
-    produce =
+let create ?wrong_path_locality ?(window = default_window) cfg produce =
   (* the pipeline revisits positions only while they can still be in
      flight (squash rewinds to just past the resolving branch), so the
      window must cover the deepest possible rewind: everything the
@@ -21,8 +17,7 @@ let create ?(wrong_path_locality = false) ?(window = default_window) cfg
       (cfg.Config.Machine.ruu_size + cfg.ifq_size
       + (cfg.decode_width * cfg.fetch_speed) + 64)
   in
-  let charged_ifetch = Bytes.make window '\000' in
-  let charged_load = Bytes.make window '\000' in
+  let charges = Trace_feed.charges ?wrong_path_locality cfg window in
   let produced = ref 0 in
   let produce () =
     match produce () with
@@ -30,20 +25,11 @@ let create ?(wrong_path_locality = false) ?(window = default_window) cfg
     | Some _ as some ->
       (* this instruction recycles a window slot: clear the slot's
          charge bits so the new occupant pays its own misses *)
-      let slot = !produced mod window in
-      Bytes.set charged_ifetch slot '\000';
-      Bytes.set charged_load slot '\000';
+      Trace_feed.clear charges (!produced mod window);
       incr produced;
       some
   in
-  {
-    cfg;
-    wrong_path_locality;
-    window;
-    ring = Uarch.Feed.Ring.create ~window produce;
-    charged_ifetch;
-    charged_load;
-  }
+  { window; ring = Uarch.Feed.Ring.create ~window produce; charges }
 
 let of_stream ?wrong_path_locality ?window cfg s =
   create ?wrong_path_locality ?window cfg (fun () -> Generate.next s)
@@ -53,68 +39,16 @@ let inst t seq =
   | Some s -> s
   | None -> invalid_arg "Stream_feed: access past the end of the stream"
 
-let fetch t i =
-  match Uarch.Feed.Ring.get t.ring i with
-  | None -> None
-  | Some s ->
-    let producers = Array.map (fun d -> if d > 0 then i - d else -1) s.Trace.deps in
-    let branch =
-      match s.branch with
-      | None -> None
-      | Some b ->
-        let resolution =
-          if b.mispredict then Branch.Predictor.Mispredict
-          else if b.redirect then Branch.Predictor.Fetch_redirect
-          else Branch.Predictor.Correct
-        in
-        Some { Uarch.Feed.taken = b.taken; resolution }
-    in
-    Some
-      {
-        Uarch.Feed.seq = i;
-        pc = i * 4;
-        klass = s.klass;
-        mem_addr = -1;
-        producers;
-        branch;
-      }
+let fetch t i = Option.map (Trace_feed.fetched i) (Uarch.Feed.Ring.get t.ring i)
 
-let outcome_of ~l1 ~l2 ~tlb : Cache.Hierarchy.outcome =
-  { l1_miss = l1; l2_miss = l2; tlb_miss = tlb }
-
+(* a stream charges the window slot the position occupies *)
 let ifetch_access t (f : Uarch.Feed.fetched) ~wrong_path =
-  let s = inst t f.seq in
-  let slot = f.seq mod t.window in
-  let fresh = Bytes.get t.charged_ifetch slot = '\000' in
-  if wrong_path && t.wrong_path_locality then begin
-    (* misspeculated-path modeling: the wrong-path fetch pays the
-       position's flags without consuming the correct-path charge *)
-    let o = outcome_of ~l1:s.l1i_miss ~l2:s.l2i_miss ~tlb:s.itlb_miss in
-    (o, Cache.Hierarchy.latency_of_outcome t.cfg ~instruction:true o)
-  end
-  else if wrong_path || not fresh then
-    (Cache.Hierarchy.hit, t.cfg.Config.Machine.icache.hit_latency)
-  else begin
-    Bytes.set t.charged_ifetch slot '\001';
-    let o = outcome_of ~l1:s.l1i_miss ~l2:s.l2i_miss ~tlb:s.itlb_miss in
-    (o, Cache.Hierarchy.latency_of_outcome t.cfg ~instruction:true o)
-  end
+  Trace_feed.ifetch_access t.charges (inst t f.seq) ~slot:(f.seq mod t.window)
+    ~wrong_path
 
 let load_access t (f : Uarch.Feed.fetched) ~wrong_path =
-  let s = inst t f.seq in
-  let slot = f.seq mod t.window in
-  let fresh = Bytes.get t.charged_load slot = '\000' in
-  if wrong_path && t.wrong_path_locality then begin
-    let o = outcome_of ~l1:s.l1d_miss ~l2:s.l2d_miss ~tlb:s.dtlb_miss in
-    (o, Cache.Hierarchy.latency_of_outcome t.cfg ~instruction:false o)
-  end
-  else if wrong_path || not fresh then
-    (Cache.Hierarchy.hit, t.cfg.Config.Machine.dcache.hit_latency)
-  else begin
-    Bytes.set t.charged_load slot '\001';
-    let o = outcome_of ~l1:s.l1d_miss ~l2:s.l2d_miss ~tlb:s.dtlb_miss in
-    (o, Cache.Hierarchy.latency_of_outcome t.cfg ~instruction:false o)
-  end
+  Trace_feed.load_access t.charges (inst t f.seq) ~slot:(f.seq mod t.window)
+    ~wrong_path
 
 let on_commit_store _ _ = Cache.Hierarchy.hit
 let on_dispatch _ _ ~wrong_path:_ = ()

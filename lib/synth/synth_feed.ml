@@ -1,84 +1,24 @@
-type t = {
-  cfg : Config.Machine.t;
-  trace : Trace.t;
-  wrong_path_locality : bool;
-  charged_ifetch : Bytes.t;  (* per position: miss latency already charged *)
-  charged_load : Bytes.t;
-}
+type t = { trace : Trace.t; charges : Trace_feed.charges }
 
-let create ?(wrong_path_locality = false) cfg trace =
-  let n = max 1 (Trace.length trace) in
+let create ?wrong_path_locality cfg trace =
   {
-    cfg;
     trace;
-    wrong_path_locality;
-    charged_ifetch = Bytes.make n '\000';
-    charged_load = Bytes.make n '\000';
+    charges =
+      Trace_feed.charges ?wrong_path_locality cfg (max 1 (Trace.length trace));
   }
 
 let fetch t i =
   if i >= Trace.length t.trace then None
-  else begin
-    let s = t.trace.insts.(i) in
-    let producers =
-      Array.map (fun d -> if d > 0 then i - d else -1) s.deps
-    in
-    let branch =
-      match s.branch with
-      | None -> None
-      | Some b ->
-        let resolution =
-          if b.mispredict then Branch.Predictor.Mispredict
-          else if b.redirect then Branch.Predictor.Fetch_redirect
-          else Branch.Predictor.Correct
-        in
-        Some { Uarch.Feed.taken = b.taken; resolution }
-    in
-    Some
-      {
-        Uarch.Feed.seq = i;
-        pc = i * 4;
-        klass = s.klass;
-        mem_addr = -1;
-        producers;
-        branch;
-      }
-  end
+  else Some (Trace_feed.fetched i t.trace.insts.(i))
 
-let outcome_of ~l1 ~l2 ~tlb : Cache.Hierarchy.outcome =
-  { l1_miss = l1; l2_miss = l2; tlb_miss = tlb }
-
+(* a materialized trace charges each position's own slot *)
 let ifetch_access t (f : Uarch.Feed.fetched) ~wrong_path =
-  let s = t.trace.insts.(f.seq) in
-  let fresh = Bytes.get t.charged_ifetch f.seq = '\000' in
-  if wrong_path && t.wrong_path_locality then begin
-    (* misspeculated-path modeling: the wrong-path fetch pays the
-       position's flags without consuming the correct-path charge *)
-    let o = outcome_of ~l1:s.l1i_miss ~l2:s.l2i_miss ~tlb:s.itlb_miss in
-    (o, Cache.Hierarchy.latency_of_outcome t.cfg ~instruction:true o)
-  end
-  else if wrong_path || not fresh then
-    (Cache.Hierarchy.hit, t.cfg.Config.Machine.icache.hit_latency)
-  else begin
-    Bytes.set t.charged_ifetch f.seq '\001';
-    let o = outcome_of ~l1:s.l1i_miss ~l2:s.l2i_miss ~tlb:s.itlb_miss in
-    (o, Cache.Hierarchy.latency_of_outcome t.cfg ~instruction:true o)
-  end
+  Trace_feed.ifetch_access t.charges t.trace.insts.(f.seq) ~slot:f.seq
+    ~wrong_path
 
 let load_access t (f : Uarch.Feed.fetched) ~wrong_path =
-  let s = t.trace.insts.(f.seq) in
-  let fresh = Bytes.get t.charged_load f.seq = '\000' in
-  if wrong_path && t.wrong_path_locality then begin
-    let o = outcome_of ~l1:s.l1d_miss ~l2:s.l2d_miss ~tlb:s.dtlb_miss in
-    (o, Cache.Hierarchy.latency_of_outcome t.cfg ~instruction:false o)
-  end
-  else if wrong_path || not fresh then
-    (Cache.Hierarchy.hit, t.cfg.Config.Machine.dcache.hit_latency)
-  else begin
-    Bytes.set t.charged_load f.seq '\001';
-    let o = outcome_of ~l1:s.l1d_miss ~l2:s.l2d_miss ~tlb:s.dtlb_miss in
-    (o, Cache.Hierarchy.latency_of_outcome t.cfg ~instruction:false o)
-  end
+  Trace_feed.load_access t.charges t.trace.insts.(f.seq) ~slot:f.seq
+    ~wrong_path
 
 let on_commit_store _ _ = Cache.Hierarchy.hit
 let on_dispatch _ _ ~wrong_path:_ = ()
