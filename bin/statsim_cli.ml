@@ -46,6 +46,15 @@ let run_ops env ~op params =
     Printf.eprintf "%s\n" msg;
     exit 2
 
+(* The --telemetry epilogue: this process's registry after the report,
+   in the report's format. *)
+let print_telemetry ~format =
+  if Telemetry.enabled () then begin
+    let snap = Telemetry.snapshot () in
+    if format = "json" then print_string (Telemetry.render_json snap)
+    else Telemetry.render_text Format.std_formatter snap
+  end
+
 let bench_arg =
   let doc = "Workload name (one of the SPECint stand-ins)." in
   Arg.(value & opt string "gcc" & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
@@ -158,7 +167,10 @@ let simulate_cmd =
         @ jopt "jobs" jnum jobs)
     in
     let env = Server.Ops.default_env ?jobs ?cache_dir () in
-    run_ops env ~op:"simulate" params |> ignore
+    run_ops env ~op:"simulate" params |> ignore;
+    (* with REPRO_TELEMETRY=1: spans, counters and the pipeline's
+       per-stage work counters *)
+    print_telemetry ~format:(if json then "json" else "text")
   in
   let stratify_arg =
     let doc =
@@ -368,15 +380,6 @@ let telemetry_arg =
      process-wide."
   in
   Arg.(value & flag & info [ "telemetry" ] ~doc)
-
-(* The --telemetry epilogue: this process's registry after the report,
-   in the report's format. *)
-let print_telemetry ~format =
-  if Telemetry.enabled () then begin
-    let snap = Telemetry.snapshot () in
-    if format = "json" then print_string (Telemetry.render_json snap)
-    else Telemetry.render_text Format.std_formatter snap
-  end
 
 let experiment_cmd =
   let run ids format jobs telemetry cache_dir trace_out diag replicas =
