@@ -48,11 +48,11 @@ let sentinel =
   }
 
 (* The watchdog fires when nothing commits for this many cycles. A legal
-   machine never gets there: once the oldest instruction is fetched its
-   producers have all committed, so the longest commit gap is one fetch
-   miss, one load miss, the longest operation and the front-end
-   penalties. Four times that, and never below the historical 200,000,
-   so a stuck model still fails fast at realistic latencies. *)
+   machine stays far below it: by the time the oldest instruction is
+   fetched its producers have committed, so a commit gap is a fetch miss
+   or two, one load miss, the longest operation and the front-end
+   penalties. The bound is four times their sum, and at least 200,000
+   cycles. *)
 let watchdog_floor = 200_000
 
 let watchdog_cycles (cfg : Config.Machine.t) =
@@ -274,19 +274,21 @@ module Make (F : Feed.S) = struct
       hs.(!i) <- seq
     end
 
-  let live m ~at ~seq =
+  (* The slot a heap entry completes, or [sentinel] for a dead entry. *)
+  let due_slot m ~at ~seq =
     let k = seq - m.head_seq in
-    k >= 0
-    && k < m.count
-    &&
-    let s = m.ruu.(ruu_index m k) in
-    s.st = Exec && s.complete_at = at
+    if k >= 0 && k < m.count then begin
+      let s = m.ruu.(ruu_index m k) in
+      if s.st = Exec && s.complete_at = at then s else sentinel
+    end
+    else sentinel
 
   (* Earliest pending completion, after dropping dead entries from the
      top; [max_int] when nothing is executing. *)
   let next_completion m =
     while
-      m.heap_len > 0 && not (live m ~at:m.heap_at.(0) ~seq:m.heap_seq.(0))
+      m.heap_len > 0
+      && due_slot m ~at:m.heap_at.(0) ~seq:m.heap_seq.(0) == sentinel
     do
       heap_pop m
     done;
@@ -382,10 +384,9 @@ module Make (F : Feed.S) = struct
   let writeback_stage m =
     let to_squash = ref (-1) in
     while m.heap_len > 0 && m.heap_at.(0) <= m.cycle do
-      let at = m.heap_at.(0) and seq = m.heap_seq.(0) in
+      let s = due_slot m ~at:m.heap_at.(0) ~seq:m.heap_seq.(0) in
       heap_pop m;
-      if live m ~at ~seq then begin
-        let s = slot_of m seq in
+      if s != sentinel then begin
         s.st <- Done;
         m.act.completed <- m.act.completed + 1;
         wake m s.waiters;
@@ -559,7 +560,9 @@ module Make (F : Feed.S) = struct
       let budget = ref (m.cfg.decode_width * m.cfg.fetch_speed) in
       let taken_budget = ref m.cfg.fetch_speed in
       let stop = ref false in
-      while (not !stop) && !budget > 0 && m.ifq_len < cap && not m.stream_done do
+      while
+        (not !stop) && !budget > 0 && m.ifq_len < cap && not m.stream_done
+      do
         match F.fetch m.feed m.next_pos with
         | None -> m.stream_done <- true
         | Some f ->
@@ -650,8 +653,7 @@ module Make (F : Feed.S) = struct
       || m.ready_len > 0 || next <= m.cycle
     then None
     else if
-      not
-        (m.count >= Array.length m.ruu || m.ifq_len = 0 || lsq_blocks_dispatch m)
+      m.count < Array.length m.ruu && m.ifq_len > 0 && not (lsq_blocks_dispatch m)
     then None
     else begin
       let fetch_wake =
