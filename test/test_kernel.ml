@@ -274,18 +274,14 @@ let test_plan_codec_rejects () =
    issue maximize idle windows), over three workloads. *)
 let skip_idle_traces =
   lazy
-    (Array.map
-       (fun (profile, trace_seed) ->
-         Statsim.synthesize ~target_length:3_000 (Lazy.force profile)
-           ~seed:trace_seed)
+    (Array.mapi
+       (fun i p -> Statsim.synthesize ~target_length:3_000 p ~seed:(31 + i))
        [|
-         (lazy (profile_of "gcc" 20_000), 31);
-         (lazy (profile_of "twolf" 20_000), 32);
-         ( lazy
-             (Statsim.profile cfg
-                (Workload.Suite_fp.stream (Workload.Suite_fp.find "swim")
-                   ~length:20_000)),
-           33 );
+         profile_of "gcc" 20_000;
+         profile_of "twolf" 20_000;
+         Statsim.profile cfg
+           (Workload.Suite_fp.stream (Workload.Suite_fp.find "swim")
+              ~length:20_000);
        |])
 
 let prop_skip_idle_equivalence =

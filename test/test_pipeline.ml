@@ -103,8 +103,9 @@ let gcc_trace () =
   let _, _, trace = List.hd (Lazy.force inputs) in
   trace
 
-(* One load miss to a 250,000-cycle memory outlasts the old fixed
-   200,000-cycle watchdog; the bound now scales with the machine. *)
+(* One load miss to a 250,000-cycle memory keeps commit idle for longer
+   than the watchdog's 200,000-cycle floor, so the bound must scale with
+   the machine. *)
 let test_watchdog_scales_with_latency () =
   let trace = gcc_trace () in
   let m = Synth.Run.run { base with mem_latency = 250_000 } trace in
@@ -114,7 +115,12 @@ let test_watchdog_scales_with_latency () =
     (m.cycles > 250_000)
 
 let stage_counters =
-  [ "uarch.wakeups"; "uarch.issue_examined"; "uarch.cycles_skipped"; "uarch.squashed" ]
+  [
+    "uarch.wakeups";
+    "uarch.issue_examined";
+    "uarch.cycles_skipped";
+    "uarch.squashed";
+  ]
 
 (* the per-stage work counters one run publishes *)
 let counted_run cfg trace =
