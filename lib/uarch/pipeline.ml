@@ -422,10 +422,11 @@ module Make (F : Feed.S) = struct
     | Load | Store -> ()
 
   (* Walk the ready list oldest first, issuing into free functional
-     units, and compact it in place. Out of order, a slot whose pool is
-     full is kept and skipped. In order, issue stops at the oldest
-     unissued slot that cannot go: one still waiting on operands (a gap
-     in the seq run) or one whose pool is full (kept for next cycle). *)
+     units, and compact it in place; a slot whose pool is full stays for
+     the next cycle. In order, only the oldest unissued slot
+     ([issue_seq]) may go, so the walk ends at the first gap in the seq
+     run: a slot still waiting on operands, or one just kept because its
+     pool was full. *)
   let issue_stage m =
     let fu = m.fu_used in
     fu.(0) <- 0;
@@ -439,26 +440,22 @@ module Make (F : Feed.S) = struct
     let issued = ref 0 in
     let i = ref 0 in
     let kept = ref 0 in
-    let stopped = ref false in
-    while (not !stopped) && !i < n && !issued < width do
+    while
+      !i < n && !issued < width && not (m.in_order && r.(!i) <> m.issue_seq)
+    do
       let seq = r.(!i) in
-      if m.in_order && seq <> m.issue_seq then stopped := true
-      else begin
-        m.issue_examined <- m.issue_examined + 1;
-        let s = slot_of m seq in
-        if fu.(s.pool) < m.fu_limit.(s.pool) then begin
-          issue m s;
-          if m.in_order then m.issue_seq <- m.issue_seq + 1;
-          incr issued;
-          incr i
-        end
-        else if m.in_order then stopped := true
-        else begin
-          r.(!kept) <- seq;
-          incr kept;
-          incr i
-        end
+      m.issue_examined <- m.issue_examined + 1;
+      let s = slot_of m seq in
+      if fu.(s.pool) < m.fu_limit.(s.pool) then begin
+        issue m s;
+        if m.in_order then m.issue_seq <- m.issue_seq + 1;
+        incr issued
       end
+      else begin
+        r.(!kept) <- seq;
+        incr kept
+      end;
+      incr i
     done;
     if !kept < !i then Array.blit r !i r !kept (n - !i);
     m.ready_len <- n - (!i - !kept)
