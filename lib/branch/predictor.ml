@@ -119,7 +119,6 @@ let update t ~pc ~(branch : Isa.Dyn_inst.branch) =
 let lookups t = t.lookups
 let mispredicts t = t.mispredicts
 let redirects t = t.redirects
-let taken_count t = t.taken
 
 let rate num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 

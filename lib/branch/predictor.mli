@@ -38,7 +38,6 @@ val update : t -> pc:int -> branch:Isa.Dyn_inst.branch -> unit
 val lookups : t -> int
 val mispredicts : t -> int
 val redirects : t -> int
-val taken_count : t -> int
 val mispredict_rate : t -> float
 val redirect_rate : t -> float
 val taken_rate : t -> float

@@ -205,19 +205,21 @@ let tokenize line lineno =
    exhausted — one parser for channels and in-memory strings. *)
 let load_from next_line =
   let lineno = ref 0 in
-  let read_line () =
+  (* the next line's record, numbered from 1 *)
+  let read_record () =
+    let line = next_line () in
     incr lineno;
-    next_line ()
+    tokenize line !lineno
   in
   (* header *)
-  (match tokenize (read_line ()) !lineno with
+  (match read_record () with
   | Some ("statsim-profile", c) ->
     let v = next_int c in
     if v <> version then
       fail_at !lineno (Printf.sprintf "unsupported version %d" v)
   | _ -> fail_at !lineno "expected statsim-profile header");
   let k, instructions, perfect_caches, perfect_bpred, branches, mispredicts =
-    match tokenize (read_line ()) !lineno with
+    match read_record () with
     | Some ("meta", c) ->
       let k = next_int c in
       let n = next_int c in
@@ -229,7 +231,7 @@ let load_from next_line =
     | _ -> fail_at !lineno "expected meta line"
   in
   let cfg =
-    match tokenize (read_line ()) !lineno with
+    match read_record () with
     | Some ("config", c) -> read_config c
     | _ -> fail_at !lineno "expected config line"
   in
@@ -245,7 +247,7 @@ let load_from next_line =
   in
   (try
      while true do
-       match tokenize (read_line ()) !lineno with
+       match read_record () with
        | None -> ()
        | Some ("node", c) ->
          flush_slots ();

@@ -7,5 +7,3 @@ type t =
       -> t
 
 let make ~jobs ~exec ~reduce = Pack { jobs; exec; reduce }
-
-let job_count (Pack p) = Array.length (p.jobs ())

@@ -22,5 +22,3 @@ val make :
   exec:(Cache.t -> 'job -> 'res) ->
   reduce:('job array -> 'res array -> Report.t) ->
   t
-
-val job_count : t -> int

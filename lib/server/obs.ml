@@ -223,21 +223,7 @@ let prometheus ?now () =
   (* registry instruments first (statsim_counter_total, statsim_span_*,
      statsim_hist_*, ...) *)
   Buffer.add_string buf (Telemetry.render_prometheus (Telemetry.snapshot ()));
-  let line name labels v =
-    Buffer.add_string buf name;
-    (match labels with
-    | [] -> ()
-    | labels ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, lv) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf "%s=\"%s\"" k (Telemetry.prom_escape lv))
-        labels;
-      Buffer.add_char buf '}');
-    Printf.bprintf buf " %s\n" (Telemetry.prom_num v)
-  in
-  let family name typ = Printf.bprintf buf "# TYPE %s %s\n" name typ in
+  let family = Telemetry.prom_type buf and line = Telemetry.prom_sample buf in
   let cs = sorted_cells () in
   family "statsim_op_requests_total" "counter";
   List.iter

@@ -121,7 +121,15 @@ let collect_profile env ~warn cfg ~bench ~length ~k ~profile_file =
   tspan env "cache.profile" @@ fun () ->
   match profile_file with
   | Some path ->
-    let p = Profile.Serialize.load_file path in
+    let p =
+      (* a missing, truncated or corrupt file is the client's mistake *)
+      match Profile.Serialize.load_file path with
+      | p -> p
+      | exception (Sys_error m | Failure m | Invalid_argument m) ->
+        bad "%S could not be loaded: %s" "profile" m
+      | exception End_of_file ->
+        bad "%S could not be loaded: %s ends early" "profile" path
+    in
     (match k with
     | Some k when k <> p.Profile.Stat_profile.k ->
       warn

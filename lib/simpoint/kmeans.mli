@@ -15,10 +15,6 @@ val cluster :
     [k] exceeds the number of distinct points, fewer clusters may end up
     non-empty. *)
 
-val bic : result -> n_dims:int -> float
-(** Bayesian information criterion (higher is better), the spherical
-    Gaussian approximation SimPoint uses to pick [k]. *)
-
 val best :
   ?max_clusters:int -> Prng.t -> points:float array array -> result
 (** Cluster for k in [1, max_clusters] (default 10) and keep the

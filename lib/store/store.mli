@@ -73,9 +73,6 @@ val find : t -> key:string -> string option
 val put : t -> key:string -> string -> unit
 (** Frame and atomically publish a payload, replacing any entry. *)
 
-val with_key_lock : t -> key:string -> (unit -> 'a) -> 'a
-(** Run a function holding [key]'s single-flight lock. *)
-
 (** {1 Counters and maintenance} *)
 
 type stats = {

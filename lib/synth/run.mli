@@ -1,5 +1,7 @@
 (** Convenience runner: simulate a synthetic trace on the shared pipeline
-    core (Figure 1, step 3). *)
+    core (Figure 1, step 3). A materialized trace and a streamed walk run
+    through the one {!Synth_feed}, so every entry point below is the
+    same pipeline over the same feed. *)
 
 val run :
   ?wrong_path_locality:bool ->
@@ -13,7 +15,6 @@ val run :
 
 val run_stream :
   ?wrong_path_locality:bool ->
-  ?window:int ->
   ?reduction:int ->
   ?target_length:int ->
   Config.Machine.t ->
@@ -21,14 +22,13 @@ val run_stream :
   seed:int ->
   Uarch.Metrics.t
 (** Fused generate-and-simulate: walk the reduced SFG and stream the
-    instructions straight into the pipeline through {!Stream_feed},
-    in memory proportional to the feed window rather than the trace
-    length. Bit-identical to
+    instructions straight into the pipeline through
+    {!Synth_feed.of_stream}, in memory proportional to the feed window
+    rather than the trace length. Bit-identical to
     [run cfg (Generate.generate ... ~seed)] for equal arguments. *)
 
 val run_stream_of_plan :
   ?wrong_path_locality:bool ->
-  ?window:int ->
   Config.Machine.t ->
   Kernel.Plan.t ->
   seed:int ->

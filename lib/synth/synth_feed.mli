@@ -8,16 +8,31 @@
     flagged misprediction and squashes them at resolution), but
     wrong-path instructions do not consume locality events — the
     synthetic simulator does not model misspeculated cache accesses,
-    as the paper notes. *)
+    as the paper notes.
+
+    One feed serves both forms of a trace. The instructions sit in a
+    {!Uarch.Feed.Ring}: a materialized trace is the ring's array form,
+    whose window covers the whole trace; a streamed walk is pulled from
+    {!Generate.next} into a window deep enough for every squash rewind,
+    in memory independent of the trace length. The "miss already
+    charged" marks live in the ring slot each position occupies, so for
+    the same walk the two forms produce bit-identical
+    {!Uarch.Metrics}. *)
 
 type t
 
-val create : ?wrong_path_locality:bool -> Config.Machine.t -> Trace.t -> t
+val of_trace : ?wrong_path_locality:bool -> Config.Machine.t -> Trace.t -> t
 (** [wrong_path_locality] (default false, the paper's behaviour) lets
     wrong-path fetches and loads consume their positions' locality flags
     too — a rough stand-in for the misspeculated-path cache accesses the
     paper notes its synthetic simulator omits (Section 2.3, citing
     Bechem et al.); used by the ablation experiment to bound that
-    omission's impact. *)
+    omission's impact. The trace is only read, so one trace may feed
+    several runs at once. *)
+
+val of_stream :
+  ?wrong_path_locality:bool -> Config.Machine.t -> Generate.stream -> t
+(** Feed straight from a walk, with no intermediate {!Trace.t}.
+    [wrong_path_locality] as in {!of_trace}. *)
 
 include Uarch.Feed.S with type t := t

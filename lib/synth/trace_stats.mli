@@ -18,8 +18,6 @@ type t = {
   l2d_rate : float;  (** per load *)
 }
 
-val of_trace : Trace.t -> t
-
 val of_profile : Profile.Stat_profile.t -> t
 (** The same statistics, computed from the statistical profile — the
     values the trace is expected to reproduce. *)

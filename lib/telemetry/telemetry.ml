@@ -945,23 +945,25 @@ let prom_num v =
     string_of_int (int_of_float v)
   else Printf.sprintf "%.12g" v
 
+let prom_type buf name typ = Printf.bprintf buf "# TYPE %s %s\n" name typ
+
+let prom_sample buf name labels v =
+  Buffer.add_string buf name;
+  (match labels with
+  | [] -> ()
+  | labels ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, lv) ->
+        if i > 0 then Buffer.add_char buf ',';
+        Printf.bprintf buf "%s=\"%s\"" k (prom_escape lv))
+      labels;
+    Buffer.add_char buf '}');
+  Printf.bprintf buf " %s\n" (prom_num v)
+
 let render_prometheus snap =
   let buf = Buffer.create 4096 in
-  let family name typ = Printf.bprintf buf "# TYPE %s %s\n" name typ in
-  let line name labels v =
-    Buffer.add_string buf name;
-    (match labels with
-    | [] -> ()
-    | labels ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, lv) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf "%s=\"%s\"" k (prom_escape lv))
-        labels;
-      Buffer.add_char buf '}');
-    Printf.bprintf buf " %s\n" (prom_num v)
-  in
+  let family = prom_type buf and line = prom_sample buf in
   if snap.counters <> [] then begin
     family "statsim_counter_total" "counter";
     List.iter

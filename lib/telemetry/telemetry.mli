@@ -289,15 +289,16 @@ val render_text : Format.formatter -> snapshot -> unit
 (** Human-readable block (spans with calls/total/mean/max, then
     counters, then gauges); instruments that never fired are elided. *)
 
-val prom_escape : string -> string
-(** Escape a label value for the Prometheus text format: backslash,
-    double quote, and newline. Any renderer writing label values that
-    are not compile-time literals must pass them through here. *)
+val prom_type : Buffer.t -> string -> string -> unit
+(** [prom_type buf name typ] writes a family's [# TYPE name typ] line. *)
 
-val prom_num : float -> string
-(** Render a sample value for the Prometheus text format: integral
-    floats (below 1e15) print as integers, everything else as
-    [%.12g]. *)
+val prom_sample :
+  Buffer.t -> string -> (string * string) list -> float -> unit
+(** [prom_sample buf name labels v] writes one sample line of the
+    Prometheus text format. Label values are escaped (backslash, double
+    quote and newline); integral values below 1e15 print as integers,
+    everything else as [%.12g]. Every Prometheus renderer writes
+    through this one writer. *)
 
 val render_prometheus : snapshot -> string
 (** Prometheus text exposition of the registry: [statsim_counter_total]

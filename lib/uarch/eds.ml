@@ -4,15 +4,9 @@ module P = Pipeline.Make (Eds_feed)
 let span_run = Telemetry.span "uarch.eds"
 let c_instructions = Telemetry.counter "uarch.eds_instructions"
 
-let run_with_feed ?max_instructions ?commit_hook ?perfect_caches
-    ?perfect_bpred cfg gen =
+let run ?max_instructions ?commit_hook ?perfect_caches ?perfect_bpred cfg gen =
   Telemetry.time span_run (fun () ->
       let feed = Eds_feed.create ?perfect_caches ?perfect_bpred cfg gen in
       let metrics = P.run ?max_instructions ?commit_hook cfg feed in
       Telemetry.add c_instructions metrics.Metrics.committed;
-      (metrics, feed))
-
-let run ?max_instructions ?commit_hook ?perfect_caches ?perfect_bpred cfg gen =
-  fst
-    (run_with_feed ?max_instructions ?commit_hook ?perfect_caches
-       ?perfect_bpred cfg gen)
+      metrics)

@@ -10,13 +10,3 @@ val run :
   Config.Machine.t ->
   (unit -> Isa.Dyn_inst.t option) ->
   Metrics.t
-
-val run_with_feed :
-  ?max_instructions:int ->
-  ?commit_hook:(committed:int -> cycle:int -> unit) ->
-  ?perfect_caches:bool ->
-  ?perfect_bpred:bool ->
-  Config.Machine.t ->
-  (unit -> Isa.Dyn_inst.t option) ->
-  Metrics.t * Eds_feed.t
-(** Also returns the feed, to inspect final cache and predictor state. *)

@@ -13,14 +13,11 @@ type t = {
   mutable last_update_seq : int;
 }
 
-let hierarchy t = t.hier
-let predictor t = t.pred
-
 let create ?(perfect_caches = false) ?(perfect_bpred = false) cfg gen =
   let hier = Cache.Hierarchy.create cfg in
   let pred = Branch.Predictor.create cfg.Config.Machine.bpred in
   let t_ref = ref None in
-  let produce () =
+  let produce _slot =
     let t = Option.get !t_ref in
     match gen () with
     | None -> None
@@ -76,7 +73,7 @@ let create ?(perfect_caches = false) ?(perfect_bpred = false) cfg gen =
       perfect_bpred;
       hier;
       pred;
-      ring = Feed.Ring.create produce;
+      ring = Feed.Ring.create ~window:(Feed.rewind_window cfg) produce;
       last_writer = Array.make Isa.Reg.count (-1);
       last_reader = Array.make Isa.Reg.count (-1);
       pos = 0;
@@ -87,9 +84,8 @@ let create ?(perfect_caches = false) ?(perfect_bpred = false) cfg gen =
   t
 
 let fetch t i =
-  match Feed.Ring.get t.ring i with
-  | None -> None
-  | Some p -> Some p.fetched
+  if Feed.Ring.mem t.ring i then Some (Feed.Ring.get t.ring i).fetched
+  else None
 
 let perfect_ifetch cfg =
   (Cache.Hierarchy.hit, cfg.Config.Machine.icache.hit_latency)
@@ -114,9 +110,9 @@ let on_dispatch t (f : Feed.fetched) ~wrong_path =
     match f.branch with
     | Some _ when f.seq > t.last_update_seq -> (
       t.last_update_seq <- f.seq;
-      match Feed.Ring.get t.ring f.seq with
-      | Some { dyn = { branch = Some b; pc; _ }; _ } ->
+      match (Feed.Ring.get t.ring f.seq).dyn with
+      | { branch = Some b; pc; _ } ->
         Branch.Predictor.update t.pred ~pc ~branch:b
-      | Some _ | None -> ())
+      | { branch = None; _ } -> ())
     | Some _ | None -> ()
   end

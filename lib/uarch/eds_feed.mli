@@ -21,7 +21,4 @@ val create :
   (unit -> Isa.Dyn_inst.t option) ->
   t
 
-val hierarchy : t -> Cache.Hierarchy.t
-val predictor : t -> Branch.Predictor.t
-
 include Feed.S with type t := t

@@ -73,35 +73,6 @@ let test_reg_layout () =
   Alcotest.(check int) "total" Isa.Reg.count
     (Isa.Reg.int_count + Isa.Reg.fp_count)
 
-let test_stream_basic () =
-  let insts = Array.init 10 (fun i -> mk_inst ~dest:((i mod 30) + 1) ()) in
-  let s = Isa.Stream.of_array insts in
-  check "get 0" true (Isa.Stream.get s 0 <> None);
-  check "get 9" true (Isa.Stream.get s 9 <> None);
-  check "past end" true (Isa.Stream.get s 10 = None);
-  Alcotest.(check int) "produced" 10 (Isa.Stream.produced s)
-
-let test_stream_rewind_window () =
-  let n = ref 0 in
-  let gen () =
-    if !n >= 100 then None
-    else begin
-      incr n;
-      Some (mk_inst ())
-    end
-  in
-  let s = Isa.Stream.of_generator ~window:16 gen in
-  ignore (Isa.Stream.get s 50);
-  check "recent rewind ok" true (Isa.Stream.get s 40 <> None);
-  Alcotest.check_raises "old index slid out"
-    (Invalid_argument "Stream.get: index slid out of the rewind window")
-    (fun () -> ignore (Isa.Stream.get s 10))
-
-let test_stream_negative () =
-  let s = Isa.Stream.of_array [| mk_inst () |] in
-  Alcotest.check_raises "negative" (Invalid_argument "Stream.get: negative index")
-    (fun () -> ignore (Isa.Stream.get s (-1)))
-
 let suite =
   [
     Alcotest.test_case "class roundtrip" `Quick test_class_roundtrip;
@@ -110,7 +81,4 @@ let suite =
     Alcotest.test_case "of_index invalid" `Quick test_of_index_invalid;
     Alcotest.test_case "well_formed" `Quick test_well_formed;
     Alcotest.test_case "register layout" `Quick test_reg_layout;
-    Alcotest.test_case "stream basics" `Quick test_stream_basic;
-    Alcotest.test_case "stream rewind window" `Quick test_stream_rewind_window;
-    Alcotest.test_case "stream negative index" `Quick test_stream_negative;
   ]

@@ -99,6 +99,33 @@ let test_digests_pinned () =
       Alcotest.(check string) (label ^ " metrics digest") expected (compute ()))
     pinned
 
+(* The pinned traces above are shorter than the 16,384-slot rewind
+   window, so a streamed run never recycles a ring slot. These gcc and
+   twolf traces (about 39k instructions) wrap it at least twice: slots
+   are recycled and each new occupant must pay its own misses. *)
+let past_window_machines =
+  List.filter
+    (fun (name, _) ->
+      List.mem name [ "ruu16"; "ruu128"; "in-order"; "ruu256-ifq64" ])
+    machines
+
+let test_streamed_past_window () =
+  List.iter
+    (fun (name, stream) ->
+      let p = Statsim.profile base (stream ~length:120_000) in
+      let plan = Statsim.compile_plan ~target_length:40_000 p in
+      let trace = Synth.Generate.generate_of_plan plan ~seed in
+      List.iter
+        (fun (machine, cfg) ->
+          let label = name ^ " on " ^ machine in
+          Alcotest.(check bool) (label ^ ": trace wraps the window twice") true
+            (Synth.Trace.length trace > 2 * Uarch.Feed.rewind_window cfg);
+          Alcotest.(check string) label
+            (Uarch.Metrics.encode (Synth.Run.run cfg trace))
+            (Uarch.Metrics.encode (Synth.Run.run_stream_of_plan cfg plan ~seed)))
+        past_window_machines)
+    (List.filter (fun (name, _) -> name = "gcc" || name = "twolf") streams)
+
 let gcc_trace () =
   let _, _, trace = List.hd (Lazy.force inputs) in
   trace
@@ -155,6 +182,8 @@ let test_stage_counters () =
 let suite =
   [
     Alcotest.test_case "metrics digests pinned" `Quick test_digests_pinned;
+    Alcotest.test_case "streamed = materialized past the window" `Quick
+      test_streamed_past_window;
     Alcotest.test_case "watchdog scales with latency" `Quick
       test_watchdog_scales_with_latency;
     Alcotest.test_case "stage counters" `Quick test_stage_counters;

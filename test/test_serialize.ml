@@ -153,7 +153,14 @@ let test_bad_input_rejected () =
         (try
            ignore (Profile.Serialize.load_file path);
            false
-         with Failure _ -> true))
+         with Failure _ -> true));
+  (* diagnostics number lines from 1 *)
+  Alcotest.check_raises "header token"
+    (Failure "profile line 1: not an integer: 77x!onfig") (fun () ->
+      ignore (Profile.Serialize.of_string "statsim-profile 77x!onfig\n"));
+  Alcotest.check_raises "meta token"
+    (Failure "profile line 2: not an integer: x") (fun () ->
+      ignore (Profile.Serialize.of_string "statsim-profile 1\nmeta 1 x\n"))
 
 let test_bad_version_rejected () =
   let path = Filename.temp_file "statsim_badv" ".txt" in

@@ -763,8 +763,55 @@ let out_of_range =
     ("dse", [ sweep; ("length", n 20000); ("synthetic", n 1) ]);
   ]
 
+(* Profile files that fail to load, for the ops that read one: a
+   missing file, a corrupt header token, an instruction class out of
+   range and a negative operand count. The corrupt ones are a valid
+   profile with one field changed. *)
+let bad_profiles () =
+  let lines =
+    String.split_on_char '\n'
+      (Profile.Serialize.to_string
+         (Statsim.profile Config.Machine.baseline
+            (Workload.Suite.stream (Workload.Suite.find "gcc") ~length:2000)))
+  in
+  let write lines =
+    let path = Filename.temp_file "statsim-test-profile" ".prof" in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (String.concat "\n" lines));
+    path
+  in
+  (* the first slot record's fields: class index, operand count, ... *)
+  let first_slot edit =
+    let seen = ref false in
+    List.map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "slot" :: fields when not !seen ->
+          seen := true;
+          String.concat " " ("slot" :: edit fields)
+        | _ -> l)
+      lines
+  in
+  let missing = write [] in
+  Sys.remove missing;
+  [
+    missing;
+    write ("statsim-profile 77x!onfig" :: List.tl lines);
+    write (first_slot (function _ :: rest -> "99" :: rest | [] -> []));
+    write (first_slot (function c :: _ :: rest -> c :: "-1" :: rest | l -> l));
+  ]
+
 let test_out_of_range_params () =
   let env = fresh_env () in
+  let profiles = bad_profiles () in
+  let profile_rows =
+    List.concat_map
+      (fun path ->
+        List.map
+          (fun op -> (op, [ ("profile", Json.Str path) ]))
+          [ "simulate"; "estimate" ])
+      profiles
+  in
   List.iter
     (fun (op, fields) ->
       let req = small_request fields in
@@ -774,7 +821,8 @@ let test_out_of_range_params () =
       | exception e ->
         Alcotest.failf "%s %s raised %s" op (Json.to_string req)
           (Printexc.to_string e))
-    out_of_range;
+    (out_of_range @ profile_rows);
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) profiles;
   (* the stratified replicate default budget seats the pilot round *)
   match
     Server.Ops.dispatch env ~op:"replicate"
