@@ -174,9 +174,9 @@ let compare ?(label = "diag") (p : Profile.Stat_profile.t) (tr : Synth.Trace.t)
   and o_l2d = ref 0
   and o_dtlb = ref 0 in
   let prev_block = ref (-1) in
-  Array.iter
-    (fun (i : Synth.Trace.inst) ->
-      let ci = Isa.Iclass.index i.klass in
+  for idx = 0 to Synth.Trace.length tr - 1 do
+    let i = Synth.Trace.get tr idx in
+    let ci = Isa.Iclass.index i.klass in
       mix_o.(ci) <- mix_o.(ci) + 1;
       bump arity_o (Array.length i.deps) 1;
       Array.iter (fun d -> if d > 0 then Stats.Histogram.add deps_o d) i.deps;
@@ -198,8 +198,8 @@ let compare ?(label = "diag") (p : Profile.Stat_profile.t) (tr : Synth.Trace.t)
         incr o_branches;
         if b.taken then incr o_taken;
         if b.mispredict then incr o_mis;
-        if b.redirect then incr o_red)
-    tr.insts;
+        if b.redirect then incr o_red
+  done;
   let of_array a =
     Array.to_list (Array.mapi (fun i c -> (Isa.Iclass.to_string (Isa.Iclass.of_index i), f c)) a)
   in

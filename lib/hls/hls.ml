@@ -181,7 +181,7 @@ let generate p ~target_length ~seed =
     let redirect = (not mispredict) && u < p.mispredict_rate +. p.redirect_rate in
     emit b.branch_class ~branch:(Some { Synth.Trace.taken; mispredict; redirect })
   done;
-  { Synth.Trace.insts = Array.of_list (List.rev !out); k = 0; reduction = 0; seed }
+  Synth.Trace.of_insts ~seed (Array.of_list (List.rev !out))
 
 let run cfg gen ~target_length ~seed =
   let p = collect cfg gen in

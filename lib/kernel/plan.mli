@@ -98,6 +98,10 @@ val meta_anti : int -> bool
 (** Whether the slot's sampler list ends with waw and war samplers. *)
 
 val meta_klass : int -> Isa.Iclass.t
+
+val meta_class : int -> int
+(** The class index ({!Isa.Iclass.index}). *)
+
 val meta_latency : int -> int
 val meta_pool : int -> int
 

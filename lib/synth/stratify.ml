@@ -157,21 +157,22 @@ let cv_weights (cfg : Config.Machine.t) =
 let cv_sample (cfg : Config.Machine.t) (tr : Trace.t) =
   let w = cv_weights cfg in
   let e = ref 0.0 in
-  Array.iter
-    (fun (i : Trace.inst) ->
-      if i.l1i_miss then e := !e +. w.w_l2;
-      if i.l2i_miss then e := !e +. w.w_mem;
-      if i.itlb_miss then e := !e +. w.w_itlb;
-      if i.l1d_miss then e := !e +. w.w_l2;
-      if i.l2d_miss then e := !e +. w.w_mem;
-      if i.dtlb_miss then e := !e +. w.w_dtlb;
-      match i.branch with
-      | Some b ->
-        if b.mispredict then e := !e +. w.w_mis
-        else if b.redirect then e := !e +. w.w_red
-      | None -> ())
-    tr.insts;
-  !e /. float_of_int (max 1 (Array.length tr.insts))
+  let n = Trace.length tr in
+  for i = 0 to n - 1 do
+    let c = tr.code.(i) in
+    let f = Trace.fetch_outcome c and l = Trace.load_outcome c in
+    if Cache.Hierarchy.l1_miss f then e := !e +. w.w_l2;
+    if Cache.Hierarchy.l2_miss f then e := !e +. w.w_mem;
+    if Cache.Hierarchy.tlb_miss f then e := !e +. w.w_itlb;
+    if Cache.Hierarchy.l1_miss l then e := !e +. w.w_l2;
+    if Cache.Hierarchy.l2_miss l then e := !e +. w.w_mem;
+    if Cache.Hierarchy.tlb_miss l then e := !e +. w.w_dtlb;
+    let fw = Trace.feed_word c in
+    if Uarch.Feed.is_branch fw then
+      if Uarch.Feed.mispredicted fw then e := !e +. w.w_mis
+      else if Uarch.Feed.redirected fw then e := !e +. w.w_red
+  done;
+  !e /. float_of_int (max 1 n)
 
 let plan_instructions (plan : Kernel.Plan.t) =
   let insts = ref 0 in

@@ -23,9 +23,9 @@ let of_trace (tr : Trace.t) =
   let l1i = ref 0 in
   let loads = ref 0 and l1d = ref 0 and l2d = ref 0 in
   let prev_block = ref (-1) in
-  Array.iter
-    (fun (s : Trace.inst) ->
-      mix.(Isa.Iclass.index s.klass) <- mix.(Isa.Iclass.index s.klass) + 1;
+  for i = 0 to n - 1 do
+    let s = Trace.get tr i in
+    mix.(Isa.Iclass.index s.klass) <- mix.(Isa.Iclass.index s.klass) + 1;
       if s.block <> !prev_block then incr blocks;
       prev_block := s.block;
       Array.iter
@@ -47,8 +47,8 @@ let of_trace (tr : Trace.t) =
         incr branches;
         if b.taken then incr taken;
         if b.mispredict then incr mis;
-        if b.redirect then incr red)
-    tr.insts;
+        if b.redirect then incr red
+  done;
   {
     instructions = n;
     mix = Array.map (fun c -> rate c n) mix;

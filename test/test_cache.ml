@@ -93,16 +93,19 @@ let test_tlb_paging () =
 let test_hierarchy_latencies () =
   let cfg = Config.Machine.baseline in
   let h = Cache.Hierarchy.create cfg in
-  let _, cold = Cache.Hierarchy.dload h 0x10000000 in
+  let cold = Cache.Hierarchy.latency (Cache.Hierarchy.dload h 0x10000000) in
   (* cold: D-TLB miss + L1 miss + L2 miss *)
   Alcotest.(check int) "cold load latency"
     (cfg.dcache.hit_latency + cfg.l2.hit_latency + cfg.mem_latency
    + cfg.dtlb.miss_penalty)
     cold;
-  let o, warm = Cache.Hierarchy.dload h 0x10000000 in
+  let a = Cache.Hierarchy.dload h 0x10000000 in
   check "warm all hit" true
-    ((not o.l1_miss) && (not o.l2_miss) && not o.tlb_miss);
-  Alcotest.(check int) "warm latency" cfg.dcache.hit_latency warm
+    ((not (Cache.Hierarchy.l1_miss a))
+    && (not (Cache.Hierarchy.l2_miss a))
+    && not (Cache.Hierarchy.tlb_miss a));
+  Alcotest.(check int) "warm latency" cfg.dcache.hit_latency
+    (Cache.Hierarchy.latency a)
 
 let test_hierarchy_l2_split_accounting () =
   let cfg = Config.Machine.baseline in
@@ -120,14 +123,14 @@ let test_latency_of_outcome () =
   Alcotest.(check int) "hit" cfg.dcache.hit_latency (lat Cache.Hierarchy.hit);
   Alcotest.(check int) "l1 miss"
     (cfg.dcache.hit_latency + cfg.l2.hit_latency)
-    (lat { l1_miss = true; l2_miss = false; tlb_miss = false });
+    (lat (Cache.Hierarchy.outcome ~l1_miss:true ~l2_miss:false ~tlb_miss:false));
   Alcotest.(check int) "l2 miss"
     (cfg.dcache.hit_latency + cfg.l2.hit_latency + cfg.mem_latency)
-    (lat { l1_miss = true; l2_miss = true; tlb_miss = false });
+    (lat (Cache.Hierarchy.outcome ~l1_miss:true ~l2_miss:true ~tlb_miss:false));
   let ilat o = Cache.Hierarchy.latency_of_outcome cfg ~instruction:true o in
   Alcotest.(check int) "itlb miss"
     (cfg.icache.hit_latency + cfg.itlb.miss_penalty)
-    (ilat { l1_miss = false; l2_miss = false; tlb_miss = true })
+    (ilat (Cache.Hierarchy.outcome ~l1_miss:false ~l2_miss:false ~tlb_miss:true))
 
 let suite =
   [

@@ -1,69 +1,75 @@
 (* Feed.Ring: the one rewind window both simulator feeds use to re-play
-   squashed positions, pulled from a producer or wrapped around an
-   already-built array. *)
+   squashed positions, pulled from a producer or covering an
+   already-built array. The ring assigns slots; the items live in the
+   caller's storage. *)
 
 module Ring = Uarch.Feed.Ring
 
-(* position i is i; the producer is told the slot each item takes *)
+(* position i is i, written into the slot the ring assigns *)
 let counter_ring ?(window = 16384) n =
+  let items = Array.make window (-1) in
   let i = ref 0 in
-  Ring.create ~window (fun slot ->
-      Alcotest.(check int) "producer told the slot" (!i mod window) slot;
-      if !i >= n then None
-      else begin
-        incr i;
-        Some (!i - 1)
-      end)
+  let r =
+    Ring.create ~window (fun slot ->
+        Alcotest.(check int) "producer told the slot" (!i mod window) slot;
+        if !i >= n then false
+        else begin
+          items.(slot) <- !i;
+          incr i;
+          true
+        end)
+  in
+  (r, fun j -> items.(Ring.index r j))
 
 let test_sequential () =
-  let r = counter_ring 100 in
+  let _, get = counter_ring 100 in
   for i = 0 to 99 do
-    Alcotest.(check int) "get i" i (Ring.get r i)
+    Alcotest.(check int) "get i" i (get i)
   done
 
 let test_past_end () =
-  let r = counter_ring 10 in
+  let r, get = counter_ring 10 in
   Alcotest.(check bool) "end" false (Ring.mem r 10);
   Alcotest.(check bool) "far past end" false (Ring.mem r 1_000);
   Alcotest.check_raises "get past end"
-    (Invalid_argument "Feed.Ring.get: index past the end") (fun () ->
-      ignore (Ring.get r 10));
+    (Invalid_argument "Feed.Ring.index: index past the end") (fun () ->
+      ignore (get 10));
   (* the producer is exhausted, earlier reads still work *)
-  Alcotest.(check int) "replay" 9 (Ring.get r 9)
+  Alcotest.(check int) "replay" 9 (get 9)
 
 let test_replay_within_window () =
-  let r = counter_ring ~window:8 100 in
-  Alcotest.(check int) "first read" 20 (Ring.get r 20);
+  let _, get = counter_ring ~window:8 100 in
+  Alcotest.(check int) "first read" 20 (get 20);
   (* indices (20-8, 20] remain readable, in any order *)
-  Alcotest.(check int) "replay 13" 13 (Ring.get r 13);
-  Alcotest.(check int) "replay 20" 20 (Ring.get r 20)
+  Alcotest.(check int) "replay 13" 13 (get 13);
+  Alcotest.(check int) "replay 20" 20 (get 20)
 
 let test_negative_index () =
-  let r = counter_ring 10 in
+  let _, get = counter_ring 10 in
   Alcotest.check_raises "negative"
-    (Invalid_argument "Feed.Ring: negative index") (fun () ->
-      ignore (Ring.get r (-1)))
+    (Invalid_argument "Feed.Ring: negative index") (fun () -> ignore (get (-1)))
 
 let test_slid_out_of_window () =
-  let r = counter_ring ~window:4 100 in
-  Alcotest.(check int) "advance" 9 (Ring.get r 9);
+  let r, get = counter_ring ~window:4 100 in
+  Alcotest.(check int) "advance" 9 (get 9);
   (* produced = 10, window = 4: indices < 6 have been overwritten *)
   Alcotest.check_raises "slid out"
-    (Invalid_argument "Feed.Ring.get: index slid out of window") (fun () ->
-      ignore (Ring.get r 5));
-  Alcotest.(check int) "oldest kept" 6 (Ring.get r 6);
-  Alcotest.(check int) "slot wraps" 1 (Ring.slot r 9)
+    (Invalid_argument "Feed.Ring.index: index slid out of window") (fun () ->
+      ignore (get 5));
+  Alcotest.(check int) "oldest kept" 6 (get 6);
+  Alcotest.(check int) "slot wraps" 1 (Ring.index r 9)
 
 (* a materialized array: every position readable, nothing pulled, and
    each position is its own slot *)
 let test_array_form () =
   let a = Array.init 10 (fun i -> i * i) in
-  let r = Ring.of_array a in
-  Alcotest.(check int) "get 0" 0 (Ring.get r 0);
-  Alcotest.(check int) "get 9" 81 (Ring.get r 9);
+  let r = Ring.full (Array.length a) in
+  let get i = a.(Ring.index r i) in
+  Alcotest.(check int) "get 0" 0 (get 0);
+  Alcotest.(check int) "get 9" 81 (get 9);
   Alcotest.(check bool) "past end" false (Ring.mem r 10);
-  Alcotest.(check int) "own slot" 7 (Ring.slot r 7);
-  Alcotest.(check int) "rewind to 0" 0 (Ring.get r 0)
+  Alcotest.(check int) "own slot" 7 (Ring.index r 7);
+  Alcotest.(check int) "rewind to 0" 0 (get 0)
 
 let suite =
   [

@@ -30,7 +30,7 @@ let test_generation_length_and_shape () =
   check "at least target" true (len >= 5_000 && len < 5_200);
   Array.iter
     (fun s -> check "well-formed" true (Synth.Trace.well_formed s))
-    t.insts
+    (Synth.Trace.to_insts t)
 
 let test_generation_mix_tracks_profile () =
   let p = collect "gzip" 30_000 in
@@ -39,7 +39,7 @@ let test_generation_mix_tracks_profile () =
     Array.fold_left
       (fun acc (s : Synth.Trace.inst) ->
         if Isa.Iclass.is_load s.klass then acc + 1 else acc)
-      0 t.insts
+      0 (Synth.Trace.to_insts t)
   in
   let frac = float_of_int loads /. float_of_int (Synth.Trace.length t) in
   check "load fraction" true
@@ -55,9 +55,9 @@ let test_blocks_have_one_branch () =
       if
         i > 0
         && Isa.Iclass.is_branch s.klass
-        && Isa.Iclass.is_branch t.insts.(i - 1).Synth.Trace.klass
+        && Isa.Iclass.is_branch (Synth.Trace.get t (i - 1)).Synth.Trace.klass
       then incr violations)
-    t.insts;
+    (Synth.Trace.to_insts t);
   (* adjacent branches only when a size-1 block is drawn; rare *)
   check "branches terminate blocks" true
     (!violations < Synth.Trace.length t / 20)

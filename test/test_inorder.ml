@@ -20,7 +20,7 @@ let inst ?(klass = Isa.Iclass.Int_alu) ?(deps = [||]) ?(l1d = false) () =
     branch = None;
   }
 
-let trace insts = { Synth.Trace.insts; k = 1; reduction = 1; seed = 0 }
+let trace insts = Synth.Trace.of_insts ~k:1 ~reduction:1 insts
 
 let test_in_order_slower () =
   (* an independent divide followed by its consumer, then independent

@@ -114,7 +114,7 @@ let block_counts (t : Synth.Trace.t) =
     (fun (i : Synth.Trace.inst) ->
       Hashtbl.replace tbl i.block
         (1 + Option.value ~default:0 (Hashtbl.find_opt tbl i.block)))
-    t.insts;
+    (Synth.Trace.to_insts t);
   List.sort compare (Hashtbl.fold (fun b c acc -> (b, c) :: acc) tbl [])
 
 (* The closed form of the walk's output mix: every node surviving
@@ -155,16 +155,12 @@ let test_compiled_stream_equals_materialized () =
   let t = Synth.Generate.generate_of_plan plan ~seed:9 in
   let s = Synth.Generate.stream_of_plan plan ~seed:9 in
   let streamed = ref [] in
-  let rec drain () =
-    match Synth.Generate.next s with
-    | Some i ->
-      streamed := i :: !streamed;
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  let slot = Synth.Trace.create 1 in
+  while Synth.Generate.next s slot 0 do
+    streamed := Synth.Trace.get slot 0 :: !streamed
+  done;
   check "bit-identical instructions" true
-    (t.insts = Array.of_list (List.rev !streamed))
+    (Synth.Trace.to_insts t = Array.of_list (List.rev !streamed))
 
 (* [check_survivors] must reject exactly the reductions [plan] rejects
    as an empty graph, so request boundaries can answer before it runs *)
@@ -236,7 +232,7 @@ let test_empty_count_node () =
         check "taken by default" true b.taken;
         check "never mispredicts" false (b.mispredict || b.redirect)
       | None -> ())
-    t.insts
+    (Synth.Trace.to_insts t)
 
 let test_plan_codec_roundtrip () =
   let p = profile_of "gcc" 25_000 in
@@ -249,7 +245,7 @@ let test_plan_codec_roundtrip () =
      persistent store tier depends on *)
   let a = Synth.Generate.generate_of_plan plan ~seed:21 in
   let b = Synth.Generate.generate_of_plan decoded ~seed:21 in
-  check "bit-identical traces" true (a.insts = b.insts)
+  check "bit-identical traces" true (Synth.Trace.to_insts a = Synth.Trace.to_insts b)
 
 let test_plan_codec_rejects () =
   let p = profile_of "gzip" 6_000 in
@@ -330,7 +326,7 @@ let test_cache_plan_tier () =
       Alcotest.(check int) "no store miss" 0 s2.store_misses;
       let a = Synth.Generate.generate_of_plan pl1 ~seed:19 in
       let b = Synth.Generate.generate_of_plan pl2 ~seed:19 in
-      check "store-decoded plan is bit-identical" true (a.insts = b.insts);
+      check "store-decoded plan is bit-identical" true (Synth.Trace.to_insts a = Synth.Trace.to_insts b);
       (* target_length resolves to a reduction factor before keying *)
       let pl3 = Runner.Cache.plan c1 ~target_length:5_000 p in
       Alcotest.(check int) "resolved R" 3 pl3.Kernel.Plan.reduction)

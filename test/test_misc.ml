@@ -102,7 +102,10 @@ let test_resolution_to_string () =
 let test_hierarchy_perfect_path_unused () =
   (* the hit constant used by feeds in perfect mode *)
   let o = Cache.Hierarchy.hit in
-  check "all clear" true (not (o.l1_miss || o.l2_miss || o.tlb_miss))
+  check "all clear" true
+    (not
+       (Cache.Hierarchy.l1_miss o || Cache.Hierarchy.l2_miss o
+      || Cache.Hierarchy.tlb_miss o))
 
 let test_watchdog_fires_on_starved_feed () =
   (* a feed that claims an instruction exists but never lets it complete
@@ -110,7 +113,7 @@ let test_watchdog_fires_on_starved_feed () =
      liveness property: an empty trace terminates immediately *)
   let m =
     Synth.Run.run Config.Machine.baseline
-      { Synth.Trace.insts = [||]; k = 1; reduction = 1; seed = 0 }
+      (Synth.Trace.of_insts ~k:1 ~reduction:1 [||])
   in
   Alcotest.(check int) "no commits" 0 m.committed
 

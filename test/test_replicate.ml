@@ -24,13 +24,14 @@ let prop_stream_equals_materialized =
       let p = Lazy.force shared_p in
       let tr = Synth.Generate.generate ~target_length:target p ~seed in
       let s = Synth.Generate.stream ~target_length:target p ~seed in
+      let slot = Synth.Trace.create 1 in
       let rec drain acc =
-        match Synth.Generate.next s with
-        | Some i -> drain (i :: acc)
-        | None -> Array.of_list (List.rev acc)
+        if Synth.Generate.next s slot 0 then
+          drain (Synth.Trace.get slot 0 :: acc)
+        else Array.of_list (List.rev acc)
       in
       let streamed_insts = drain [] in
-      if streamed_insts <> tr.Synth.Trace.insts then
+      if streamed_insts <> Synth.Trace.to_insts tr then
         QCheck.Test.fail_report "instruction sequences differ";
       let ms = Synth.Run.run_stream ~target_length:target cfg p ~seed in
       let mm = Synth.Run.run cfg tr in
