@@ -507,8 +507,9 @@ let dse_cmd =
   in
   let doc =
     "design-space exploration: expand a sweep file into design points, \
-     evaluate all of them against one shared profile and compiled plan, \
-     and report the CI-aware IPC/EDP Pareto frontier"
+     evaluate them against one profile and compiled plan per distinct \
+     cache, predictor and fetch-queue configuration, and report the \
+     CI-aware IPC/EDP Pareto frontier"
   in
   Cmd.v (Cmd.info "dse" ~doc)
     Term.(

@@ -32,6 +32,14 @@ val collect :
     [perfect_caches] / [perfect_bpred] zero the corresponding event
     probabilities, for the idealized studies of Figures 4 and 5. *)
 
+val profile_config : base:Config.Machine.t -> Config.Machine.t -> Config.Machine.t
+(** The configuration to profile at for a machine [cfg]: [base] with
+    every field profiling reads taken from [cfg] — the cache and TLB
+    geometry, the branch predictor, [ifq_size] (the delayed-update
+    FIFO) and [in_order]. Machines with equal answers share a profile;
+    the rest of the machine (window, widths, latencies) is applied
+    only when the synthetic trace is simulated. *)
+
 val collect_chunked :
   ?k:int ->
   ?dep_cap:int ->

@@ -275,6 +275,26 @@ let test_driver_store_resume () =
         (Runner.Report.json_string (Dse.Driver.to_report r1))
         (Runner.Report.json_string (Dse.Driver.to_report r2)))
 
+(* Profiling reads the cache geometry, so a cache sweep collects one
+   profile per size and each point's IPC sees its own cache. *)
+let test_driver_profiles_per_cache () =
+  let cache = Runner.Cache.create () in
+  let sweep =
+    Dse.Sweep.make ~name:"icache" (Dse.Sweep.axis "icache_kb" [ 1; 64 ])
+  in
+  match
+    Dse.Driver.run ~cache ~length:20_000 ~target_length:4_000 ~sweep
+      ~bench:(Workload.Suite.find "gcc")
+      ~seed:7 ()
+  with
+  | Error msg -> Alcotest.failf "driver failed: %s" msg
+  | Ok r ->
+    let st = Runner.Cache.stats cache in
+    check_int "one profile per cache size" 2 st.Runner.Cache.profile_computes;
+    check_int "one plan per profile" 2 st.Runner.Cache.plan_computes;
+    let ipc i = r.Dse.Driver.points.(i).Dse.Driver.ipc.mean in
+    check "the bigger I-cache runs faster" true (ipc 1 > ipc 0)
+
 let test_driver_oversize () =
   match
     Dse.Driver.run
@@ -303,4 +323,6 @@ let suite =
     Alcotest.test_case "driver replica CIs" `Quick test_driver_replicas_ci;
     Alcotest.test_case "driver store resume" `Quick test_driver_store_resume;
     Alcotest.test_case "driver oversize" `Quick test_driver_oversize;
+    Alcotest.test_case "driver profiles per cache size" `Quick
+      test_driver_profiles_per_cache;
   ]
