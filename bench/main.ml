@@ -227,10 +227,23 @@ let run_kernel () =
   in
   let compiled_ips = if dtc > 0.0 then float_of_int nc /. dtc else 0.0 in
   Format.fprintf ppf "  generate  %9.0f ips@." compiled_ips;
-  let pipe_json (m : Uarch.Metrics.t) dt =
+  (* minor words per instruction, from one untimed call each: exact and
+     repeatable, so the gate holds them where the timings are noisy *)
+  let words_per f =
+    let before = Gc.minor_words () in
+    let n = f () in
+    (Gc.minor_words () -. before) /. float_of_int (max 1 n)
+  in
+  let gen_words =
+    words_per (fun () ->
+        Synth.Trace.length (Synth.Generate.generate_of_plan plan ~seed:9))
+  in
+  let pipe_json (m : Uarch.Metrics.t) dt words =
     let ips = if dt > 0.0 then float_of_int m.committed /. dt else 0.0 in
     let open Telemetry.Json in
-    (ips, Obj [ ("seconds", Num dt); ("ips", Num ips) ])
+    ( ips,
+      Obj [ ("seconds", Num dt); ("ips", Num ips); ("words_per_inst", Num words) ]
+    )
   in
   (* the pipeline comparison runs both schedulers over the same trace;
      materialize it once, outside any timed region *)
@@ -240,10 +253,16 @@ let run_kernel () =
       (fun () -> Synth.Run.run ~skip_idle:false cfg tc)
       (fun () -> Synth.Run.run cfg tc)
   in
+  let pipe_words run = words_per (fun () -> (run ()).Uarch.Metrics.committed) in
+  let dense_words = pipe_words (fun () -> Synth.Run.run ~skip_idle:false cfg tc) in
+  let event_words = pipe_words (fun () -> Synth.Run.run cfg tc) in
   Gc.set gc_was;
   Telemetry.set_enabled telemetry_was;
-  let dense_ips, jd = pipe_json md dtd in
-  let event_ips, je = pipe_json me dte in
+  Format.fprintf ppf
+    "  words/instruction  generate %.2f   dense %.2f   event-driven %.2f@."
+    gen_words dense_words event_words;
+  let dense_ips, jd = pipe_json md dtd dense_words in
+  let event_ips, je = pipe_json me dte event_words in
   let pipe_speedup = if dense_ips > 0.0 then event_ips /. dense_ips else 0.0 in
   let identical = Uarch.Metrics.encode md = Uarch.Metrics.encode me in
   Format.fprintf ppf
@@ -262,6 +281,7 @@ let run_kernel () =
                   ("seconds", Num dtc);
                   ("ips", Num compiled_ips);
                   ("instructions", Num (float_of_int nc));
+                  ("words_per_inst", Num gen_words);
                 ] );
           ] );
       ( "pipeline",

@@ -87,6 +87,22 @@ let default_checks =
         ( "kernel.pipeline.event_driven.seconds",
           [ "kernel"; "pipeline"; "event_driven"; "seconds" ] );
       ]
+  (* the same layers' minor words per instruction: exact, so a
+     reintroduced per-instruction record (a few words) fails even when
+     its time hides in host noise *)
+  @ List.map
+      (fun layer ->
+        {
+          label = "kernel." ^ String.concat "." layer ^ ".words_per_inst";
+          path = ("kernel" :: layer) @ [ "words_per_inst" ];
+          both_directions = false;
+          abs_slack = 1.0;
+        })
+      [
+        [ "generate"; "compiled" ];
+        [ "pipeline"; "dense" ];
+        [ "pipeline"; "event_driven" ];
+      ]
   (* design-space exploration driver: sweep wall time is gated like a
      stage; the profile/plan compute counts are the driver's whole
      contract (one each per sweep) so any drift fails *)

@@ -38,7 +38,9 @@ val num_field : Telemetry.Json.t -> string list -> float option
 
 val default_checks : check list
 (** Every gated metric: per-stage seconds, memo-cache and store
-    counters, streaming/kernel timings, the DSE driver's seconds and
+    counters, streaming/kernel timings, the kernel's minor words per
+    instruction for generation and both pipeline schedulers (one
+    direction, slack one word), the DSE driver's seconds and
     profile/plan compute counts, and the replication bench's
     deterministic replicas-to-target-CI counts. *)
 

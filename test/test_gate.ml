@@ -121,6 +121,28 @@ let test_default_checks_cover_replication () =
   | Some c -> check "timing one-directional" false c.Gate.both_directions
   | None -> Alcotest.fail "replication.blind.seconds not gated"
 
+(* words per instruction are exact: a few words of regression must
+   fail under CI's threshold of 1.0 even from a near-zero baseline *)
+let test_default_checks_cover_words () =
+  List.iter
+    (fun layer ->
+      let label = "kernel." ^ layer ^ ".words_per_inst" in
+      match List.find_opt (fun c -> c.Gate.label = label) Gate.default_checks with
+      | None -> Alcotest.failf "%s not gated" label
+      | Some c ->
+        check (label ^ " one-directional") false c.Gate.both_directions;
+        let at w = List.fold_right (fun k v -> J.Obj [ (k, v) ]) c.Gate.path (J.Num w) in
+        let verdict b w =
+          let _, _, _, v =
+            Gate.evaluate ~threshold:1.0 ~baseline:(at b) ~current:(at w) c
+          in
+          v
+        in
+        check (label ^ ": a record per instruction fails") true
+          (verdict 0.2 4.2 = Gate.Regressed);
+        check (label ^ ": noise passes") true (verdict 0.2 0.3 = Gate.Pass))
+    [ "generate.compiled"; "pipeline.dense"; "pipeline.event_driven" ]
+
 let suite =
   [
     Alcotest.test_case "timing verdicts" `Quick test_timing_verdicts;
@@ -131,4 +153,6 @@ let suite =
     Alcotest.test_case "dse checks present" `Quick test_default_checks_cover_dse;
     Alcotest.test_case "replication checks present" `Quick
       test_default_checks_cover_replication;
+    Alcotest.test_case "words checks present" `Quick
+      test_default_checks_cover_words;
   ]
