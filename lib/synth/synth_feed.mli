@@ -10,14 +10,17 @@
     synthetic simulator does not model misspeculated cache accesses,
     as the paper notes.
 
-    One feed serves both forms of a trace. The instructions sit in a
-    {!Uarch.Feed.Ring}: a materialized trace is the ring's array form,
-    whose window covers the whole trace; a streamed walk is pulled from
-    {!Generate.next} into a window deep enough for every squash rewind,
-    in memory independent of the trace length. The "miss already
-    charged" marks live in the ring slot each position occupies, so for
-    the same walk the two forms produce bit-identical
-    {!Uarch.Metrics}. *)
+    One feed serves both forms of a trace, and reads the packed
+    {!Trace} words at the slot a {!Uarch.Feed.Ring} assigns: a
+    materialized trace sits behind a full ring, whose window covers the
+    whole trace; a streamed walk is pulled by {!Generate.next} into a
+    window-sized trace buffer deep enough for every squash rewind, in
+    memory independent of the trace length. [fetch] masks the code
+    word, [producer] shifts the dependency word, and the accesses read
+    a table of {!Cache.Hierarchy} access words, so nothing is allocated
+    per instruction. The "miss already charged" marks live in the ring
+    slot each position occupies, so for the same walk the two forms
+    produce bit-identical {!Uarch.Metrics}. *)
 
 type t
 

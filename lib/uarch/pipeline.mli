@@ -13,13 +13,19 @@
     rewinds to just after the branch, and fetch restarts after the
     configured penalty.
 
-    Per-cycle work tracks events, not the window size. Because dispatch
-    is in order and a squash removes a suffix, the in-flight seqs are
-    one contiguous range, so the RUU is a ring indexed by
-    [seq - head_seq] with no lookup table. Writeback pops a min-heap of
-    issued slots keyed on completion cycle. Issue walks an age-ordered
-    list of Ready slots. The IFQ is a preallocated ring. The same heap
-    top tells the event-driven loop how far it may jump. *)
+    Per-cycle work tracks events, not the window size, and no stage
+    allocates. Because dispatch is in order and a squash removes a
+    suffix, the in-flight seqs are one contiguous range, so the RUU is a
+    ring indexed by [seq - head_seq] with no lookup table, kept as
+    parallel int arrays (seq, feed word, state, completion cycle,
+    pending count, wrong-path flag). Each slot heads an intrusive list
+    of waiter edges in int arrays, edge [j * ruu_size + c] linking
+    consumer slot [c] to its producer [j]; a squash unlinks the
+    squashed slots' edges youngest first, which keeps every list exact.
+    Writeback pops a min-heap of issued slots keyed on completion cycle.
+    Issue walks an age-ordered list of Ready slots. The IFQ is a ring of
+    feed words. The same heap top tells the event-driven loop how far
+    it may jump. *)
 
 module Make (F : Feed.S) : sig
   val run :
