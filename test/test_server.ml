@@ -658,6 +658,14 @@ let pinned_outputs =
           ("json", t);
         ],
       "e6734f90b30c1a3a89cbc0dc43a7dcc8" );
+    (* the default budgets: the stratified cap of 64 and the blind first
+       round of 4 *)
+    ( "simulate",
+      base "gcc" 2000 @ [ ("stratify", t); ("ci_target", Json.Num 5.0) ],
+      "8df0b226b54d264a5bc240d01a3cbf07" );
+    ( "simulate",
+      base "gcc" 2000 @ [ ("ci_target", Json.Num 10.0) ],
+      "7e95e2f93f06746990470d94a379b300" );
     ( "diag",
       base "gcc" 40000
       @ [ ("reduction", Json.Num 1.0); ("json", t); ("check", Json.Num 0.05) ],
