@@ -104,8 +104,8 @@ val run_plan : Config.Machine.t -> Kernel.Plan.t -> seed:int -> result
 (** Steps 2+3 from an already-compiled plan (streamed, constant
     memory) — the fast path for design-space sweeps and cached plans:
     bit-identical to {!run_profile} at the plan's baked-in reduction
-    (see {!Synth.Run.run_stream}). Replication over many seeds is
-    {!Synth.Replicate.run}/{!Synth.Replicate.run_ci}. *)
+    (see {!Synth.Run.run_stream}). Replication over many seeds, for a
+    fixed count or to a CI target, is {!Synth.Replicate.run}. *)
 
 val reference :
   ?max_instructions:int ->

@@ -5,7 +5,9 @@
    interval of the mean — for IPC and the six dispatch-stall-cause
    fractions. Replicas execute on the shared Domain pool; results are
    aggregated in seed order, so the report is byte-identical at any
-   worker count. *)
+   worker count. The replication loop ([grow], [adaptive]) is shared
+   with the stratified engine, Stratify, which keeps its own seeds and
+   estimator. *)
 
 let span_replica = Telemetry.span "synth.replica"
 
@@ -34,7 +36,7 @@ let split_seeds ~master_seed ~n =
   let seen = Hashtbl.create (2 * n) in
   (* sequential draws with collision re-draws: deterministic, pairwise
      distinct, and prefix-stable — the first n seeds of a larger split
-     are the n seeds of a smaller one, which run_ci relies on *)
+     are the n seeds of a smaller one, which growth relies on *)
   Array.init n (fun _ ->
       let rec fresh () =
         let s = Int32.to_int (Prng.bits32 rng) land 0x7FFFFFFF in
@@ -97,6 +99,51 @@ let observe_replica m =
     (int_of_float (Float.round (1000.0 *. Uarch.Metrics.ipc m)));
   m
 
+(* --- the replication loop, shared with Stratify --- *)
+
+(* Every missing sample is enumerated stratum-major in seed order before
+   any simulation runs, so Parallel.map's index-ordered results make the
+   outcome independent of [jobs]. *)
+let grow ~jobs run ~seeds samples ~want =
+  let strata = Array.length samples in
+  if Array.length seeds <> strata || Array.length want <> strata then
+    invalid_arg "Replicate.grow: strata count mismatch";
+  let items =
+    Array.concat
+      (List.init strata (fun h ->
+           let have = Array.length samples.(h) in
+           if want.(h) < have || want.(h) > Array.length seeds.(h) then
+             invalid_arg "Replicate.grow: want outside [have, seeds]";
+           Array.init (want.(h) - have) (fun j ->
+               (h, seeds.(h).(have + j)))))
+  in
+  let fresh = Parallel.map ~jobs (fun (h, seed) -> run h seed) items in
+  let next = ref 0 in
+  Array.mapi
+    (fun h have ->
+      let n = want.(h) - Array.length have in
+      let grown = Array.append have (Array.sub fresh !next n) in
+      next := !next + n;
+      grown)
+    samples
+
+let adaptive ?ci_target ~start ~cap ~ci result =
+  match ci_target with
+  | None -> result cap
+  | Some target ->
+    if start < 1 then invalid_arg "Replicate.adaptive: start must be >= 1";
+    (* relative half-width: the CI must close to within target percent
+       of the mean *)
+    let converged r =
+      let mean, half = ci r in
+      Float.is_finite half && half <= target /. 100.0 *. Float.abs mean
+    in
+    let rec go n =
+      let r = result n in
+      if n >= cap || converged r then r else go (min cap (2 * n))
+    in
+    go start
+
 (* The per-seed replica function. The profile is lowered to a plan
    once, up front, and every replica — streamed or materialized — walks
    that shared plan: the tables are immutable, so sharing across
@@ -116,49 +163,36 @@ let replica_runner ?(check = fun () -> ()) ?wrong_path_locality ~stream
                (Generate.generate_of_plan plan ~seed)))
 
 let run ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality ?reduction
-    ?target_length cfg p ~master_seed ~replicas =
-  let seeds = split_seeds ~master_seed ~n:replicas in
+    ?target_length ?ci_target ?(max_replicas = 64) cfg p ~master_seed
+    ~replicas =
+  let cap =
+    match ci_target with
+    | None -> replicas
+    | Some c ->
+      if c <= 0.0 then
+        invalid_arg "Replicate.run: ci_target must be positive";
+      if replicas < 2 then
+        invalid_arg "Replicate.run: replicas must be >= 2 with ci_target";
+      if max_replicas < replicas then
+        invalid_arg "Replicate.run: max_replicas < replicas";
+      max_replicas
+  in
+  let seeds = split_seeds ~master_seed ~n:cap in
   let replica =
     replica_runner ?check ?wrong_path_locality ~stream ?reduction
       ?target_length cfg p
   in
-  let metrics = Parallel.map ~jobs replica seeds in
-  aggregate ~master_seed ~streamed:stream ~reduction ~target_length seeds
-    metrics
-
-let converged ~ci_target r =
-  (* relative half-width: the CI must close to within ci_target percent
-     of the mean IPC *)
-  r.ipc.ci95 <= ci_target /. 100.0 *. Float.abs r.ipc.mean
-
-let run_ci ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality
-    ?reduction ?target_length ?(min_replicas = 4) ?(max_replicas = 64) cfg p
-    ~master_seed ~ci_target =
-  if ci_target <= 0.0 then
-    invalid_arg "Replicate.run_ci: ci_target must be positive";
-  if min_replicas < 2 then
-    invalid_arg "Replicate.run_ci: min_replicas must be >= 2";
-  if max_replicas < min_replicas then
-    invalid_arg "Replicate.run_ci: max_replicas < min_replicas";
-  let all_seeds = split_seeds ~master_seed ~n:max_replicas in
-  let replica =
-    replica_runner ?check ?wrong_path_locality ~stream ?reduction
-      ?target_length cfg p
+  let metrics = ref [||] in
+  let result n =
+    metrics :=
+      (grow ~jobs (fun _ seed -> replica seed) ~seeds:[| seeds |]
+         [| !metrics |] ~want:[| n |]).(0);
+    aggregate ~master_seed ~streamed:stream ~reduction ~target_length
+      (Array.sub seeds 0 n) !metrics
   in
-  let simulate seeds = Parallel.map ~jobs replica seeds in
-  let rec grow metrics n =
-    let r =
-      aggregate ~master_seed ~streamed:stream ~reduction ~target_length
-        (Array.sub all_seeds 0 n) metrics
-    in
-    if n >= max_replicas || converged ~ci_target r then r
-    else begin
-      let n' = min max_replicas (2 * n) in
-      let fresh = simulate (Array.sub all_seeds n (n' - n)) in
-      grow (Array.append metrics fresh) n'
-    end
-  in
-  grow (simulate (Array.sub all_seeds 0 min_replicas)) min_replicas
+  adaptive ?ci_target ~start:replicas ~cap
+    ~ci:(fun r -> (r.ipc.mean, r.ipc.ci95))
+    result
 
 (* --- rendering --- *)
 

@@ -1,8 +1,8 @@
 (** Variance-aware stratified replication (PR 10).
 
-    Where {!Replicate.run_ci} blindly doubles whole-graph replicas,
-    this engine partitions the reduced SFG into phase strata (k-means
-    over per-node behavioural rates, {!Simpoint.classify_nodes}), runs
+    Where {!Replicate.run} blindly doubles whole-graph replicas, this
+    engine partitions the reduced SFG into phase strata (k-means over
+    per-node behavioural rates, {!Simpoint.classify_nodes}), runs
     a deterministic pilot round per stratum, then spends the remaining
     budget by Neyman allocation — replicas go where the pilot measured
     variance.  Per-stratum means combine into the stratified estimator
@@ -17,8 +17,10 @@
     pair is fixed before simulation and aggregation is in (stratum,
     seed) order, so reports are byte-identical at any [jobs] value;
     per-stratum seed tables are prefix-stable as the budget grows
-    (house-monotone allocation + frozen pilot shares).  The control
-    variate's exact expectation is a finite sum over plan thresholds. *)
+    (house-monotone allocation + frozen pilot shares).  Both engines
+    grow their samples through one loop, {!Replicate.grow} and
+    {!Replicate.adaptive}.  The control variate's exact expectation is
+    a finite sum over plan thresholds. *)
 
 val neyman_allocate :
   weights:float array -> sigmas:float array -> pilot:int -> total:int ->
@@ -101,11 +103,11 @@ val cv_expectation : Config.Machine.t -> Kernel.Plan.t -> float
     chain). *)
 
 exception Budget_too_small of string
-(** Raised by {!run} and {!run_ci} when the replica budget cannot seat
-    [pilot] replicas in every stratum. Unlike the other argument
-    checks this one depends on the data — the BIC-selected stratum
-    count is only known once the SFG is partitioned — so callers taking
-    the budget from a user convert it into a request error. *)
+(** Raised by {!run} when the replica budget cannot seat [pilot]
+    replicas in every stratum. Unlike the other argument checks this
+    one depends on the data — the BIC-selected stratum count is only
+    known once the SFG is partitioned — so callers taking the budget
+    from a user convert it into a request error. *)
 
 val run :
   ?jobs:int ->
@@ -119,44 +121,27 @@ val run :
   ?strata_seed:int ->
   ?pilot:int ->
   ?control_variate:bool ->
+  ?ci_target:float ->
   Config.Machine.t ->
   Profile.Stat_profile.t ->
   master_seed:int ->
   replicas:int ->
   t
-(** Fixed-budget stratified run: [pilot] (default 3) replicas per
-    stratum, the rest of [replicas] by Neyman allocation on the pilot
-    variances.  [strata] forces an exact k; by default
-    {!Simpoint.classify_nodes} picks up to [max_strata] (default 4) by
-    BIC.  [check] is the cooperative cancellation hook, as in
-    {!Replicate.run}.  Raises {!Budget_too_small} when
-    [replicas < pilot * strata]. *)
+(** Stratified run with a budget of [replicas], totalled across strata:
+    [pilot] (default 3) replicas per stratum, the rest by Neyman
+    allocation on the pilot variances.  [strata] forces an exact k; by
+    default {!Simpoint.classify_nodes} picks up to [max_strata]
+    (default 4) by BIC.  [check] is the cooperative cancellation hook,
+    as in {!Replicate.run}.  Raises {!Budget_too_small} when
+    [replicas < pilot * strata].
 
-val run_ci :
-  ?jobs:int ->
-  ?stream:bool ->
-  ?check:(unit -> unit) ->
-  ?wrong_path_locality:bool ->
-  ?reduction:int ->
-  ?target_length:int ->
-  ?strata:int ->
-  ?max_strata:int ->
-  ?strata_seed:int ->
-  ?pilot:int ->
-  ?control_variate:bool ->
-  ?max_replicas:int ->
-  Config.Machine.t ->
-  Profile.Stat_profile.t ->
-  master_seed:int ->
-  ci_target:float ->
-  t
-(** Adaptive stratified replication: after the pilot round the total
-    budget doubles until the combined 95% half-width closes to
-    [ci_target] percent of the mean, or [max_replicas] (default 64,
-    totalled across strata) is reached.  Beta and the Neyman shares are
-    frozen on the pilot, so each growth step only extends per-stratum
-    seed prefixes and a converged run equals [run ~replicas:n] for the
-    same parameters. *)
+    With [ci_target] the budget grows from the pilot round
+    ([pilot * strata]) by {!Replicate.adaptive}: it doubles until the
+    combined 95% half-width closes to [ci_target] percent of the mean,
+    stopping at [replicas].  Beta and the Neyman shares are frozen on
+    the pilot, so each growth step only extends per-stratum seed
+    prefixes and a converged run equals [run ~replicas:n] for the same
+    parameters. *)
 
 val to_json : t -> Telemetry.Json.t
 (** Stable key order; byte-identical across [jobs] values. *)

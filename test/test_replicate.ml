@@ -62,6 +62,53 @@ let prop_seed_split =
       then QCheck.Test.fail_report "not prefix-stable";
       true)
 
+(* the replication loop both engines share, over a pure runner: growing
+   to [first] and then to [final] equals growing to [final] at once, at
+   any worker count, and sample i of stratum h is [run h seeds.(h).(i)],
+   each computed exactly once *)
+let prop_grow =
+  QCheck.Test.make ~name:"grow: two steps = one, sample i = run h seed i"
+    ~count:100
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(int_range 1 4)
+           (pair (int_range 0 8) (int_range 0 8))))
+    (fun (master_seed, counts) ->
+      let seeds =
+        Array.of_list
+          (List.mapi
+             (fun h _ ->
+               Synth.Replicate.split_seeds ~master_seed:(master_seed + h)
+                 ~n:8)
+             counts)
+      in
+      let first = Array.of_list (List.map (fun (a, b) -> min a b) counts) in
+      let final = Array.of_list (List.map (fun (a, b) -> max a b) counts) in
+      let empty = Array.map (fun _ -> [||]) seeds in
+      List.iter
+        (fun jobs ->
+          let calls = Atomic.make 0 in
+          let run h seed =
+            Atomic.incr calls;
+            (h, seed)
+          in
+          let grow = Synth.Replicate.grow ~jobs run ~seeds in
+          let twice = grow (grow empty ~want:first) ~want:final in
+          if Atomic.get calls <> Array.fold_left ( + ) 0 final then
+            QCheck.Test.fail_reportf "jobs %d: %d runs for %d samples" jobs
+              (Atomic.get calls) (Array.fold_left ( + ) 0 final);
+          if twice <> grow empty ~want:final then
+            QCheck.Test.fail_reportf "jobs %d: two steps differ from one"
+              jobs;
+          Array.iteri
+            (fun h samples ->
+              if samples <> Array.init final.(h) (fun i -> (h, seeds.(h).(i)))
+              then
+                QCheck.Test.fail_reportf "jobs %d: stratum %d samples" jobs h)
+            twice)
+        [ 1; 4 ];
+      true)
+
 let test_split_rejects_zero () =
   Alcotest.check_raises "n = 0"
     (Invalid_argument "Replicate.split_seeds: n must be >= 1") (fun () ->
@@ -133,19 +180,19 @@ let test_aggregate_statistics () =
     (Uarch.Metrics.encode r.Synth.Replicate.metrics.(0))
     (Uarch.Metrics.encode m0)
 
-let test_run_ci () =
+let test_ci_target () =
   let p = Lazy.force shared_p in
-  (* a huge target is satisfied immediately at min_replicas *)
+  (* a huge target is satisfied immediately at the first round *)
   let loose =
-    Synth.Replicate.run_ci ~jobs:2 ~stream:true ~target_length:1_500
-      ~min_replicas:3 ~max_replicas:16 cfg p ~master_seed:5 ~ci_target:500.0
+    Synth.Replicate.run ~jobs:2 ~stream:true ~target_length:1_500
+      ~ci_target:500.0 ~max_replicas:16 cfg p ~master_seed:5 ~replicas:3
   in
-  Alcotest.(check int) "stops at min_replicas" 3
+  Alcotest.(check int) "stops at the first round" 3
     (Synth.Replicate.replicas loose);
   (* an impossible target stops at max_replicas *)
   let tight =
-    Synth.Replicate.run_ci ~jobs:2 ~stream:true ~target_length:1_500
-      ~min_replicas:2 ~max_replicas:5 cfg p ~master_seed:5 ~ci_target:1e-9
+    Synth.Replicate.run ~jobs:2 ~stream:true ~target_length:1_500
+      ~ci_target:1e-9 ~max_replicas:5 cfg p ~master_seed:5 ~replicas:2
   in
   Alcotest.(check int) "caps at max_replicas" 5
     (Synth.Replicate.replicas tight);
@@ -159,10 +206,11 @@ let test_run_ci () =
     (Telemetry.Json.to_string (Synth.Replicate.to_json fixed))
     (Telemetry.Json.to_string (Synth.Replicate.to_json loose));
   Alcotest.check_raises "ci_target must be positive"
-    (Invalid_argument "Replicate.run_ci: ci_target must be positive")
+    (Invalid_argument "Replicate.run: ci_target must be positive")
     (fun () ->
       ignore
-        (Synth.Replicate.run_ci cfg p ~master_seed:1 ~ci_target:0.0))
+        (Synth.Replicate.run ~ci_target:0.0 cfg p ~master_seed:1
+           ~replicas:4))
 
 let test_render_text () =
   let p = Lazy.force shared_p in
@@ -209,10 +257,10 @@ let test_check_hook () =
   (* the hook threads through the adaptive mode too *)
   let calls_ci = Atomic.make 0 in
   let r =
-    Synth.Replicate.run_ci
+    Synth.Replicate.run
       ~check:(fun () -> Atomic.incr calls_ci)
-      ~jobs:1 ~stream:true ~target_length:1_500 ~min_replicas:3
-      ~max_replicas:4 cfg p ~master_seed:5 ~ci_target:500.0
+      ~jobs:1 ~stream:true ~target_length:1_500 ~ci_target:500.0
+      ~max_replicas:4 cfg p ~master_seed:5 ~replicas:3
   in
   Alcotest.(check int) "ci mode calls per replica"
     (Synth.Replicate.replicas r) (Atomic.get calls_ci)
@@ -221,10 +269,11 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_stream_equals_materialized;
     QCheck_alcotest.to_alcotest prop_seed_split;
+    QCheck_alcotest.to_alcotest prop_grow;
     Alcotest.test_case "split rejects n=0" `Quick test_split_rejects_zero;
     Alcotest.test_case "jobs-independent report" `Quick test_jobs_independent;
     Alcotest.test_case "aggregate statistics" `Quick test_aggregate_statistics;
-    Alcotest.test_case "adaptive CI mode" `Quick test_run_ci;
+    Alcotest.test_case "adaptive CI mode" `Quick test_ci_target;
     Alcotest.test_case "cooperative check hook" `Quick test_check_hook;
     Alcotest.test_case "text rendering" `Quick test_render_text;
   ]

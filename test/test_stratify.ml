@@ -188,8 +188,8 @@ let test_prefix_stable_growth () =
         Alcotest.failf "stratum %d seeds not prefix-stable" h)
     small.reports;
   let loose =
-    Synth.Stratify.run_ci ~jobs:2 ~target_length:2_000 cfg p ~master_seed:33
-      ~ci_target:500.0
+    Synth.Stratify.run ~jobs:2 ~target_length:2_000 ~ci_target:500.0 cfg p
+      ~master_seed:33 ~replicas:64
   in
   let fixed = run (Synth.Stratify.total_replicas loose) in
   Alcotest.(check string) "converged run equals fixed-budget run"
