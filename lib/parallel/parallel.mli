@@ -1,7 +1,7 @@
 (** A Domain-based worker pool with deterministic result placement.
-    Re-exported as [Runner.Pool]; it lives in its own library so that
-    layers below the runner (the synthetic-trace replication engine)
-    can use the same pool without a dependency cycle.
+    It lives in its own library so that layers below the runner (the
+    synthetic-trace replication engine) can use the same pool without a
+    dependency cycle.
 
     [map ~jobs f a] applies [f] to every element of [a] and returns the
     results in index order, whatever the execution interleaving. With

@@ -12,7 +12,7 @@ let default_cache_dir () =
   | Some _ | None -> None
 
 let create_ctx ?jobs ?cache_dir () =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  let jobs = match jobs with Some j -> j | None -> Parallel.default_jobs () in
   let cache_dir =
     match cache_dir with Some _ -> cache_dir | None -> default_cache_dir ()
   in
@@ -24,7 +24,7 @@ let run ?(label = "plan") ctx (Plan.Pack p) =
   Telemetry.time span_plan (fun () ->
       let jobs = p.jobs () in
       let results =
-        Pool.map ~jobs:ctx.jobs
+        Parallel.map ~jobs:ctx.jobs
           (fun (i, job) ->
             Telemetry.time span_job (fun () ->
                 if Telemetry.capturing () then

@@ -6,7 +6,7 @@
 type ctx = { cache : Cache.t; jobs : int }
 
 val create_ctx : ?jobs:int -> ?cache_dir:string -> unit -> ctx
-(** [jobs] defaults to [REPRO_JOBS] (see {!Pool.default_jobs}); it is
+(** [jobs] defaults to [REPRO_JOBS] (see {!Parallel.default_jobs}); it is
     clamped to at least 1. [cache_dir] defaults to [REPRO_CACHE_DIR];
     when set (either way), the memo cache is backed by a persistent
     {!Store} rooted there, so profiles and EDS references are shared

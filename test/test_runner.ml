@@ -37,7 +37,7 @@ let test_memo_concurrent_single_compute () =
     "shared"
   in
   let results =
-    Runner.Pool.map ~jobs:4
+    Parallel.map ~jobs:4
       (fun _ -> Runner.Memo.get m ~key:"profile:gcc" slow_compute)
       [| 0; 1; 2; 3 |]
   in
@@ -91,7 +91,7 @@ let test_pool_exception () =
   Alcotest.check_raises "re-raises lowest-index failure"
     (Invalid_argument "boom 2") (fun () ->
       ignore
-        (Runner.Pool.map ~jobs:3
+        (Parallel.map ~jobs:3
            (fun i ->
              if i >= 2 then
                invalid_arg (Printf.sprintf "boom %d" i)
@@ -104,7 +104,7 @@ let test_pool_jobs_equal =
     (fun xs ->
       let a = Array.of_list xs in
       let f x = (x * 7919) lxor (x lsl 3) in
-      Runner.Pool.map ~jobs:1 f a = Runner.Pool.map ~jobs:4 f a)
+      Parallel.map ~jobs:1 f a = Parallel.map ~jobs:4 f a)
 
 let test_plan_parallel_deterministic () =
   (* a small end-to-end plan produces the same rendered report at

@@ -132,7 +132,7 @@ let test_concurrent_single_flight () =
         "shared"
       in
       let results =
-        Runner.Pool.map ~jobs:2
+        Parallel.map ~jobs:2
           (fun _ -> get t ~key:"hot" slow)
           [| 0; 1 |]
       in
