@@ -113,76 +113,40 @@ let to_csv ppf r =
   Format.pp_print_string ppf (Buffer.contents buf);
   Format.pp_print_flush ppf ()
 
-(* --- json (hand-rolled; no external dependency) --- *)
-
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_float buf v =
-  (* nan and +/-inf have no JSON representation *)
-  if Float.is_finite v then Buffer.add_string buf (float_repr v)
-  else Buffer.add_string buf "null"
-
-let json_list buf f = function
-  | [] -> Buffer.add_string buf "[]"
-  | x :: rest ->
-    Buffer.add_char buf '[';
-    f buf x;
-    List.iter
-      (fun y ->
-        Buffer.add_char buf ',';
-        f buf y)
-      rest;
-    Buffer.add_char buf ']'
+(* --- json --- *)
 
 let json_string r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"id\":";
-  json_escape buf r.id;
-  let tables =
-    List.filter_map (function Table t -> Some t | Line _ -> None) r.blocks
+  let open Telemetry.Json in
+  let strs l = Arr (List.map (fun s -> Str s) l) in
+  let cell c = match cell_value c with `S s -> Str s | `F v -> Num v in
+  let table t =
+    let label_col = if t.label_col = "" then "label" else t.label_col in
+    Obj
+      [
+        ("name", Str t.name);
+        ("columns", strs (label_col :: t.columns));
+        ( "rows",
+          Arr
+            (List.map
+               (fun (label, cells) -> Arr (Str label :: List.map cell cells))
+               t.rows) );
+      ]
   in
-  let notes =
-    List.filter_map
-      (function Line s when s <> "" -> Some s | _ -> None)
-      r.blocks
-  in
-  Buffer.add_string buf ",\"tables\":";
-  json_list buf
-    (fun buf t ->
-      Buffer.add_string buf "{\"name\":";
-      json_escape buf t.name;
-      Buffer.add_string buf ",\"columns\":";
-      let label_col = if t.label_col = "" then "label" else t.label_col in
-      json_list buf json_escape (label_col :: t.columns);
-      Buffer.add_string buf ",\"rows\":";
-      json_list buf
-        (fun buf (label, cells) ->
-          json_list buf
-            (fun buf c ->
-              match c with
-              | `L s | `S s -> json_escape buf s
-              | `F v -> json_float buf v)
-            (`L label :: List.map cell_value cells))
-        t.rows;
-      Buffer.add_char buf '}')
-    tables;
-  Buffer.add_string buf ",\"notes\":";
-  json_list buf json_escape notes;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  to_string
+    (Obj
+       [
+         ("id", Str r.id);
+         ( "tables",
+           Arr
+             (List.filter_map
+                (function Table t -> Some (table t) | Line _ -> None)
+                r.blocks) );
+         ( "notes",
+           strs
+             (List.filter_map
+                (function Line s when s <> "" -> Some s | _ -> None)
+                r.blocks) );
+       ])
 
 let to_json ppf r =
   Format.pp_print_string ppf (json_string r);
