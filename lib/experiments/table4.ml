@@ -37,13 +37,6 @@ let configs = function
     [ (0.25, "b/4"); (0.5, "b/2"); (1.0, "base"); (2.0, "b*2"); (4.0, "b*4") ]
     |> List.map (fun (f, l) -> (l, Config.Machine.scale_caches base f))
 
-(* a profile collected at the baseline stays valid across the sweep only
-   when the sweep does not touch what profiling measures (caches,
-   predictor, fetch-queue delay) *)
-let profile_shared = function
-  | Window | Width -> true
-  | Ifq | Bpred | Cache_size -> false
-
 type metric = {
   mname : string;
   value : Config.Machine.t -> Uarch.Metrics.t -> float;
@@ -146,10 +139,6 @@ let jobs () =
 let exec cache ((family : family), (spec : Workload.Spec.t)) =
   let cfgs = configs family in
   let s = Exp_common.src ~length:t4_ref_length spec in
-  let shared_profile =
-    if profile_shared family then Some (Exp_common.profile cache base s)
-    else None
-  in
   (* the cache sweep profiles all its configurations in one pass
      (cheetah-style single-pass multi-configuration simulation) *)
   let multi_profiles =
@@ -167,10 +156,12 @@ let exec cache ((family : family), (spec : Workload.Spec.t)) =
     (fun i (_, cfg) ->
       let eds = (Exp_common.reference cache cfg s).Statsim.metrics in
       let p =
-        match (shared_profile, multi_profiles) with
-        | Some p, _ -> p
-        | None, Some ps -> List.nth ps i
-        | None, None -> Exp_common.profile cache cfg s
+        match multi_profiles with
+        | Some ps -> List.nth ps i
+        | None ->
+          Exp_common.profile cache
+            (Profile.Stat_profile.profile_config ~base cfg)
+            s
       in
       let ss =
         (Statsim.run_profile ~target_length:t4_syn_length cfg p
