@@ -12,8 +12,10 @@ type t = {
   profile_computes : int Atomic.t;
   plan_computes : int Atomic.t;
   reference_computes : int Atomic.t;
-  (* per-profile content digests, memoized by physical identity so
-     repeated plan lookups don't re-serialize a large profile *)
+  (* per-profile content digests (the plan key), by physical identity.
+     The profile tier records them from bytes it already holds — its
+     store put on a miss, the stored payload on a hit — so only a
+     profile that never passed through the store is encoded again *)
   mutable pdigests : (Profile.Stat_profile.t * string) list;
   pdigest_mu : Mutex.t;
 }
@@ -121,6 +123,23 @@ let tiered memo store_opt ~key ~store_key ~encode ~decode compute =
       | None -> compute ()
       | Some s -> Store.get_or_compute s ~key:store_key ~encode ~decode compute)
 
+let digest_hex bytes = Digest.to_hex (Digest.string bytes)
+
+(* [Serialize] promises [to_string (of_string s) = s], so the digest of
+   the bytes a profile was decoded from is the digest of its encoding *)
+let record_digest t p bytes =
+  let d = digest_hex bytes in
+  Mutex.protect t.pdigest_mu (fun () -> t.pdigests <- (p, d) :: t.pdigests)
+
+let profile_digest t p =
+  Mutex.protect t.pdigest_mu (fun () ->
+      match List.find_opt (fun (q, _) -> q == p) t.pdigests with
+      | Some (_, d) -> d
+      | None ->
+        let d = digest_hex (Profile.Serialize.to_string p) in
+        t.pdigests <- (p, d) :: t.pdigests;
+        d)
+
 let profile t ?(k = 1) ?(dep_cap = Profile.Sfg.dep_cap) ?branch_mode
     ?(perfect_caches = false) ?(perfect_bpred = false) cfg ~stream_key mk =
   let branch_mode =
@@ -135,24 +154,20 @@ let profile t ?(k = 1) ?(dep_cap = Profile.Sfg.dep_cap) ?branch_mode
   tiered t.profiles t.store ~key
     ~store_key:
       (Printf.sprintf "profile/fmt%d/%s" Profile.Serialize.version key)
-    ~encode:Profile.Serialize.to_string
+    ~encode:(fun p ->
+      let s = Profile.Serialize.to_string p in
+      record_digest t p s;
+      s)
     ~decode:(fun s ->
       match Profile.Serialize.of_string s with
-      | p -> Ok p
+      | p ->
+        record_digest t p s;
+        Ok p
       | exception Failure msg -> Error msg)
     (fun () ->
       Atomic.incr t.profile_computes;
       Profile.Stat_profile.collect ~k ~dep_cap ~branch_mode ~perfect_caches
         ~perfect_bpred cfg (mk ()))
-
-let profile_digest t p =
-  Mutex.protect t.pdigest_mu (fun () ->
-      match List.find_opt (fun (q, _) -> q == p) t.pdigests with
-      | Some (_, d) -> d
-      | None ->
-        let d = Digest.to_hex (Digest.string (Profile.Serialize.to_string p)) in
-        t.pdigests <- (p, d) :: t.pdigests;
-        d)
 
 (* Plans are machine-independent (only the static per-class operation
    latencies are baked in, and those are covered by the plan format

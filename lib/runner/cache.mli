@@ -82,12 +82,16 @@ val plan :
   ?target_length:int ->
   Profile.Stat_profile.t ->
   Kernel.Plan.t
-(** Memoized {!Kernel.Compile.plan}. The key is the profile's content
-    digest (memoized per physical profile value) plus the resolved
-    reduction factor — plans are machine-independent, so one entry
-    serves every pipeline configuration of a sweep. Store entries
-    round-trip through the exact-integer plan codec and therefore
-    sample bit-identically to a freshly compiled plan. *)
+(** Memoized {!Kernel.Compile.plan}. The key is the MD5 of the
+    profile's canonical bytes plus the resolved reduction factor —
+    plans are machine-independent, so one entry serves every pipeline
+    configuration of a sweep. A profile that came through {!profile}'s
+    store tier is keyed by the digest of the bytes that tier already
+    held (the encoding it stored, or the payload it decoded), so a
+    warm call never re-encodes it; any other profile (no store, or a
+    [-p FILE] profile) is encoded once per physical value. Store
+    entries round-trip through the exact-integer plan codec and
+    therefore sample bit-identically to a freshly compiled plan. *)
 
 val estimate :
   t ->

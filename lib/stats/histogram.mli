@@ -35,6 +35,9 @@ val iter : t -> (int -> int -> unit) -> unit
 val support : t -> int list
 (** Observed values, increasing. *)
 
+val support_size : t -> int
+(** Number of distinct observed values: [List.length (support h)]. *)
+
 val max_value : t -> int
 (** Largest observed value; raises [Invalid_argument] if empty. *)
 
