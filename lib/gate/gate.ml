@@ -103,6 +103,18 @@ let default_checks =
         [ "pipeline"; "dense" ];
         [ "pipeline"; "event_driven" ];
       ]
+  (* the store codec's minor words per byte of text, exact too: a
+     reintroduced Printf per field or token list per line at least
+     doubles them *)
+  @ List.map
+      (fun call ->
+        {
+          label = "kernel.codec." ^ call ^ ".words_per_byte";
+          path = [ "kernel"; "codec"; call; "words_per_byte" ];
+          both_directions = false;
+          abs_slack = 0.1;
+        })
+      [ "profile_encode"; "profile_decode"; "plan_encode"; "plan_decode" ]
   (* design-space exploration driver: sweep wall time is gated like a
      stage; the profile/plan compute counts are the driver's whole
      contract (one each per sweep) so any drift fails *)

@@ -40,7 +40,9 @@ val default_checks : check list
 (** Every gated metric: per-stage seconds, memo-cache and store
     counters, streaming/kernel timings, the kernel's minor words per
     instruction for generation and both pipeline schedulers (one
-    direction, slack one word), the DSE driver's seconds and
+    direction, slack one word) and its minor words per byte for the
+    four store codec calls (one direction, slack 0.1 word), the DSE
+    driver's seconds and
     profile/plan compute counts, and the replication bench's
     deterministic replicas-to-target-CI counts. *)
 

@@ -122,13 +122,12 @@ let collect_profile env ~warn cfg ~bench ~length ~k ~profile_file =
   match profile_file with
   | Some path ->
     let p =
-      (* a missing, truncated or corrupt file is the client's mistake *)
+      (* a missing, truncated or corrupt file is the client's mistake;
+         the decoder fails with [Failure] only *)
       match Profile.Serialize.load_file path with
       | p -> p
-      | exception (Sys_error m | Failure m | Invalid_argument m) ->
+      | exception (Sys_error m | Failure m) ->
         bad "%S could not be loaded: %s" "profile" m
-      | exception End_of_file ->
-        bad "%S could not be loaded: %s ends early" "profile" path
     in
     (match k with
     | Some k when k <> p.Profile.Stat_profile.k ->
