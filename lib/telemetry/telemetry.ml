@@ -262,18 +262,57 @@ type span = span_cell
 type counter = { c_name : string; count : int Atomic.t }
 type gauge = { g_name : string; value : float Atomic.t }
 
-(* Power-of-two buckets: index 0 holds the value 0, index i >= 1 holds
-   [2^(i-1), 2^i - 1]; the last bucket absorbs everything larger. 32
-   buckets cover values up to 2^30 and beyond by clamping. Each bucket
-   and the value sum are independent atomics, so concurrent observers
-   never lose an observation. *)
-let hist_buckets = 32
-
-type histogram = {
-  h_name : string;
-  cells : int Atomic.t array;  (* length hist_buckets *)
-  h_sum : int Atomic.t;
+(* One histogram geometry: a registry histogram and a [Window] slot both
+   count into [Stats.Qsketch] cells, one [int Atomic.t] per cell, beside
+   an exact count and sum. The cell array is allocated by the first
+   sketched observation, a CAS away from [no_cells], so an instrument
+   that never fires and a count-only window hold no cells. Every field
+   is an independent atomic, so concurrent observers never lose an
+   observation. *)
+type cells = {
+  cells : int Atomic.t array Atomic.t;  (* [no_cells] until first use *)
+  n : int Atomic.t;
+  total : int Atomic.t;
 }
+
+let no_cells : int Atomic.t array = [||]
+
+let cells_create () =
+  { cells = Atomic.make no_cells; n = Atomic.make 0; total = Atomic.make 0 }
+
+let rec cell_array c =
+  let a = Atomic.get c.cells in
+  if a != no_cells then a
+  else
+    let fresh = Array.init Stats.Qsketch.ncells (fun _ -> Atomic.make 0) in
+    if Atomic.compare_and_set c.cells no_cells fresh then fresh
+    else cell_array c
+
+(* [v] is non-negative. *)
+let cells_add ~sketch c v n =
+  if sketch then
+    ignore (Atomic.fetch_and_add (cell_array c).(Stats.Qsketch.index v) n);
+  ignore (Atomic.fetch_and_add c.n n);
+  ignore (Atomic.fetch_and_add c.total (v * n))
+
+let cells_zero c =
+  Array.iter (fun a -> Atomic.set a 0) (Atomic.get c.cells);
+  Atomic.set c.n 0;
+  Atomic.set c.total 0
+
+(* The cells of every record in [cs], summed into one sketch; empty when
+   none holds cells. *)
+let sketch_of cs =
+  let counts = Array.make Stats.Qsketch.ncells 0 in
+  List.iter
+    (fun c ->
+      Array.iteri
+        (fun i a -> counts.(i) <- counts.(i) + Atomic.get a)
+        (Atomic.get c.cells))
+    cs;
+  Stats.Qsketch.of_counts counts
+
+type histogram = { h_name : string; h_cells : cells }
 
 let registry_mutex = Mutex.create ()
 let span_tbl : (string, span) Hashtbl.t = Hashtbl.create 32
@@ -310,32 +349,14 @@ let gauge name =
   intern gauge_tbl name (fun () -> { g_name = name; value = Atomic.make 0.0 })
 
 let histogram name =
-  intern hist_tbl name (fun () ->
-      {
-        h_name = name;
-        cells = Array.init hist_buckets (fun _ -> Atomic.make 0);
-        h_sum = Atomic.make 0;
-      })
-
-let bucket_index v =
-  if v <= 0 then 0
-  else
-    let rec log2 v acc = if v = 0 then acc else log2 (v lsr 1) (acc + 1) in
-    min (log2 v 0) (hist_buckets - 1)
-
-let bucket_lo i = if i = 0 then 0 else 1 lsl (i - 1)
+  intern hist_tbl name (fun () -> { h_name = name; h_cells = cells_create () })
 
 let observe_many h v n =
-  if n > 0 && Atomic.get enabled_flag then begin
-    let v = if v < 0 then 0 else v in
-    ignore (Atomic.fetch_and_add h.cells.(bucket_index v) n);
-    ignore (Atomic.fetch_and_add h.h_sum (v * n))
-  end
+  if n > 0 && Atomic.get enabled_flag then
+    cells_add ~sketch:true h.h_cells (if v < 0 then 0 else v) n
 
 let observe h v = observe_many h v 1
-
-let histogram_count h =
-  Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h.cells
+let histogram_count h = Atomic.get h.h_cells.n
 
 let rec store_max cell v =
   let cur = Atomic.get cell in
@@ -459,6 +480,9 @@ type histogram_stat = {
   hist_name : string;
   count : int;
   sum : int;
+  p50 : int;
+  p95 : int;
+  p99 : int;
   buckets : (int * int) list;
 }
 
@@ -494,39 +518,26 @@ let snapshot () =
   in
   let histograms =
     by_name hist_tbl (fun h ->
-        let buckets = ref [] and count = ref 0 in
-        for i = hist_buckets - 1 downto 0 do
-          let c = Atomic.get h.cells.(i) in
-          count := !count + c;
-          if c > 0 then buckets := (bucket_lo i, c) :: !buckets
+        let sk = sketch_of [ h.h_cells ] in
+        let counts = Stats.Qsketch.counts sk in
+        let buckets = ref [] in
+        for i = Stats.Qsketch.ncells - 1 downto 0 do
+          if counts.(i) > 0 then
+            buckets := (Stats.Qsketch.lo i, counts.(i)) :: !buckets
         done;
         {
           hist_name = h.h_name;
-          count = !count;
-          sum = Atomic.get h.h_sum;
+          count = Atomic.get h.h_cells.n;
+          sum = Atomic.get h.h_cells.total;
+          p50 = Stats.Qsketch.quantile sk 0.50;
+          p95 = Stats.Qsketch.quantile sk 0.95;
+          p99 = Stats.Qsketch.quantile sk 0.99;
           buckets = !buckets;
         })
     |> List.sort (fun a b -> String.compare a.hist_name b.hist_name)
   in
   Mutex.unlock registry_mutex;
   { spans; counters; gauges; histograms }
-
-let reset () =
-  Mutex.lock registry_mutex;
-  Hashtbl.iter
-    (fun _ (s : span) ->
-      Atomic.set s.calls 0;
-      Atomic.set s.total_ns 0;
-      Atomic.set s.max_ns 0)
-    span_tbl;
-  Hashtbl.iter (fun _ (c : counter) -> Atomic.set c.count 0) counter_tbl;
-  Hashtbl.iter (fun _ g -> Atomic.set g.value 0.0) gauge_tbl;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.iter (fun c -> Atomic.set c 0) h.cells;
-      Atomic.set h.h_sum 0)
-    hist_tbl;
-  Mutex.unlock registry_mutex
 
 let span_stat snap name =
   List.find_opt (fun s -> s.span_name = name) snap.spans
@@ -584,6 +595,9 @@ let json_of_snapshot snap =
                      Json.Num
                        (if h.count = 0 then 0.0
                         else float_of_int h.sum /. float_of_int h.count) );
+                   ("p50", Json.Num (float_of_int h.p50));
+                   ("p95", Json.Num (float_of_int h.p95));
+                   ("p99", Json.Num (float_of_int h.p99));
                    ( "buckets",
                      Json.Arr
                        (List.map
@@ -629,11 +643,11 @@ let render_text ppf snap =
       gauges;
     List.iter
       (fun h ->
-        Format.fprintf ppf "  hist    %-28s count %8d  mean %10.2f  %s@."
+        Format.fprintf ppf
+          "  hist    %-28s count %8d  mean %10.2f  p50 %d  p95 %d  p99 %d@."
           h.hist_name h.count
           (float_of_int h.sum /. float_of_int (max 1 h.count))
-          (String.concat " "
-             (List.map (fun (lo, c) -> Printf.sprintf "%d:%d" lo c) h.buckets)))
+          h.p50 h.p95 h.p99)
       histograms
   end
 
@@ -657,16 +671,12 @@ module Window = struct
      over in between. Queries merge all slots whose stamped epoch is
      still inside the window. *)
 
-  type slot = {
-    sl_epoch : int Atomic.t;
-    sl_cells : int Atomic.t array;  (* Stats.Qsketch cells; [||] if sketchless *)
-    sl_count : int Atomic.t;
-    sl_sum : int Atomic.t;
-  }
+  type slot = { sl_epoch : int Atomic.t; sl_cells : cells }
 
   type t = {
     slot_ns : int;
     nslots : int;
+    sketch : bool;
     ring : slot array;
   }
 
@@ -688,17 +698,10 @@ module Window = struct
     {
       slot_ns = window_ns / slots;
       nslots = slots;
+      sketch;
       ring =
         Array.init slots (fun _ ->
-            {
-              sl_epoch = Atomic.make min_int;
-              sl_cells =
-                (if sketch then
-                   Array.init Stats.Qsketch.ncells (fun _ -> Atomic.make 0)
-                 else [||]);
-              sl_count = Atomic.make 0;
-              sl_sum = Atomic.make 0;
-            });
+            { sl_epoch = Atomic.make min_int; sl_cells = cells_create () });
     }
 
   (* The stamp of a slot being claimed: its cells are being zeroed and
@@ -722,9 +725,7 @@ module Window = struct
     end
     else if stamped > epoch then None
     else if Atomic.compare_and_set s.sl_epoch stamped busy then begin
-      Array.iter (fun c -> Atomic.set c 0) s.sl_cells;
-      Atomic.set s.sl_count 0;
-      Atomic.set s.sl_sum 0;
+      cells_zero s.sl_cells;
       Atomic.set s.sl_epoch epoch;
       Some s
     end
@@ -732,14 +733,10 @@ module Window = struct
 
   let observe ?now t v =
     let now = match now with Some n -> n | None -> now_ns () in
-    let v = if v < 0 then 0 else v in
     match slot_for t now with
     | None -> ()
     | Some s ->
-      if Array.length s.sl_cells > 0 then
-        ignore (Atomic.fetch_and_add s.sl_cells.(Stats.Qsketch.index v) 1);
-      ignore (Atomic.fetch_and_add s.sl_count 1);
-      ignore (Atomic.fetch_and_add s.sl_sum v)
+      cells_add ~sketch:t.sketch s.sl_cells (if v < 0 then 0 else v) 1
 
   let live t now s =
     let e = Atomic.get s.sl_epoch in
@@ -748,34 +745,23 @@ module Window = struct
 
   let query ?now t =
     let now = match now with Some n -> n | None -> now_ns () in
-    let sk = Stats.Qsketch.create () in
-    let count = ref 0 and sum = ref 0 and sketched = ref false in
-    Array.iter
-      (fun s ->
-        if live t now s then begin
-          count := !count + Atomic.get s.sl_count;
-          sum := !sum + Atomic.get s.sl_sum;
-          if Array.length s.sl_cells > 0 then begin
-            sketched := true;
-            Array.iteri
-              (fun i c ->
-                let n = Atomic.get c in
-                if n > 0 then
-                  Stats.Qsketch.add ~n sk (Stats.Qsketch.lo i))
-              s.sl_cells
-          end
-        end)
-      t.ring;
-    let count = !count and sum = !sum in
+    let slots =
+      Array.fold_left
+        (fun acc s -> if live t now s then s.sl_cells :: acc else acc)
+        [] t.ring
+    in
+    let count = List.fold_left (fun acc c -> acc + Atomic.get c.n) 0 slots in
+    let sum = List.fold_left (fun acc c -> acc + Atomic.get c.total) 0 slots in
     if count = 0 then empty_stat
     else
+      let sk = sketch_of slots in
       {
         w_count = count;
         w_sum = sum;
         w_mean = float_of_int sum /. float_of_int count;
-        w_p50 = (if !sketched then Stats.Qsketch.quantile sk 0.50 else 0);
-        w_p95 = (if !sketched then Stats.Qsketch.quantile sk 0.95 else 0);
-        w_p99 = (if !sketched then Stats.Qsketch.quantile sk 0.99 else 0);
+        w_p50 = Stats.Qsketch.quantile sk 0.50;
+        w_p95 = Stats.Qsketch.quantile sk 0.95;
+        w_p99 = Stats.Qsketch.quantile sk 0.99;
       }
 
   let count ?now t = (query ?now t).w_count
@@ -940,11 +926,6 @@ let prom_escape s =
     s;
   Buffer.contents buf
 
-let prom_num v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    string_of_int (int_of_float v)
-  else Printf.sprintf "%.12g" v
-
 let prom_type buf name typ = Printf.bprintf buf "# TYPE %s %s\n" name typ
 
 let prom_sample buf name labels v =
@@ -959,7 +940,7 @@ let prom_sample buf name labels v =
         Printf.bprintf buf "%s=\"%s\"" k (prom_escape lv))
       labels;
     Buffer.add_char buf '}');
-  Printf.bprintf buf " %s\n" (prom_num v)
+  Printf.bprintf buf " %s\n" (Json.num_repr v)
 
 let render_prometheus snap =
   let buf = Buffer.create 4096 in
@@ -1004,13 +985,13 @@ let render_prometheus snap =
     family "statsim_hist" "histogram";
     List.iter
       (fun h ->
-        (* cumulative le-buckets; the upper bound of registry bucket i
-           is 2^i - 1 (bucket 0 holds only the value 0) *)
+        (* cumulative le-buckets, one per non-empty cell, bounded by the
+           cell's largest value *)
         let cum = ref 0 in
         List.iter
           (fun (lo, c) ->
             cum := !cum + c;
-            let le = if lo = 0 then 0 else (2 * lo) - 1 in
+            let le = Stats.Qsketch.hi (Stats.Qsketch.index lo) in
             line "statsim_hist_bucket"
               [ ("name", h.hist_name); ("le", string_of_int le) ]
               (float_of_int !cum))

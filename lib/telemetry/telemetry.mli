@@ -95,13 +95,17 @@ val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
 
 type histogram
-(** A lock-free bounded-bucket frequency instrument for non-negative
-    integer observations (dependency distances, queue occupancies,
-    run lengths). Buckets are power-of-two ranges: bucket 0 holds the
-    value 0, bucket [i >= 1] holds [2^(i-1) .. 2^i - 1]; values past
-    the last bucket clamp into it. Every bucket is an atomic counter,
-    so totals are exact under the runner's Domain pool; like counters,
-    a disabled histogram costs one atomic flag read per observation. *)
+(** A lock-free frequency instrument for non-negative integer
+    observations (dependency distances, queue occupancies, run
+    lengths), counted in the cells of {!Stats.Qsketch}: values below 16
+    get a cell each, and above that every power-of-two range splits
+    into 16 linear cells, so quantiles carry at most
+    {!Stats.Qsketch.relative_error}. The same cells back {!Window}.
+    Every cell, the count and the sum are atomic counters, so totals
+    are exact under the runner's Domain pool. The cell array is
+    allocated by the first enabled observation: a histogram that never
+    fires holds none, and like counters a disabled histogram costs one
+    atomic flag read per observation. *)
 
 val histogram : string -> histogram
 val observe : histogram -> int -> unit
@@ -109,11 +113,11 @@ val observe : histogram -> int -> unit
     to 0). No-op while collection is disabled. *)
 
 val observe_many : histogram -> int -> int -> unit
-(** [observe_many h v n] records [n] observations of [v] in one atomic
-    add per bucket. *)
+(** [observe_many h v n] records [n] observations of [v] with one atomic
+    add to its cell, the count and the sum. *)
 
 val histogram_count : histogram -> int
-(** Total observations recorded so far (sum over buckets). *)
+(** Total observations recorded so far. *)
 
 (** {1 Event capture (Chrome trace export)}
 
@@ -144,8 +148,6 @@ val with_event : string -> (unit -> 'a) -> 'a
 val events : unit -> event list
 (** Captured events sorted by start time. *)
 
-val clear_events : unit -> unit
-
 val chrome_trace : unit -> Json.t
 (** The captured events as a Chrome trace-event document: one complete
     ("ph":"X") event per span section with microsecond timestamps, one
@@ -159,15 +161,17 @@ val now_ns : unit -> int
 (** {1 Rolling windows}
 
     Windowed instruments for SLO-style "last N minutes" statistics: a
-    rotating ring of slots, each an array of lock-free
-    [Stats.Qsketch]-indexed atomic cells. Observation is one index
-    computation plus two or three atomic adds; slot turnover is claimed
-    by CAS, and the winner zeroes the slot before publishing its new
-    epoch, so observers of that epoch wait out the zeroing (one atomic
-    store per cell) instead of losing counts to it. An
-    observation stamped with an interval the slot has already rotated
-    past is dropped. Queries merge all in-window slots into a sketch
-    and report count / mean / p50 / p95 / p99.
+    rotating ring of slots, each holding the same lock-free
+    [Stats.Qsketch] cells, count and sum as a registry {!histogram}
+    (cells allocated by the slot's first sketched observation).
+    Observation is one index computation plus two or three atomic adds;
+    slot turnover is claimed by CAS, and the winner zeroes the slot
+    before publishing its new epoch, so observers of that epoch wait out
+    the zeroing (one atomic store per cell) instead of losing counts to
+    it. An observation stamped with an interval the slot has already
+    rotated past is dropped. Queries sum the cells of all in-window
+    slots into a sketch with {!Stats.Qsketch.of_counts} and report
+    count / mean / p50 / p95 / p99.
 
     Unlike the registry instruments above, windows are NOT gated on
     {!enabled} — callers owning a hot path gate themselves (one atomic
@@ -188,9 +192,9 @@ module Window : sig
 
   val create : ?sketch:bool -> window_ns:int -> slots:int -> unit -> t
   (** [create ~window_ns ~slots ()] covers the last [window_ns]
-      nanoseconds with [slots] ring slots. [~sketch:false] drops the
-      quantile cells (count/sum only) — for ratio numerators such as
-      deadline misses. *)
+      nanoseconds with [slots] ring slots. [~sketch:false] keeps count
+      and sum only and never allocates cells (quantiles read 0) — for
+      ratio numerators such as deadline misses. *)
 
   val observe : ?now:int -> t -> int -> unit
   (** Record one non-negative observation. [?now] (monotonic ns)
@@ -249,9 +253,14 @@ type histogram_stat = {
   hist_name : string;
   count : int;  (** total observations *)
   sum : int;  (** sum of observed values (mean = sum/count) *)
+  p50 : int;
+      (** {!Stats.Qsketch.quantile} of the observations; 0 when there
+          are none *)
+  p95 : int;
+  p99 : int;
   buckets : (int * int) list;
-      (** (bucket lower bound, observations) for non-empty buckets,
-          in increasing bound order *)
+      (** ({!Stats.Qsketch.lo} of the cell, observations) for non-empty
+          cells, in increasing order *)
 }
 
 type snapshot = {
@@ -265,9 +274,6 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 
-val reset : unit -> unit
-(** Zero every registered instrument (names stay interned). *)
-
 val span_stat : snapshot -> string -> span_stat option
 val counter_total : snapshot -> string -> int
 (** [counter_total snap name] is 0 when [name] is not registered. *)
@@ -277,8 +283,8 @@ val counter_total : snapshot -> string -> int
 val json_of_snapshot : snapshot -> Json.t
 (** An object with four arrays: [spans] (name, calls, total_ns, max_ns,
     total_seconds, max_seconds), [counters] (name, value), [gauges]
-    (name, value) and [histograms] (name, count, sum, mean, buckets as
-    lo/count pairs). *)
+    (name, value) and [histograms] (name, count, sum, mean, p50, p95,
+    p99, buckets as lo/count pairs). *)
 
 val render_json : snapshot -> string
 (** The snapshot under a single top-level [telemetry] key, plus a
@@ -287,7 +293,8 @@ val render_json : snapshot -> string
 
 val render_text : Format.formatter -> snapshot -> unit
 (** Human-readable block (spans with calls/total/mean/max, then
-    counters, then gauges); instruments that never fired are elided. *)
+    counters, then gauges, then histograms with count/mean/p50/p95/p99);
+    instruments that never fired are elided. *)
 
 val prom_type : Buffer.t -> string -> string -> unit
 (** [prom_type buf name typ] writes a family's [# TYPE name typ] line. *)
@@ -305,6 +312,7 @@ val render_prometheus : snapshot -> string
     and [statsim_gauge] families labelled by instrument name,
     [statsim_span_calls_total] / [statsim_span_total_ns] /
     [statsim_span_max_ns] labelled by span, and one [statsim_hist]
-    histogram family with cumulative [le] buckets. Dotted instrument
+    histogram family with cumulative buckets, one per non-empty cell,
+    whose [le] is that cell's {!Stats.Qsketch.hi}. Dotted instrument
     names appear verbatim as label values (legal in the exposition
     format); every family carries the [statsim_] prefix. *)

@@ -141,33 +141,117 @@ let prop_histogram_domains =
           Array.iter Domain.join domains;
           Telemetry.histogram_count h - before = 4 * n))
 
+let hist_stat name =
+  List.find_opt
+    (fun (s : Telemetry.histogram_stat) -> s.hist_name = name)
+    (Telemetry.snapshot ()).Telemetry.histograms
+
 let test_histogram_buckets () =
   with_enabled true (fun () ->
       let h = Telemetry.histogram "test.buckets.hist" in
-      let stat0 =
-        List.find_opt
-          (fun (s : Telemetry.histogram_stat) -> s.hist_name = "test.buckets.hist")
-          (Telemetry.snapshot ()).Telemetry.histograms
-      in
-      let count0 = match stat0 with Some s -> s.count | None -> 0 in
-      List.iter (Telemetry.observe h) [ 0; 1; 2; 3; 4; 8; -5; max_int ];
-      let stat =
-        List.find
-          (fun (s : Telemetry.histogram_stat) -> s.hist_name = "test.buckets.hist")
-          (Telemetry.snapshot ()).Telemetry.histograms
-      in
-      Alcotest.(check int) "count" (count0 + 8) stat.Telemetry.count;
+      List.iter (Telemetry.observe h) [ 0; 1; 2; 3; 4; 8; -5; 101; max_int ];
+      let stat = Option.get (hist_stat "test.buckets.hist") in
+      Alcotest.(check int) "count" 9 stat.Telemetry.count;
       Alcotest.(check int)
         "count = bucket sum" stat.Telemetry.count
         (List.fold_left (fun a (_, c) -> a + c) 0 stat.Telemetry.buckets);
       let lo_of v =
-        (* bucket bounds the observation fell into *)
+        (* lower bound of the cell the observation fell into *)
         List.filter (fun (lo, _) -> lo <= v) stat.Telemetry.buckets
         |> List.fold_left (fun _ (lo, _) -> lo) 0
       in
-      Alcotest.(check int) "0 in bucket 0" 0 (lo_of 0);
-      Alcotest.(check int) "3 in [2,3]" 2 (lo_of 3);
-      Alcotest.(check int) "8 in [8,15]" 8 (lo_of 8))
+      (* the Qsketch geometry: values below 16 get a cell each, above
+         that each power-of-two range splits into 16 cells *)
+      Alcotest.(check int) "0 in cell 0" 0 (lo_of 0);
+      Alcotest.(check int) "3 in its own cell" 3 (lo_of 3);
+      Alcotest.(check int) "8 in its own cell" 8 (lo_of 8);
+      Alcotest.(check int) "101 in [100,103]" 100 (lo_of 101);
+      Alcotest.(check int)
+        "-5 clamps to 0" 2
+        (List.assoc 0 stat.Telemetry.buckets))
+
+(* a histogram that never fires holds no cells: creating one and
+   observing it while collection is off allocates only its record *)
+let test_histogram_disabled_allocation () =
+  with_enabled false (fun () ->
+      let before = Gc.minor_words () in
+      let h = Telemetry.histogram "test.alloc.hist" in
+      for i = 1 to 10_000 do
+        Telemetry.observe h i
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f minor words < 50" words)
+        true (words < 50.0);
+      Alcotest.(check int) "nothing counted" 0 (Telemetry.histogram_count h))
+
+let test_histogram_quantiles () =
+  with_enabled true (fun () ->
+      let h = Telemetry.histogram "test.quantile.hist" in
+      let values = List.init 1_000 (fun i -> (i * i) mod 7919) in
+      List.iter (Telemetry.observe h) values;
+      let sk = Stats.Qsketch.create () in
+      List.iter (Stats.Qsketch.add sk) values;
+      let stat = Option.get (hist_stat "test.quantile.hist") in
+      Alcotest.(check int) "sum" (Stats.Qsketch.sum sk) stat.Telemetry.sum;
+      Alcotest.(check int)
+        "p50" (Stats.Qsketch.quantile sk 0.50) stat.Telemetry.p50;
+      Alcotest.(check int)
+        "p95" (Stats.Qsketch.quantile sk 0.95) stat.Telemetry.p95;
+      Alcotest.(check int)
+        "p99" (Stats.Qsketch.quantile sk 0.99) stat.Telemetry.p99)
+
+(* the Prometheus histogram family is the Qsketch geometry too: one
+   cumulative bucket per non-empty cell, bounded by the cell's hi *)
+let test_histogram_prometheus () =
+  with_enabled true (fun () ->
+      let name = "test.prom.hist" in
+      let h = Telemetry.histogram name in
+      List.iter (Telemetry.observe h) [ 0; 3; 3; 17; 40; 1_000; 1_001 ];
+      let stat = Option.get (hist_stat name) in
+      let lines =
+        String.split_on_char '\n'
+          (Telemetry.render_prometheus (Telemetry.snapshot ()))
+      in
+      let scan fmt f =
+        List.filter_map
+          (fun l ->
+            try Scanf.sscanf l fmt f
+            with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+          lines
+      in
+      let buckets =
+        scan "statsim_hist_bucket{name=%S,le=%S} %d" (fun n le v ->
+            if n = name then Some (le, v) else None)
+      in
+      let count =
+        scan "statsim_hist_count{name=%S} %d" (fun n v ->
+            if n = name then Some v else None)
+      in
+      let finite = List.filter (fun (le, _) -> le <> "+Inf") buckets in
+      let les = List.map (fun (le, _) -> int_of_string le) finite in
+      Alcotest.(check (list int))
+        "le = Qsketch.hi of each non-empty cell"
+        (List.map
+           (fun (lo, _) -> Stats.Qsketch.hi (Stats.Qsketch.index lo))
+           stat.Telemetry.buckets)
+        les;
+      Alcotest.(check bool) "le strictly increases" true
+        (List.sort_uniq compare les = les);
+      let cumulative =
+        List.fold_left
+          (fun acc (_, c) ->
+            (c + match acc with x :: _ -> x | [] -> 0) :: acc)
+          [] stat.Telemetry.buckets
+        |> List.rev
+      in
+      Alcotest.(check (list int)) "counts are cumulative" cumulative
+        (List.map snd finite);
+      Alcotest.(check (list int)) "statsim_hist_count" [ 7 ] count;
+      Alcotest.(check (list (pair string int)))
+        "+Inf bucket = count"
+        [ ("+Inf", 7) ]
+        (List.filter (fun (le, _) -> le = "+Inf") buckets))
 
 let test_event_capture_chrome () =
   with_enabled true (fun () ->
@@ -556,4 +640,10 @@ let suite =
     Alcotest.test_case "Json.of_string resists adversarial input" `Quick
       test_json_adversarial;
     QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+    Alcotest.test_case "disabled histogram allocates no cells" `Quick
+      test_histogram_disabled_allocation;
+    Alcotest.test_case "histogram quantiles match Qsketch" `Quick
+      test_histogram_quantiles;
+    Alcotest.test_case "histogram Prometheus buckets" `Quick
+      test_histogram_prometheus;
   ]
