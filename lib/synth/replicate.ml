@@ -52,13 +52,7 @@ let stat_of samples =
   {
     mean = Stats.Summary.mean samples;
     stddev = Stats.Summary.sample_stddev samples;
-    (* ci95_half_width is nan below two samples; the replication report
-       keeps the historical 0.0 sentinel so single-replica JSON stays
-       stable *)
-    ci95 =
-      (match samples with
-      | [] | [ _ ] -> 0.0
-      | _ -> Stats.Summary.ci95_half_width samples);
+    ci95 = Stats.Summary.ci95_or_zero samples;
   }
 
 let frac num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
