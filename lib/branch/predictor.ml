@@ -11,10 +11,6 @@ type t = {
   dir : direction;
   btb : Btb.t;
   mutable ras : Ras.t;
-  mutable lookups : int;
-  mutable mispredicts : int;
-  mutable redirects : int;
-  mutable taken : int;
 }
 
 type resolution = Correct | Fetch_redirect | Mispredict
@@ -48,10 +44,6 @@ let create (c : Config.Machine.bpred) =
     dir;
     btb = Btb.create ~sets:c.btb_sets ~assoc:c.btb_assoc;
     ras = Ras.create ~entries:c.ras_entries;
-    lookups = 0;
-    mispredicts = 0;
-    redirects = 0;
-    taken = 0;
   }
 
 let predict_direction t pc =
@@ -85,17 +77,11 @@ let classify t ~pc ~(branch : Isa.Dyn_inst.branch) =
     if btb_correct t pc branch.target then Correct else Mispredict
 
 let lookup t ~pc ~branch =
-  t.lookups <- t.lookups + 1;
   let r = classify t ~pc ~branch in
   (* speculative RAS push at fetch for calls (pop happens in classify) *)
   (match branch.kind with
   | Call -> Ras.push t.ras branch.next_pc
   | Cond | Jump | Return | Indirect -> ());
-  if branch.taken then t.taken <- t.taken + 1;
-  (match r with
-  | Mispredict -> t.mispredicts <- t.mispredicts + 1
-  | Fetch_redirect -> t.redirects <- t.redirects + 1
-  | Correct -> ());
   r
 
 let update t ~pc ~(branch : Isa.Dyn_inst.branch) =
@@ -115,22 +101,6 @@ let update t ~pc ~(branch : Isa.Dyn_inst.branch) =
   | Jump | Call | Return | Indirect -> ());
   if branch.taken && branch.kind <> Return then
     Btb.update t.btb ~pc ~target:branch.target
-
-let lookups t = t.lookups
-let mispredicts t = t.mispredicts
-let redirects t = t.redirects
-
-let rate num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
-
-let mispredict_rate t = rate t.mispredicts t.lookups
-let redirect_rate t = rate t.redirects t.lookups
-let taken_rate t = rate t.taken t.lookups
-
-let reset_stats t =
-  t.lookups <- 0;
-  t.mispredicts <- 0;
-  t.redirects <- 0;
-  t.taken <- 0
 
 let ras_copy t = Ras.copy t.ras
 let ras_restore t ras = t.ras <- Ras.copy ras

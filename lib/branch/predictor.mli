@@ -12,7 +12,10 @@
     [update] trains the direction tables and BTB with the resolved
     outcome. The caller decides *when* to update — immediately after
     lookup (the naive profiling the paper criticizes), or with a delay
-    (at dispatch in the pipeline, or when leaving the profiling FIFO). *)
+    (at dispatch in the pipeline, or when leaving the profiling FIFO).
+
+    The unit keeps no counters: the profiler counts each resolution per
+    SFG node and the pipeline counts branches in [Uarch.Metrics]. *)
 
 type t
 
@@ -32,16 +35,6 @@ val resolution_to_string : resolution -> string
 val lookup : t -> pc:int -> branch:Isa.Dyn_inst.branch -> resolution
 
 val update : t -> pc:int -> branch:Isa.Dyn_inst.branch -> unit
-
-(** Counters over all [lookup]s since creation or [reset_stats]. *)
-
-val lookups : t -> int
-val mispredicts : t -> int
-val redirects : t -> int
-val mispredict_rate : t -> float
-val redirect_rate : t -> float
-val taken_rate : t -> float
-val reset_stats : t -> unit
 
 val ras_copy : t -> Ras.t
 (** Snapshot of the return address stack, for speculation rewind. *)

@@ -1,11 +1,13 @@
-(** The full memory hierarchy of Table 2: split L1 caches, a unified L2
-    (with misses attributed separately to instruction and data accesses,
-    as the paper's footnote 1 requires), I/D TLBs and main memory.
+(** The full memory hierarchy of Table 2: split L1 caches, a unified L2,
+    I/D TLBs and main memory.
 
     Each access returns one int, an {e access}: the locality-event bits
     the statistical profile records (an {!outcome}) in its low three
     bits and the resulting latency above them. Nothing is allocated per
-    access. *)
+    access, and nothing is counted here: the profiler counts each event
+    per SFG node from these words, so an L2 miss is attributed to
+    instruction or data accesses by the call that returned it
+    ({!ifetch} or {!dload}), as the paper's footnote 1 requires. *)
 
 type outcome = int
 (** Locality-event bits: [1] L1 miss, [2] L2 miss (meaningful only with
@@ -48,15 +50,3 @@ val dload : t -> int -> int
 val dstore : t -> int -> int
 (** Data store: write-allocate; the returned latency models store-buffer
     drain cost and is usually hidden by the LSQ. *)
-
-(** Aggregate miss-rate accounting (the profile's six probabilities). *)
-
-val l1i_miss_rate : t -> float
-val l1d_miss_rate : t -> float
-val l2i_miss_rate : t -> float
-(** L2 misses on instruction-induced accesses over instruction fetches. *)
-
-val l2d_miss_rate : t -> float
-val itlb_miss_rate : t -> float
-val dtlb_miss_rate : t -> float
-val reset_stats : t -> unit

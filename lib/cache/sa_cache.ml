@@ -2,12 +2,9 @@ type t = {
   sets : int;
   assoc : int;
   block_shift : int;
-  hit_latency : int;
   tags : int array;  (* sets * assoc; -1 = invalid *)
   stamps : int array;  (* LRU timestamps, parallel to [tags] *)
   mutable clock : int;
-  mutable accesses : int;
-  mutable misses : int;
 }
 
 let log2 n =
@@ -22,17 +19,13 @@ let create (c : Config.Machine.cache) =
     sets;
     assoc = c.assoc;
     block_shift = log2 c.block_bytes;
-    hit_latency = c.hit_latency;
     tags = Array.make (sets * c.assoc) (-1);
     stamps = Array.make (sets * c.assoc) 0;
     clock = 0;
-    accesses = 0;
-    misses = 0;
   }
 
 let sets t = t.sets
 let assoc t = t.assoc
-let hit_latency t = t.hit_latency
 
 let set_of t addr =
   let block = addr lsr t.block_shift in
@@ -53,7 +46,6 @@ let probe t addr =
   find_way t base (tag_of t addr) >= 0
 
 let access t addr =
-  t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let base = set_of t addr * t.assoc in
   let tag = tag_of t addr in
@@ -63,7 +55,6 @@ let access t addr =
     true
   end
   else begin
-    t.misses <- t.misses + 1;
     (* victim: invalid way if any, else least recently used *)
     let victim = ref 0 in
     for w = 1 to t.assoc - 1 do
@@ -76,13 +67,3 @@ let access t addr =
     t.stamps.(base + !victim) <- t.clock;
     false
   end
-
-let accesses t = t.accesses
-let misses t = t.misses
-
-let miss_rate t =
-  if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
-
-let reset_stats t =
-  t.accesses <- 0;
-  t.misses <- 0

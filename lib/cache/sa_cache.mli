@@ -2,8 +2,9 @@
 
     Used for the L1 instruction cache, L1 data cache and the unified L2.
     The model tracks tags only — the simulators never need data values,
-    only hit/miss outcomes and the miss accounting that feeds the
-    statistical profile's six cache probabilities. *)
+    only each access's hit/miss outcome. It keeps no counters: the
+    profiler counts misses per SFG node from the outcomes
+    {!Hierarchy} returns, and the pipeline counts its own events. *)
 
 type t
 
@@ -19,9 +20,3 @@ val probe : t -> int -> bool
 
 val sets : t -> int
 val assoc : t -> int
-val hit_latency : t -> int
-
-val accesses : t -> int
-val misses : t -> int
-val miss_rate : t -> float
-val reset_stats : t -> unit

@@ -18,7 +18,3 @@ let create (c : Config.Machine.tlb) =
 
 let access t addr = Sa_cache.access t.cache (addr lsr t.page_shift)
 let miss_penalty t = t.penalty
-let accesses t = Sa_cache.accesses t.cache
-let misses t = Sa_cache.misses t.cache
-let miss_rate t = Sa_cache.miss_rate t.cache
-let reset_stats t = Sa_cache.reset_stats t.cache

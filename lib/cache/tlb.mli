@@ -9,7 +9,3 @@ val access : t -> int -> bool
 (** [access t addr] probes and fills by page; [true] on hit. *)
 
 val miss_penalty : t -> int
-val accesses : t -> int
-val misses : t -> int
-val miss_rate : t -> float
-val reset_stats : t -> unit

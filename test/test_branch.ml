@@ -179,15 +179,6 @@ let test_predictor_indirect () =
   let r3 = Branch.Predictor.lookup p ~pc:0x100 ~branch:(ind 0x900) in
   check "changed target mispredicts" true (r3 = Branch.Predictor.Mispredict)
 
-let test_predictor_stats () =
-  let p = Branch.Predictor.create Config.Machine.baseline.bpred in
-  ignore (Branch.Predictor.lookup p ~pc:0x400 ~branch:(cond ()));
-  ignore (Branch.Predictor.lookup p ~pc:0x400 ~branch:(cond ~taken:false ()));
-  Alcotest.(check int) "lookups" 2 (Branch.Predictor.lookups p);
-  check "taken rate" true (Branch.Predictor.taken_rate p = 0.5);
-  Branch.Predictor.reset_stats p;
-  Alcotest.(check int) "reset" 0 (Branch.Predictor.lookups p)
-
 let test_ras_snapshot_restore () =
   let p = Branch.Predictor.create Config.Machine.baseline.bpred in
   let call =
@@ -219,7 +210,6 @@ let suite =
       test_predictor_cond_classification;
     Alcotest.test_case "predictor call/return" `Quick test_predictor_call_return;
     Alcotest.test_case "predictor indirect" `Quick test_predictor_indirect;
-    Alcotest.test_case "predictor stats" `Quick test_predictor_stats;
     Alcotest.test_case "RAS snapshot/restore" `Quick test_ras_snapshot_restore;
     Alcotest.test_case "gshare correlation" `Quick
       test_gshare_learns_global_correlation;
