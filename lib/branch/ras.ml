@@ -19,6 +19,4 @@ let pop t =
     Some t.slots.(t.top)
   end
 
-let depth t = t.depth
-
 let copy t = { slots = Array.copy t.slots; top = t.top; depth = t.depth }

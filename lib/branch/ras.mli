@@ -10,5 +10,4 @@ val push : t -> int -> unit
 val pop : t -> int option
 (** [None] when empty. *)
 
-val depth : t -> int
 val copy : t -> t

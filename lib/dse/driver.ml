@@ -26,12 +26,7 @@ type t = {
 let stat_of samples =
   {
     mean = Stats.Summary.mean samples;
-    (* keep the historical 0.0 sentinel for single-replica sweeps;
-       ci95_half_width itself is nan below two samples *)
-    ci95 =
-      (match samples with
-      | [] | [ _ ] -> 0.0
-      | _ -> Stats.Summary.ci95_half_width samples);
+    ci95 = Stats.Summary.ci95_or_zero samples;
   }
 
 let run ~cache ?(jobs = 1) ?(replicas = 1) ?max_points

@@ -1,15 +1,18 @@
 (** The DSE job planner and report layer.
 
     [run] expands a {!Sweep} into its canonically ordered design points
-    and evaluates every point against {b one} statistical profile and
-    {b one} compiled execution plan: both are invariant across the
-    sweep's microarchitectural axes, so they are drawn from the shared
-    {!Runner.Cache} (memo tier, then the content-addressed store — a
-    warm store makes a whole sweep resumable without recollecting
-    anything) and the driver {e fails} if the cache reports more than
-    one actual collection or compilation. Replica traces are generated
-    once from the plan (deterministic seed split) and shared read-only
-    by every point; points fan out over the {!Parallel} Domain pool.
+    and groups them by {!Profile.Stat_profile.profile_config}: profiling
+    reads the caches, TLBs, predictor, fetch queue and issue order, so
+    the points of a group share {b one} statistical profile and {b one}
+    compiled execution plan, and a sweep over the window, widths or
+    latencies has exactly one group. Each group's profile and plan are
+    drawn from the shared {!Runner.Cache} (memo tier, then the
+    content-addressed store — a warm store makes a whole sweep
+    resumable without recollecting anything), and the driver {e fails}
+    if preparing one group makes the cache collect or compile more than
+    once. Replica traces are generated once per group from its plan
+    (deterministic seed split) and shared read-only by the group's
+    points; points fan out over the {!Parallel} Domain pool.
 
     Determinism: points are evaluated independently and aggregated in
     sweep order with per-replica seeds fixed up front, so the result —
@@ -62,7 +65,8 @@ val run :
     reduction factor empties the profile's graph
     ({!Kernel.Compile.check_survivors}). Raises [Failure] if the shared
     cache reports more than one profile collection or plan compilation
-    for the sweep — the invariant the whole driver exists to exploit. *)
+    for one group of points — the invariant the whole driver exists to
+    exploit. *)
 
 val frontier : t -> point_result list
 (** Frontier points sorted by descending IPC (stable: sweep order

@@ -36,9 +36,6 @@ type profile = {
   dtlb_rate : float;
 }
 
-val n_blocks : int
-(** 100, per the HLS paper. *)
-
 val collect : Config.Machine.t -> (unit -> Isa.Dyn_inst.t option) -> profile
 (** Global profiling: functional cache simulation plus immediate-update
     branch profiling (HLS predates delayed-update modeling). *)

@@ -96,7 +96,6 @@ let meta_anti m = m land 16 <> 0
 let meta_class m = (m lsr 5) land 0xF
 let meta_klass m = Isa.Iclass.of_index (meta_class m)
 let meta_latency m = (m lsr 9) land 0x3F
-let meta_pool m = (m lsr 15) land 0x7
 let meta_ndeps m = m lsr 18
 
 (* --- versioned codec (store tier) ---

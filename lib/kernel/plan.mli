@@ -103,7 +103,6 @@ val meta_class : int -> int
 (** The class index ({!Isa.Iclass.index}). *)
 
 val meta_latency : int -> int
-val meta_pool : int -> int
 
 val meta_ndeps : int -> int
 (** Total dependency-sampler count (operands plus anti, when present). *)

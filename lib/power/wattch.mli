@@ -13,7 +13,7 @@
     - {b complex logic} (ALUs, result buses): per-access constants
       scaled by datapath width.
 
-    The absolute scale is calibrated (see {!calibration}) so a fully
+    The absolute scale is calibrated so a fully
     busy 8-wide Table 2 machine lands in the tens-of-watts regime of the
     paper's Figure 6; all evaluation metrics are ratios, so only
     relative fidelity across units and configurations matters. *)
@@ -30,14 +30,6 @@ val array_access_energy : geometry -> float
 
 val cam_access_energy : entries:int -> tag_bits:int -> ports:int -> float
 (** Energy (nJ) of one associative search. *)
-
-val cache_geometry : Config.Machine.cache -> geometry
-(** SRAM geometry of a set-associative cache (data + tag array folded
-    into the column count). *)
-
-val calibration : float
-(** Multiplier from modeled nJ/access to this repository's reported
-    "watt" scale. *)
 
 (** Per-access energies (already calibrated) for every unit of a
     machine configuration; consumed by {!Model}. *)

@@ -14,11 +14,6 @@
     alongside the statistics, because locality characteristics are only
     valid for that cache/predictor configuration (paper Section 4.4). *)
 
-val save : Stat_profile.t -> out_channel -> unit
-
-val load : in_channel -> Stat_profile.t
-(** Reads the rest of the channel and parses it with {!of_string}. *)
-
 val to_string : Stat_profile.t -> string
 (** The same format, rendered in memory. The rendering is canonical
     (nodes sorted by key, edges by successor, histogram support in

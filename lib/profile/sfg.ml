@@ -37,7 +37,6 @@ let create ~k =
   if k < 0 || k > max_k then invalid_arg "Sfg.create: k out of [0,3]";
   { k; table = Hashtbl.create 4096 }
 
-let k t = t.k
 
 let key_of_history hist ~len =
   if len <= 0 || len > max_k + 1 then invalid_arg "Sfg.key_of_history";

@@ -61,7 +61,6 @@ type node = {
 type t
 
 val create : k:int -> t
-val k : t -> int
 
 val key_of_history : int array -> len:int -> int
 (** Pack [len] block ids (current block first) into a node key. *)

@@ -52,8 +52,6 @@ let create ?store () =
     pdigest_mu = Mutex.create ();
   }
 
-let store t = t.store
-
 let stats t =
   let s =
     match t.store with

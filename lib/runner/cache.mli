@@ -46,7 +46,6 @@ type stats = {
 val create : ?store:Store.t -> unit -> t
 (** Without [store] the cache is purely in-memory (PR 1 behaviour). *)
 
-val store : t -> Store.t option
 val stats : t -> stats
 (** Store counters are all 0 when the cache has no store. *)
 

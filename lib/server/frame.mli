@@ -21,9 +21,6 @@
 val header_len : int
 (** 25 bytes. *)
 
-val version : int
-(** Current frame-format version (1). *)
-
 val default_max_payload : int
 (** 8 MiB. *)
 

@@ -34,8 +34,6 @@ val code_name : error_code -> string
 (** ["bad_request"], ["overloaded"], ["deadline_exceeded"],
     ["cancelled"], ["internal"]. *)
 
-val code_of_name : string -> error_code option
-
 val request_to_string : request -> string
 (** The request JSON document (not yet framed). *)
 

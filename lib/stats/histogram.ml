@@ -136,8 +136,3 @@ let copy h =
   let c = create ~initial_capacity:(Hashtbl.length h.counts) () in
   merge c h;
   c
-
-let pp ppf h =
-  Format.fprintf ppf "@[<v>histogram (total=%d)@," h.total;
-  iter h (fun v c -> Format.fprintf ppf "  %d: %d@," v c);
-  Format.fprintf ppf "@]"

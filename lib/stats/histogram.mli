@@ -60,5 +60,3 @@ val merge : t -> t -> unit
     computing divergences. *)
 
 val copy : t -> t
-
-val pp : Format.formatter -> t -> unit

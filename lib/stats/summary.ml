@@ -45,6 +45,8 @@ let ci95_half_width = function
     let n = List.length xs in
     student_t95 (n - 1) *. sample_stddev xs /. sqrt (float_of_int n)
 
+let ci95_or_zero = function [] | [ _ ] -> 0.0 | xs -> ci95_half_width xs
+
 let sample_covariance xs ys =
   let n = List.length xs in
   if n <> List.length ys then

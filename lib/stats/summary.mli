@@ -55,6 +55,11 @@ val ci95_half_width : float list -> float
     and the pre-PR-10 behaviour of returning 0 reported false
     certainty.  Callers that need a sentinel must guard on [n < 2]. *)
 
+val ci95_or_zero : float list -> float
+(** {!ci95_half_width}, but 0.0 below two samples: the sentinel the
+    replication and DSE reports print, so their single-replica output
+    stays stable. *)
+
 val cov : float list -> float
 (** Coefficient of variation: stddev / mean (Section 4.1's convergence
     metric). 0 for an empty or zero-mean sample. *)

@@ -19,8 +19,6 @@
     a truncated write, a flipped bit or a foreign file is reported as
     [Error] rather than returned as data. *)
 
-val format_version : int
-
 val encode : key:string -> string -> string
 (** [encode ~key payload] frames a payload. *)
 

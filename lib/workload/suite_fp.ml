@@ -116,7 +116,6 @@ let equake =
   }
 
 let all = [ swim; mgrid; applu; art; equake ]
-let names = List.map (fun (s : Spec.t) -> s.name) all
 let find name = List.find (fun (s : Spec.t) -> s.name = name) all
 
 let seed_of (s : Spec.t) =

@@ -4,8 +4,6 @@
     floating-point classes, long predictable loop nests and streaming
     memory that integer codes lack). *)
 
-val names : string list
-(** swim, mgrid, applu, art, equake stand-ins. *)
 
 val all : Spec.t list
 val find : string -> Spec.t
