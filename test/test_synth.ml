@@ -39,6 +39,13 @@ let test_target_length_no_overshoot () =
   check "does not overshoot the target" true (len <= 6_000);
   check "still a useful length" true (len >= 3_500)
 
+(* MD5 of a trace's packed words: every instruction's [code] and [deps]
+   word, in order *)
+let trace_md5 (t : Synth.Trace.t) =
+  let b = Buffer.create (24 * Synth.Trace.length t) in
+  Array.iteri (fun i c -> Printf.bprintf b "%d %d\n" c t.deps.(i)) t.code;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let test_dep_squash_counter () =
   (* a store-only profile makes every sampled dependency invalid (no
      producer has a destination register), so each instruction past the
@@ -88,7 +95,8 @@ let test_dep_squash_counter () =
       Array.iter
         (fun d -> Alcotest.(check int) "dependency dropped" 0 d)
         s.deps)
-    (Array.sub (Synth.Trace.to_insts t) 1 4)
+    (Array.sub (Synth.Trace.to_insts t) 1 4);
+  Alcotest.(check string) "trace bytes" "81e40b2ce6426873dea4c9dfdc7c5e34" (trace_md5 t)
 
 let test_both_args_rejected () =
   let spec = Workload.Suite.find "eon" in
@@ -307,6 +315,109 @@ let test_trace_fidelity () =
         < 0.5 +. (0.1 *. profile_block)))
     [ "gcc"; "gzip"; "twolf" ]
 
+(* The two sub-plans [Stratify.run ~strata:2] walks: k-means (seed 1)
+   over the surviving nodes' features, then each group's restricted SFG
+   compiled against its own instruction mass. Restricted graphs have
+   many dead ends, so their walks squash far more dependencies than
+   whole-graph ones. *)
+let stratum_plans (p : Profile.Stat_profile.t) ~target_length =
+  let r =
+    Kernel.Compile.derive_reduction ~target_length (max 1 p.instructions)
+  in
+  let survivors = ref [] in
+  Profile.Sfg.iter_nodes p.sfg (fun n ->
+      if n.occurrences / r > 0 then survivors := n :: !survivors);
+  let nodes =
+    Array.of_list
+      (List.sort
+         (fun (a : Profile.Sfg.node) (b : Profile.Sfg.node) ->
+           compare a.key b.key)
+         !survivors)
+  in
+  let km =
+    Simpoint.Kmeans.cluster (Prng.create ~seed:1)
+      ~points:(Array.map Simpoint.node_features nodes)
+      ~k:2
+  in
+  List.map
+    (fun c ->
+      let keep = Hashtbl.create 64 and insts = ref 0 in
+      Array.iteri
+        (fun i (n : Profile.Sfg.node) ->
+          if km.assignment.(i) = c then begin
+            Hashtbl.replace keep n.key ();
+            insts := !insts + (n.occurrences * Array.length n.slots)
+          end)
+        nodes;
+      Kernel.Compile.plan ~target_length
+        {
+          p with
+          sfg = Profile.Sfg.restrict p.sfg ~keep:(fun n -> Hashtbl.mem keep n.key);
+          instructions = !insts;
+        })
+    [ 0; 1 ]
+
+(* Byte pins on generated traces, with the dependency squashes each walk
+   takes: every workload at a 60k profile and a 20k target, the two
+   stratum sub-plans of bzip2 and gcc (100k profile, 5k target) and one
+   k = 0 plan. Generation is a pure function of (plan, seed); any change
+   to the walk's draws moves a digest. *)
+let test_trace_words_pinned () =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let squashed () =
+    Telemetry.counter_total (Telemetry.snapshot ()) "synth.dep_squashed"
+  in
+  let pin label plan =
+    let before = squashed () in
+    let t = Synth.Generate.generate_of_plan plan ~seed:42 in
+    Printf.sprintf "%s %s %d" label (trace_md5 t) (squashed () - before)
+  in
+  let got =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled was)
+      (fun () ->
+        List.map
+          (fun name ->
+            let p = profile_of (Workload.Suite.find name) 60_000 in
+            pin name (Kernel.Compile.plan ~target_length:20_000 p))
+          Workload.Suite.names
+        @ List.concat_map
+            (fun name ->
+              let p = profile_of (Workload.Suite.find name) 100_000 in
+              List.mapi
+                (fun i plan -> pin (Printf.sprintf "%s/stratum%d" name i) plan)
+                (stratum_plans p ~target_length:5_000))
+            [ "bzip2"; "gcc" ]
+        @ [
+            pin "twolf/k0"
+              (Kernel.Compile.plan ~target_length:20_000
+                 (Statsim.profile ~k:0 cfg
+                    (Workload.Suite.stream (Workload.Suite.find "twolf")
+                       ~length:60_000)));
+          ])
+  in
+  Alcotest.(check (list string))
+    "trace words"
+    [
+      "bzip2 95028744a9c9ec3d4f0be79928b0d2a1 12";
+      "crafty 9e567cc5813afd85cdb603bf329fe6db 9";
+      "eon ae07f96c993f8b42a3f0681612a3b5fc 149";
+      "gcc 9438f3db0d1de6e909f055d7de1cc1fe 32";
+      "gzip bcf5dc010800ef0a928dbe49379202b7 21";
+      "parser 2f8b4d83c46853877bf69e8ab367ff10 26";
+      "perlbmk 1bc33eca2e06c8dc56523553b669a5a0 28";
+      "twolf 78cb92e4be9e10e449c8ea263339ae3a 61";
+      "vortex 6e47a5c998062cfd7c7e564ecd63f9ab 185";
+      "vpr 74c100f6c6628504650d0331d2fbded5 16";
+      "bzip2/stratum0 59ac6396f2763f13615db393f010dd06 600";
+      "bzip2/stratum1 a80967a4339e5cbe05b99d9221e18ec8 126";
+      "gcc/stratum0 54fbea2987cbb3c804975bc29083b2eb 11";
+      "gcc/stratum1 8e3dab9b62cc73c5701c4598d64282dc 878";
+      "twolf/k0 a43a15fd8216a9916f0e9d1eff5bd00e 299";
+    ]
+    got
+
 let suite =
   [
     Alcotest.test_case "reduction length" `Quick test_reduction_length;
@@ -328,4 +439,5 @@ let suite =
     Alcotest.test_case "simulate trace" `Quick test_simulate_trace;
     Alcotest.test_case "mean_ipc weighting" `Quick test_mean_ipc_weighting;
     Alcotest.test_case "trace fidelity" `Quick test_trace_fidelity;
+    Alcotest.test_case "trace words pinned" `Quick test_trace_words_pinned;
   ]
