@@ -58,6 +58,59 @@ let bits t =
 
 let bits32 t = Int32.of_int (bits t)
 
+(* --- jump-ahead ---
+
+   k steps of the LCG compose to one affine map, s -> A s + C inc, with
+   A = mul^k and C = mul^(k-1) + ... + mul + 1 (mod 2^64). The stream's
+   increment only scales C, so one precomputed (A, C) pair jumps every
+   stream by k (Brown, "Random number generation with arbitrary
+   strides", 1994). *)
+
+type jump = { a_hi : int; a_lo : int; c_hi : int; c_lo : int }
+
+let jump k =
+  if k < 0 then invalid_arg "Prng.jump: negative step count";
+  (* square-and-multiply over the affine map; Int64 is fine here, the
+     pair is built once and applied many times *)
+  let rec go k cur_a cur_c acc_a acc_c =
+    if k = 0 then (acc_a, acc_c)
+    else
+      let acc_a, acc_c =
+        if k land 1 = 1 then
+          (Int64.mul acc_a cur_a, Int64.add (Int64.mul acc_c cur_a) cur_c)
+        else (acc_a, acc_c)
+      in
+      go (k lsr 1) (Int64.mul cur_a cur_a)
+        (Int64.mul (Int64.add cur_a 1L) cur_c)
+        acc_a acc_c
+  in
+  let a, c = go k 0x5851F42D4C957F2DL 1L 1L 0L in
+  let hi v = Int64.to_int (Int64.shift_right_logical v 32) land mask32 in
+  let lo v = Int64.to_int v land mask32 in
+  { a_hi = hi a; a_lo = lo a; c_hi = hi c; c_lo = lo c }
+
+(* high 32 bits of a 32x32-bit product, by [mul32_low]'s 16-bit split *)
+let mul32_high a b =
+  let q = (a land mask16) * b in
+  let r = (a lsr 16) * b in
+  ((q + ((r land mask16) lsl 16)) lsr 32) + (r lsr 16)
+
+let advance t j =
+  let hi = t.hi and lo = t.lo in
+  (* the low 64 bits of A * state and of C * inc, as 32-bit limbs *)
+  let s_lo = mul32_low lo j.a_lo in
+  let s_hi =
+    mul32_high lo j.a_lo + mul32_low lo j.a_hi + mul32_low hi j.a_lo
+  in
+  let c_lo = mul32_low t.inc_lo j.c_lo in
+  let c_hi =
+    mul32_high t.inc_lo j.c_lo + mul32_low t.inc_lo j.c_hi
+    + mul32_low t.inc_hi j.c_lo
+  in
+  let l = s_lo + c_lo in
+  t.lo <- l land mask32;
+  t.hi <- (s_hi + c_hi + (l lsr 32)) land mask32
+
 let add64 t v =
   let s = t.lo + (Int64.to_int v land mask32) in
   t.lo <- s land mask32;

@@ -30,6 +30,18 @@ val bits : t -> int
     thresholds, avoiding the int-to-float conversion of
     {!unit_float}. *)
 
+type jump
+(** A precomputed jump of a fixed number of steps, valid for every
+    stream. *)
+
+val jump : int -> jump
+(** [jump k] precomputes a jump over [k] draws. Raises
+    [Invalid_argument] when [k < 0]. *)
+
+val advance : t -> jump -> unit
+(** [advance t (jump k)] leaves [t] exactly where [k] calls of {!bits}
+    would, in constant time and without allocating. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in \[0, n). Requires [0 < n <= 2^30]. *)
 

@@ -138,6 +138,26 @@ let sample t rng =
     else if Prng.bits rng < thr then t.values.(i)
     else t.alias.(i)
 
+let draws_per_sample t =
+  match Array.length t.values with
+  | 0 -> None
+  | 1 -> Some 0
+  | n when n < 0x4000_0000 -> Some 1
+  | _ -> None
+
+(* bucket i returns its own value only when it can accept (thr > 0) and
+   its alias only when it can reject (thr < 2^32). A loop, not a local
+   recursive function, so no closure is allocated per call. *)
+let exists_value t p env =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < Array.length t.values do
+    let thr = t.thr.(!i) in
+    if (thr > 0 && p env t.values.(!i)) || (thr < two32 && p env t.alias.(!i))
+    then found := true;
+    incr i
+  done;
+  !found
+
 (* --- exact serialization hooks for the plan codec --- *)
 
 let to_arrays t = (t.values, t.alias, t.thr, t.total)

@@ -31,6 +31,19 @@ val sample : t -> Prng.t -> int
 
 val is_empty : t -> bool
 
+val draws_per_sample : t -> int option
+(** The {!Prng.bits} draws one {!sample} makes: [Some 0] with one
+    bucket, [Some 1] with 2 to 2^30 - 1. [None] for an empty table and
+    for larger ones, whose exact fallback draws a varying number of
+    times. *)
+
+val exists_value : t -> ('a -> int -> bool) -> 'a -> bool
+(** [exists_value t p env] is [true] when [p env v] holds for a value
+    [v] that {!sample} can return. It over-approximates that set: a
+    bucket's own value counts when its threshold is positive, its alias
+    when the threshold is below 2^32. Passing [env] apart from a
+    top-level [p] keeps the call free of closure allocation. *)
+
 val length : t -> int
 (** Number of surviving (positive-weight) buckets. *)
 
