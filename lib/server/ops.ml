@@ -245,11 +245,16 @@ let simulate env ~force_replicas params =
     env.check ();
     (* the fixed budget, or the cap an adaptive run doubles up to *)
     let default = if ci_target = None then 16 else 64 in
+    (* the steady-state IPC the report carries is the `estimate` op's
+       memo entry for this profile, machine and reduction *)
+    let steady_state ~reduction =
+      (Runner.Cache.estimate env.cache ~reduction cfg p).ipc
+    in
     let r =
       tspan env "replicate.run" (fun () ->
           Synth.Stratify.run ~jobs ~stream ~check:env.check
             ~target_length:syn ?strata ?pilot ~control_variate ?ci_target cfg
-            p ~master_seed:seed
+            p ~steady_state ~master_seed:seed
             ~replicas:(Option.value replicas ~default))
     in
     tspan env "render" (fun () ->
@@ -260,10 +265,15 @@ let simulate env ~force_replicas params =
     (* replication mode: dispersion across seeds, no EDS reference *)
     let p = collect () in
     env.check ();
+    let plan =
+      tspan env "cache.plan" (fun () ->
+          Runner.Cache.plan env.cache ~target_length:syn p)
+    in
+    env.check ();
     let r =
       tspan env "replicate.run" (fun () ->
-          Synth.Replicate.run ~jobs ~stream ~check:env.check
-            ~target_length:syn ?ci_target cfg p ~master_seed:seed
+          Synth.Replicate.run ~jobs ~stream ~check:env.check ?ci_target cfg
+            plan ~master_seed:seed
             ~replicas:(Option.value replicas ~default:4))
     in
     tspan env "render" (fun () ->
@@ -492,7 +502,9 @@ let experiment env params =
       per_bench (fun name p ->
           let r =
             Synth.Replicate.run ~jobs:env.jobs ~stream:true ~check:env.check
-              ~target_length:E.syn_length cfg p ~master_seed:E.seed ~replicas:n
+              cfg
+              (Kernel.Compile.plan ~target_length:E.syn_length p)
+              ~master_seed:E.seed ~replicas:n
           in
           Buffer.add_string buf
             (if json then

@@ -70,8 +70,9 @@ type t = {
       (** pilot-estimated CV coefficient; [None] = plain stratified path
           (CV disabled or degenerate pilot covariance) *)
   analytical_ipc : float;
-      (** zero-simulation {!Analytical.Steady_state} estimate, reported
-          alongside the measured mean *)
+      (** zero-simulation {!Analytical.Steady_state} IPC at [reduction],
+          as [run]'s [steady_state] answered it, reported alongside the
+          measured mean *)
   reports : report array;
   cpi : Stats.Summary.stratified;  (** the combined estimator *)
   ipc : Stats.Summary.stratified;
@@ -124,6 +125,7 @@ val run :
   ?ci_target:float ->
   Config.Machine.t ->
   Profile.Stat_profile.t ->
+  steady_state:(reduction:int -> float) ->
   master_seed:int ->
   replicas:int ->
   t
@@ -134,6 +136,12 @@ val run :
     (default 4) by BIC.  [check] is the cooperative cancellation hook,
     as in {!Replicate.run}.  Raises {!Budget_too_small} when
     [replicas < pilot * strata].
+
+    [steady_state ~reduction] is the profile's
+    {!Analytical.Steady_state} IPC on [cfg] at the run's resolved
+    reduction, reported as [analytical_ipc]; it is called once. A
+    caller that memoises the solve ({!Runner.Cache.estimate}) answers
+    it without re-solving per run.
 
     With [ci_target] the budget grows from the pilot round
     ([pilot * strata]) by {!Replicate.adaptive}: it doubles until the

@@ -120,16 +120,19 @@ let test_jobs_independent () =
   let p = Lazy.force shared_p in
   let render r = Telemetry.Json.to_string (Synth.Replicate.to_json r) in
   let serial =
-    Synth.Replicate.run ~jobs:1 ~target_length:2_000 cfg p ~master_seed:99
+    Synth.Replicate.run ~jobs:1 cfg
+      (Kernel.Compile.plan ~target_length:2_000 p) ~master_seed:99
       ~replicas:6
   in
   let parallel =
-    Synth.Replicate.run ~jobs:4 ~target_length:2_000 cfg p ~master_seed:99
+    Synth.Replicate.run ~jobs:4 cfg
+      (Kernel.Compile.plan ~target_length:2_000 p) ~master_seed:99
       ~replicas:6
   in
   Alcotest.(check string) "jobs 1 = jobs 4" (render serial) (render parallel);
   let streamed =
-    Synth.Replicate.run ~jobs:4 ~stream:true ~target_length:2_000 cfg p
+    Synth.Replicate.run ~jobs:4 ~stream:true cfg
+      (Kernel.Compile.plan ~target_length:2_000 p)
       ~master_seed:99 ~replicas:6
   in
   check "streamed flag recorded" true streamed.Synth.Replicate.streamed;
@@ -144,7 +147,8 @@ let test_jobs_independent () =
 let test_aggregate_statistics () =
   let p = Lazy.force shared_p in
   let r =
-    Synth.Replicate.run ~jobs:2 ~stream:true ~target_length:2_000 cfg p
+    Synth.Replicate.run ~jobs:2 ~stream:true cfg
+      (Kernel.Compile.plan ~target_length:2_000 p)
       ~master_seed:7 ~replicas:5
   in
   Alcotest.(check int) "replica count" 5 (Synth.Replicate.replicas r);
@@ -184,22 +188,27 @@ let test_ci_target () =
   let p = Lazy.force shared_p in
   (* a huge target is satisfied immediately at the first round *)
   let loose =
-    Synth.Replicate.run ~jobs:2 ~stream:true ~target_length:1_500
-      ~ci_target:500.0 ~max_replicas:16 cfg p ~master_seed:5 ~replicas:3
+    Synth.Replicate.run ~jobs:2 ~stream:true ~ci_target:500.0 ~max_replicas:16
+      cfg
+      (Kernel.Compile.plan ~target_length:1_500 p)
+      ~master_seed:5 ~replicas:3
   in
   Alcotest.(check int) "stops at the first round" 3
     (Synth.Replicate.replicas loose);
   (* an impossible target stops at max_replicas *)
   let tight =
-    Synth.Replicate.run ~jobs:2 ~stream:true ~target_length:1_500
-      ~ci_target:1e-9 ~max_replicas:5 cfg p ~master_seed:5 ~replicas:2
+    Synth.Replicate.run ~jobs:2 ~stream:true ~ci_target:1e-9 ~max_replicas:5
+      cfg
+      (Kernel.Compile.plan ~target_length:1_500 p)
+      ~master_seed:5 ~replicas:2
   in
   Alcotest.(check int) "caps at max_replicas" 5
     (Synth.Replicate.replicas tight);
   (* adaptive growth only extends the seed table: a converged run equals
      the fixed-count run for the same master seed *)
   let fixed =
-    Synth.Replicate.run ~jobs:1 ~stream:true ~target_length:1_500 cfg p
+    Synth.Replicate.run ~jobs:1 ~stream:true cfg
+      (Kernel.Compile.plan ~target_length:1_500 p)
       ~master_seed:5 ~replicas:3
   in
   Alcotest.(check string) "prefix semantics"
@@ -209,13 +218,14 @@ let test_ci_target () =
     (Invalid_argument "Replicate.run: ci_target must be positive")
     (fun () ->
       ignore
-        (Synth.Replicate.run ~ci_target:0.0 cfg p ~master_seed:1
-           ~replicas:4))
+        (Synth.Replicate.run ~ci_target:0.0 cfg (Kernel.Compile.plan p)
+           ~master_seed:1 ~replicas:4))
 
 let test_render_text () =
   let p = Lazy.force shared_p in
   let r =
-    Synth.Replicate.run ~target_length:1_500 cfg p ~master_seed:3 ~replicas:4
+    Synth.Replicate.run cfg
+      (Kernel.Compile.plan ~target_length:1_500 p) ~master_seed:3 ~replicas:4
   in
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
@@ -240,7 +250,8 @@ let test_check_hook () =
   let r =
     Synth.Replicate.run
       ~check:(fun () -> Atomic.incr calls)
-      ~jobs:2 ~stream:true ~target_length:1_500 cfg p ~master_seed:3
+      ~jobs:2 ~stream:true cfg
+      (Kernel.Compile.plan ~target_length:1_500 p) ~master_seed:3
       ~replicas:4
   in
   Alcotest.(check int) "one call per replica" 4 (Atomic.get calls);
@@ -249,8 +260,9 @@ let test_check_hook () =
   (match
      Synth.Replicate.run
        ~check:(fun () -> raise Abort)
-       ~jobs:1 ~stream:true ~target_length:1_500 cfg p ~master_seed:3
-       ~replicas:4
+       ~jobs:1 ~stream:true cfg
+       (Kernel.Compile.plan ~target_length:1_500 p)
+       ~master_seed:3 ~replicas:4
    with
   | _ -> Alcotest.fail "raising check did not abort"
   | exception Abort -> ());
@@ -259,8 +271,9 @@ let test_check_hook () =
   let r =
     Synth.Replicate.run
       ~check:(fun () -> Atomic.incr calls_ci)
-      ~jobs:1 ~stream:true ~target_length:1_500 ~ci_target:500.0
-      ~max_replicas:4 cfg p ~master_seed:5 ~replicas:3
+      ~jobs:1 ~stream:true ~ci_target:500.0
+      ~max_replicas:4 cfg
+      (Kernel.Compile.plan ~target_length:1_500 p) ~master_seed:5 ~replicas:3
   in
   Alcotest.(check int) "ci mode calls per replica"
     (Synth.Replicate.replicas r) (Atomic.get calls_ci)

@@ -12,6 +12,10 @@ let shared_p =
     (Statsim.profile cfg
        (Workload.Suite.stream (Workload.Suite.find "gcc") ~length:16_000))
 
+(* the uncached solve, as the engine's [steady_state] argument *)
+let steady_state p ~reduction =
+  (Analytical.Steady_state.estimate ~reduction cfg p).ipc
+
 (* satellite (b): the allocation sums to the budget, seats the pilot
    everywhere, is house-monotone in the budget, and for pairwise
    distinct Neyman shares is stable under permutation of the strata *)
@@ -90,7 +94,8 @@ let test_one_stratum_reduction () =
   let p = Lazy.force shared_p in
   let t =
     Synth.Stratify.run ~jobs:2 ~target_length:2_000 ~strata:1
-      ~control_variate:false cfg p ~master_seed:11 ~replicas:6
+      ~control_variate:false cfg p
+      ~steady_state:(steady_state p) ~master_seed:11 ~replicas:6
   in
   Alcotest.(check int) "one stratum" 1 (Synth.Stratify.strata t);
   let samples = Array.to_list t.reports.(0).cpi_samples in
@@ -158,7 +163,7 @@ let test_jobs_independent () =
     (fun control_variate ->
       let run jobs =
         Synth.Stratify.run ~jobs ~target_length:2_000 ~control_variate cfg p
-          ~master_seed:21 ~replicas:12
+          ~steady_state:(steady_state p) ~master_seed:21 ~replicas:12
       in
       Alcotest.(check string)
         (Printf.sprintf "jobs 1 = jobs 4 (cv %b)" control_variate)
@@ -172,8 +177,8 @@ let test_jobs_independent () =
 let test_prefix_stable_growth () =
   let p = Lazy.force shared_p in
   let run replicas =
-    Synth.Stratify.run ~jobs:2 ~target_length:2_000 cfg p ~master_seed:33
-      ~replicas
+    Synth.Stratify.run ~jobs:2 ~target_length:2_000 cfg p
+      ~steady_state:(steady_state p) ~master_seed:33 ~replicas
   in
   let small = run 12 and big = run 24 in
   Alcotest.(check int) "small budget spent" 12
@@ -189,6 +194,7 @@ let test_prefix_stable_growth () =
     small.reports;
   let loose =
     Synth.Stratify.run ~jobs:2 ~target_length:2_000 ~ci_target:500.0 cfg p
+      ~steady_state:(steady_state p)
       ~master_seed:33 ~replicas:64
   in
   let fixed = run (Synth.Stratify.total_replicas loose) in
@@ -204,7 +210,7 @@ let test_run_rejects () =
     (fun () ->
       ignore
         (Synth.Stratify.run ~target_length:2_000 ~strata:2 ~pilot:3 cfg p
-           ~master_seed:1 ~replicas:5))
+           ~steady_state:(steady_state p) ~master_seed:1 ~replicas:5))
 
 let suite =
   [
