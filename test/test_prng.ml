@@ -145,6 +145,28 @@ let prop_int_upper_bound =
       let v = Prng.int rng bound in
       v >= 0 && v < bound)
 
+(* a precomputed jump lands exactly where k draws do, for any stream;
+   999 is the generator's doomed-retry jump *)
+let prop_jump_equals_draws =
+  QCheck.Test.make ~name:"jump k = k draws" ~count:300
+    QCheck.(pair int (oneof [ always 999; int_range 0 5_000 ]))
+    (fun (seed, k) ->
+      let a = Prng.create ~seed in
+      let b = Prng.copy a in
+      for _ = 1 to k do
+        ignore (Prng.bits a)
+      done;
+      Prng.advance b (Prng.jump k);
+      List.init 4 (fun _ -> Prng.bits a) = List.init 4 (fun _ -> Prng.bits b))
+
+let test_jump_allocates_nothing () =
+  let j = Prng.jump 999 and rng = Prng.create ~seed:1 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Prng.advance rng j
+  done;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. before)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -164,4 +186,7 @@ let suite =
     Alcotest.test_case "choose_weighted zero" `Quick test_choose_weighted_zero_total;
     QCheck_alcotest.to_alcotest prop_shuffle_is_permutation;
     QCheck_alcotest.to_alcotest prop_int_upper_bound;
+    QCheck_alcotest.to_alcotest prop_jump_equals_draws;
+    Alcotest.test_case "jump allocates nothing" `Quick
+      test_jump_allocates_nothing;
   ]

@@ -809,6 +809,49 @@ let bad_profiles () =
     write (first_slot (function c :: _ :: rest -> c :: "-1" :: rest | l -> l));
   ]
 
+(* A warm replication request pays only for its replicas: replicate
+   walks the memoised plan (one plan hit, no compile), and a stratified
+   simulate takes its steady-state IPC from the estimate memo, which the
+   second of two such requests hits. *)
+let test_replication_reuses_memo () =
+  let env = fresh_env () in
+  let run op extra =
+    let params =
+      Json.Obj
+        ([
+           ("bench", Json.Str "gcc");
+           ("length", Json.Num 4000.0);
+           ("synthetic", Json.Num 600.0);
+         ]
+        @ extra)
+    in
+    match Server.Ops.dispatch env ~op params with
+    | Ok _ -> Runner.Cache.stats env.cache
+    | Error e -> Alcotest.failf "%s rejected: %s" op e
+  in
+  let warm = run "simulate" [] in
+  let rep = run "replicate" [ ("replicas", Json.Num 2.0) ] in
+  Alcotest.(check int) "replicate: one plan hit" (warm.plan_hits + 1)
+    rep.plan_hits;
+  Alcotest.(check int) "replicate: no plan compute" warm.plan_computes
+    rep.plan_computes;
+  let stratified seed =
+    run "simulate"
+      [
+        ("stratify", Json.Bool true);
+        ("strata", Json.Num 2.0);
+        ("pilot", Json.Num 2.0);
+        ("replicas", Json.Num 4.0);
+        ("seed", Json.Num seed);
+      ]
+  in
+  let first = stratified 1.0 in
+  let second = stratified 2.0 in
+  Alcotest.(check int) "second stratified: one estimate hit"
+    (first.estimate_hits + 1) second.estimate_hits;
+  Alcotest.(check int) "second stratified: no estimate miss"
+    first.estimate_misses second.estimate_misses
+
 let test_out_of_range_params () =
   let env = fresh_env () in
   let profiles = bad_profiles () in
@@ -882,4 +925,6 @@ let suite =
       test_out_of_range_params;
     Alcotest.test_case "out-of-range param answers bad_request" `Quick
       test_out_of_range_bad_request;
+    Alcotest.test_case "replication reuses the warm memo" `Quick
+      test_replication_reuses_memo;
   ]
