@@ -60,8 +60,9 @@ type t = {
 val nnodes : t -> int
 val nslots : t -> int
 
-val total_occ : t -> int
-(** Sum of reduced occurrence counts = synthetic trace length. *)
+val max_deps : int
+(** 6: the most dependency samplers a slot carries, so that a synthetic
+    instruction packs its distances into one word. *)
 
 (** {1 Fixed-point rates}
 
@@ -126,4 +127,12 @@ val of_string : string -> t
 (** Raises [Failure] with a line-numbered message, and nothing else, on
     malformed input or a version mismatch. Nothing is allocated in
     proportion to a length field before the input has shown room for
-    that many items, so allocation stays proportional to the input. *)
+    that many items, so allocation stays proportional to the input.
+
+    A decoded plan holds what generation indexes without bounds checks:
+    [node_slot_off] and [slot_dep_off] start at 0, never decrease and
+    end at the slot and sampler counts; each slot's class is valid and
+    its dependency count equals its [slot_dep_off] span, at most
+    {!max_deps}; occurrence counts are non-negative; edge samplers
+    return node indices and dependency samplers distances in
+    \[0, {!Profile.Sfg.dep_cap}\]. *)

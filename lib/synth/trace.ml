@@ -23,7 +23,7 @@ type t = {
 
 (* code word: bits 0-10 the feed word, 11-13 the fetch outcome, 14-16
    the load outcome, 17+ the block *)
-let max_deps = 6
+let max_deps = Kernel.Plan.max_deps
 let dep_bits = 10
 let dep_mask = (1 lsl dep_bits) - 1
 
