@@ -24,10 +24,6 @@ type objective = { value : float; ci : float }
 
 type point = { ipc : objective; edp : objective }
 
-val sig_above : objective -> objective -> bool
-(** [sig_above a b]: [a]'s interval lies strictly above [b]'s,
-    [a.value - a.ci > b.value + b.ci]. *)
-
 val dominates : point -> point -> bool
 (** [dominates a b]: [a] significantly better on IPC (higher) or EDP
     (lower), and not significantly worse on the other. *)

@@ -16,9 +16,6 @@
       squash-and-repredict vs the memoized-prediction variant matching
       this repository's reference simulator. *)
 
-val fifo_sizes : int list
-val dep_caps : int list
-
 type fifo_row = { bench : string; eds_mpki : float; by_fifo : (int * float) list }
 type cap_row = { bench : string; by_cap : (int * float) list (** cap, IPC err % *) }
 

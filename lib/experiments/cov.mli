@@ -6,7 +6,6 @@
     proportionally scaled. *)
 
 val lengths : int list
-val seeds_per_length : int
 
 type row = { bench : string; cov : float array (** percent, per length *) }
 

@@ -57,7 +57,6 @@ val fp_src : ?length:int -> Workload.Spec.t -> src
 val phased_src : Workload.Spec.t -> phases:int -> length:int -> src
 (** A {!phased_stream}. *)
 
-val src_key : src -> string
 val src_gen : src -> unit -> Isa.Dyn_inst.t option
 
 (** {1 Cached simulation primitives}

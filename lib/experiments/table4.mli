@@ -8,7 +8,6 @@
 type family = Window | Width | Ifq | Bpred | Cache_size
 
 val families : family list
-val family_name : family -> string
 
 val configs : family -> (string * Config.Machine.t) list
 (** The sweep's design points, in order, with display labels. *)

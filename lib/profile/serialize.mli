@@ -72,9 +72,6 @@ module Text : sig
   val token_is : cursor -> string -> bool
   (** Whether the last token is exactly this string. *)
 
-  val token_string : cursor -> string
-  (** A copy of the last token, for diagnostics. *)
-
   exception Not_int
 
   val token_int : cursor -> int

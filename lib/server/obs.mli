@@ -15,9 +15,6 @@ type outcome =
   | Ok_reply
   | Err of Protocol.error_code
 
-val outcome_name : outcome -> string
-(** ["ok"] or the [Protocol.code_name]. *)
-
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 

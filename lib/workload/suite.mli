@@ -17,9 +17,6 @@ val all : Spec.t list
 val find : string -> Spec.t
 (** Raises [Not_found] for an unknown name. *)
 
-val program_seed : Spec.t -> int
-(** Deterministic per-name seed used to generate the static program. *)
-
 val program : Spec.t -> Program.t
 
 val stream :
