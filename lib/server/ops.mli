@@ -8,10 +8,13 @@
     maintenance of two code paths.
 
     All heavy artifacts flow through the {!env}'s shared
-    {!Runner.Cache}: SFG profiles, compiled {!Kernel.Plan}s and EDS
-    references are single-flight memoized, so N concurrent [simulate]
-    requests against a cold cache still collect one profile and compile
-    one plan ([profile_computes = 1], [plan_computes = 1]). *)
+    {!Runner.Cache}: SFG profiles, compiled {!Kernel.Plan}s, steady-state
+    estimates and EDS references are single-flight memoized, so N
+    concurrent [simulate] requests against a cold cache still collect
+    one profile and compile one plan ([profile_computes = 1],
+    [plan_computes = 1]). Replication walks the memoised plan, and a
+    stratified run reports the memoised estimate, so a warm replication
+    request pays only for its replicas. *)
 
 exception Cancelled
 (** Raised by an {!env}'s [check] when the client vanished. *)

@@ -16,7 +16,10 @@
     Dependency sampling implements the paper's retry rule: a sampled
     distance whose producer would be a branch or store (no destination
     register) is re-drawn up to 1,000 times, then dropped (each drop is
-    counted on the [synth.dep_squashed] telemetry counter).
+    counted on the [synth.dep_squashed] telemetry counter). When no
+    value the slot's table can return would be accepted, the doomed
+    re-draws are jumped over in one PRNG step ({!Prng.advance}) instead
+    of drawn, which leaves the stream and the trace unchanged.
 
     The reduced SFG is first {e compiled} to a {!Kernel.Plan.t} — flat
     arrays, O(1) alias samplers, fixed-point rate thresholds — and the
