@@ -266,8 +266,9 @@ let test_plan_codec_rejects () =
 (* --- event-driven pipeline equivalence --- *)
 
 (* Dense and event-driven loops agree on random machines: window, LSQ,
-   fetch queue and width drawn independently (tiny windows and in-order
-   issue maximize idle windows), over three workloads. *)
+   fetch queue, width and memory latency drawn independently (tiny
+   windows and in-order issue maximize idle windows), over three
+   workloads. *)
 let skip_idle_traces =
   lazy
     (Array.mapi
@@ -286,11 +287,13 @@ let prop_skip_idle_equivalence =
       pair
         (quad (int_range 1 160) (int_range 1 64) (int_range 1 64)
            (int_range 1 8))
-        (pair bool (int_bound 2)))
-    (fun ((ruu, lsq, ifq, width), (in_order, which)) ->
+        (triple bool (int_bound 2) (int_range 1 3000)))
+    (fun ((ruu, lsq, ifq, width), (in_order, which, mem_latency)) ->
       let c =
         Config.Machine.with_width
-          (Config.Machine.with_ifq (Config.Machine.with_window cfg ~ruu ~lsq) ifq)
+          (Config.Machine.with_ifq
+             (Config.Machine.with_window { cfg with mem_latency } ~ruu ~lsq)
+             ifq)
           width
       in
       let c = if in_order then Config.Machine.in_order_variant c else c in
