@@ -32,7 +32,7 @@ let nnodes t = Array.length t.node_block
 let nslots t = Array.length t.slot_meta
 
 (* six 10-bit distances fill a synthetic instruction's deps word *)
-let max_deps = 6
+let max_deps = Profile.Sfg.max_deps
 
 (* --- fixed-point rates: the one guarded rate helper ---
 

@@ -61,8 +61,9 @@ val nnodes : t -> int
 val nslots : t -> int
 
 val max_deps : int
-(** 6: the most dependency samplers a slot carries, so that a synthetic
-    instruction packs its distances into one word. *)
+(** {!Profile.Sfg.max_deps}, 6: the most dependency samplers a slot
+    carries, so that a synthetic instruction packs its distances into
+    one word. *)
 
 (** {1 Fixed-point rates}
 

@@ -1,5 +1,6 @@
 let dep_cap = 512
 let max_k = 3
+let max_deps = 6
 let block_bits = 16
 let block_mask = (1 lsl block_bits) - 1
 

@@ -24,6 +24,12 @@ val dep_cap : int
 val max_k : int
 (** Highest supported SFG order (3, as evaluated in Figure 4). *)
 
+val max_deps : int
+(** 6: the most dependency distances a slot's synthetic instruction
+    draws, its operands plus the WAW and WAR distances of a machine
+    without renaming, so that they pack into one word. A slot therefore
+    has at most [max_deps - 2] operands. *)
+
 type slot = {
   klass : Isa.Iclass.t;
   mutable nsrcs : int;
