@@ -222,13 +222,12 @@ let emit t ni si (out : Trace.t) i =
   t.redirect_run <- t.redirect_run + 1
 
 (* step 1: start-node selection by cumulative occurrence distribution,
-   against the Fenwick tree over remaining counts (O(log n)) *)
+   against the Fenwick tree over remaining counts (O(log n)); -1 when
+   no occurrence remains *)
 let pick_start t =
   let total = Kernel.Fenwick.total t.start_tree in
-  if total = 0 then None
-  else
-    let x = 1 + Prng.int t.rng total in
-    Some (Kernel.Fenwick.find t.start_tree x)
+  if total = 0 then -1
+  else Kernel.Fenwick.find t.start_tree (1 + Prng.int t.rng total)
 
 let start_block t ni =
   t.remaining.(ni) <- t.remaining.(ni) - 1;
@@ -241,9 +240,8 @@ let start_block t ni =
 let restart t =
   if t.visits >= t.live then t.phase <- ph_finished
   else
-    match pick_start t with
-    | Some ni -> start_block t ni
-    | None -> t.phase <- ph_finished
+    let ni = pick_start t in
+    if ni >= 0 then start_block t ni else t.phase <- ph_finished
 
 (* step 9: follow an outgoing edge by transition probability, via the
    node's alias table over successor indices *)
