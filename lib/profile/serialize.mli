@@ -29,10 +29,10 @@ val of_string : string -> Stat_profile.t
     between records are skipped. Raises [Failure] with a line-numbered
     diagnostic, and nothing else, on malformed input: an unsupported
     version, a [k] outside [\[0, Sfg.max_k\]], an unknown instruction
-    class, a negative count, or an operand count its line cannot hold
-    (checked before the array is made, so allocation stays
-    proportional to the input). Timed under the [profile.decode]
-    telemetry span. *)
+    class, a negative count, or an operand count above
+    [Sfg.max_deps - 2] (checked before the array is made, so
+    allocation stays proportional to the input). Timed under the
+    [profile.decode] telemetry span. *)
 
 val save_file : Stat_profile.t -> string -> unit
 (** Writes via a temp file in the destination directory followed by an
