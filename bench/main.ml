@@ -90,65 +90,6 @@ let run_micro () =
     (micro_tests ());
   Format.fprintf ppf "@."
 
-(* --- streamed vs materialized synthetic simulation: the memory win --- *)
-
-(* filled by [run_streaming]; lands under the summary's "streaming" key *)
-let streaming_results : (string * Telemetry.Json.t) list ref = ref []
-
-let run_streaming () =
-  Format.fprintf ppf "== streamed vs materialized synthetic simulation ==@.";
-  let cfg = Config.Machine.baseline in
-  let spec = Workload.Suite.find "gcc" in
-  let scale = Experiments.Exp_common.scale in
-  (* reduction 1 replays the whole profile, so the synthetic trace is
-     as long as the profiled stream — long enough that materializing it
-     dominates the heap, while the streamed path's footprint stays at
-     the feed window regardless *)
-  let plen = int_of_float (400_000.0 *. scale) in
-  let p = Statsim.profile cfg (Workload.Suite.stream spec ~length:plen) in
-  let measure label f =
-    Gc.compact ();
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    let m : Uarch.Metrics.t = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    let alloc = Gc.allocated_bytes () -. a0 in
-    let peak_words = (Gc.stat ()).Gc.top_heap_words in
-    let ips = if dt > 0.0 then float_of_int m.committed /. dt else 0.0 in
-    Format.fprintf ppf
-      "  %-13s %6.2fs  %9.0f ips  %12.0f bytes allocated  peak heap %d words@."
-      label dt ips alloc peak_words;
-    let open Telemetry.Json in
-    ( m,
-      Obj
-        [
-          ("seconds", Num dt);
-          ("ips", Num ips);
-          ("committed", Num (float_of_int m.committed));
-          ("allocated_bytes", Num alloc);
-          ("top_heap_words", Num (float_of_int peak_words));
-        ] )
-  in
-  (* streamed first: top_heap_words is a process-lifetime high-water
-     mark, so the constant-memory path must record its peak before the
-     materializing path raises it *)
-  let ms, js =
-    measure "streamed" (fun () ->
-        Synth.Run.run_stream ~reduction:1 cfg p ~seed:9)
-  in
-  let mm, jm =
-    measure "materialized" (fun () ->
-        Synth.Run.run cfg (Statsim.synthesize ~reduction:1 p ~seed:9))
-  in
-  let identical = Uarch.Metrics.encode ms = Uarch.Metrics.encode mm in
-  Format.fprintf ppf "  metrics bit-identical: %b@.@." identical;
-  streaming_results :=
-    [
-      ("streamed", js);
-      ("materialized", jm);
-      ("metrics_identical", Telemetry.Json.Bool identical);
-    ]
-
 (* --- compiled kernel: plan compilation, generation, pipeline --- *)
 
 (* filled by [run_kernel]; lands under the summary's "kernel" key *)
@@ -583,8 +524,6 @@ let usage () =
       Format.fprintf ppf "  %-8s %s@." e.id e.description)
     Experiments.Registry.all;
   Format.fprintf ppf "  %-8s %s@." "micro" "bechamel component micro-benchmarks";
-  Format.fprintf ppf "  %-8s %s@." "streaming"
-    "streamed vs materialized synthetic simulation (time and memory)";
   Format.fprintf ppf "  %-8s %s@." "kernel"
     "compiled plan generation, event-driven vs dense pipeline";
   (* "dse" is taken by the paper's DSE case-study experiment above *)
@@ -606,7 +545,6 @@ let run_one id =
     Format.fprintf ppf "[%s done in %.1fs]@.@." id dt
   | None ->
     if id = "micro" then run_micro ()
-    else if id = "streaming" then run_streaming ()
     else if id = "kernel" then run_kernel ()
     else if id = "sweep" then run_dse ()
     else if id = "serve" then run_serve ()
@@ -670,9 +608,6 @@ let summary_json ts =
       ( "total_seconds",
         Num (List.fold_left (fun a (_, dt) -> a +. dt) 0.0 ts) );
       ("stages", stages_json snap);
-      (* streamed-vs-materialized comparison; empty unless the
-         "streaming" bench ran this invocation *)
-      ("streaming", Obj !streaming_results);
       (* compiled-kernel throughput comparison; empty unless the
          "kernel" bench ran this invocation *)
       ("kernel", Obj !kernel_results);
@@ -734,7 +669,7 @@ let summary_json ts =
 let write_summary ~out =
   let ts = List.rev !timings in
   if
-    ts = [] && !streaming_results = [] && !kernel_results = []
+    ts = [] && !kernel_results = []
     && !dse_results = [] && !serve_results = [] && !replication_results = []
   then ()
   else
@@ -784,7 +719,6 @@ let () =
       (fun (e : Experiments.Registry.entry) -> run_one e.id)
       Experiments.Registry.all;
     run_micro ();
-    run_streaming ();
     run_kernel ();
     run_dse ();
     run_replication ()

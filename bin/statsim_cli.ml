@@ -103,14 +103,6 @@ let load_arg =
   let doc = "Reuse a saved profile instead of re-profiling." in
   Arg.(value & opt (some string) None & info [ "p"; "profile" ] ~docv:"FILE" ~doc)
 
-let stream_arg =
-  let doc =
-    "Stream the SFG walk straight into the pipeline in constant memory \
-     instead of materializing the synthetic trace first. Bit-identical \
-     metrics for the same seed."
-  in
-  Arg.(value & flag & info [ "stream" ] ~doc)
-
 let replicas_arg =
   let doc =
     "Run $(docv) independent replicas (seeds split deterministically from \
@@ -144,7 +136,7 @@ let jopt k f v =
   match v with None -> [] | Some v -> [ (k, f v) ]
 
 let simulate_cmd =
-  let run bench length syn seed k profile_file stream replicas ci_target
+  let run bench length syn seed k profile_file replicas ci_target
       stratify no_control_variate strata pilot jobs json cache_dir =
     let params =
       Json.Obj
@@ -153,7 +145,6 @@ let simulate_cmd =
            ("length", jnum length);
            ("synthetic", jnum syn);
            ("seed", jnum seed);
-           ("stream", Json.Bool stream);
            ("stratify", Json.Bool stratify);
            ("control_variate", Json.Bool (not no_control_variate));
            ("json", Json.Bool json);
@@ -211,7 +202,7 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run $ bench_arg $ length_arg $ syn_arg $ seed_arg $ k_opt_arg
-      $ load_arg $ stream_arg $ replicas_arg $ ci_target_arg
+      $ load_arg $ replicas_arg $ ci_target_arg
       $ stratify_arg $ no_cv_arg $ strata_arg $ pilot_arg $ jobs_arg $ json_arg
       $ cache_dir_arg)
 
@@ -428,7 +419,7 @@ let experiment_cmd =
   in
   let exp_replicas_arg =
     let doc =
-      "After the reports, run $(docv) streamed replicas per workload (seeds \
+      "After the reports, run $(docv) replicas per workload (seeds \
        split from the experiments' fixed master seed) and print the IPC and \
        stall-fraction dispersion — how much of each table entry is seed \
        noise."

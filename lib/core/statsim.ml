@@ -28,7 +28,7 @@ let run_profile ?reduction ?target_length cfg p ~seed =
   simulate cfg (synthesize ?reduction ?target_length p ~seed)
 
 let run_plan cfg plan ~seed =
-  result_of_metrics cfg (Synth.Run.run_stream_of_plan cfg plan ~seed)
+  simulate cfg (Synth.Generate.generate_of_plan plan ~seed)
 
 let run ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred ?reduction
     ?target_length cfg gen ~seed =

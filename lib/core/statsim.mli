@@ -101,11 +101,12 @@ val run_profile :
     (the paper makes the same caveat in Section 4.4). *)
 
 val run_plan : Config.Machine.t -> Kernel.Plan.t -> seed:int -> result
-(** Steps 2+3 from an already-compiled plan (streamed, constant
-    memory) — the fast path for design-space sweeps and cached plans:
-    bit-identical to {!run_profile} at the plan's baked-in reduction
-    (see {!Synth.Run.run_stream}). Replication over many seeds, for a
-    fixed count or to a CI target, is {!Synth.Replicate.run}. *)
+(** Steps 2+3 from an already-compiled plan: generate the trace with
+    {!Synth.Generate.generate_of_plan}, then {!simulate} it. The entry
+    point for cached plans, skipping compilation; bit-identical to
+    {!run_profile} at the plan's baked-in reduction. Replication over
+    many seeds, for a fixed count or to a CI target, is
+    {!Synth.Replicate.run}. *)
 
 val reference :
   ?max_instructions:int ->

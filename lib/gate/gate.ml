@@ -53,14 +53,6 @@ let default_checks =
         check ~both_directions:true ~abs_slack:0.5 ("store." ^ field)
           [ "store"; field ])
       [ "hits"; "misses"; "bytes_written"; "quarantined" ]
-  (* streamed-vs-materialized bench: gate the timings like any stage
-     (informational until the baseline is regenerated with them) *)
-  @ List.map
-      (fun path_kind ->
-        check ~abs_slack:0.05
-          ("streaming." ^ path_kind ^ ".seconds")
-          [ "streaming"; path_kind; "seconds" ])
-      [ "streamed"; "materialized" ]
   (* compiled-kernel bench: plan compilation, generation and both
      pipeline schedulers' wall times, gated one-directionally like every
      timing *)

@@ -38,7 +38,7 @@ val num_field : Telemetry.Json.t -> string list -> float option
 
 val default_checks : check list
 (** Every gated metric: per-stage seconds, memo-cache and store
-    counters, streaming/kernel timings, the kernel's minor words per
+    counters, kernel timings, the kernel's minor words per
     instruction for generation and both pipeline schedulers (one
     direction, slack one word) and its minor words per byte for the
     four store codec calls (one direction, slack 0.1 word), the DSE

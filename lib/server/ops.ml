@@ -164,7 +164,6 @@ let simulate env ~force_replicas params =
   let seed = int_def params "seed" 42 in
   let k = k_opt params in
   let profile_file = str_opt params "profile" in
-  let stream = bool_def params "stream" false in
   let stratify = bool_def params "stratify" false in
   let replicas =
     match int_opt_min params "replicas" ~min:1 with
@@ -221,9 +220,7 @@ let simulate env ~force_replicas params =
             Runner.Cache.plan env.cache ~target_length:syn p)
       in
       env.check ();
-      tspan env "simulate.run" (fun () ->
-          if stream then Statsim.run_plan cfg plan ~seed
-          else Statsim.simulate cfg (Synth.Generate.generate_of_plan plan ~seed))
+      tspan env "simulate.run" (fun () -> Statsim.run_plan cfg plan ~seed)
     in
     Printf.bprintf buf "%-22s %10s %10s %8s\n" "" "EDS" "statsim" "error";
     let line name get =
@@ -252,7 +249,7 @@ let simulate env ~force_replicas params =
     in
     let r =
       tspan env "replicate.run" (fun () ->
-          Synth.Stratify.run ~jobs ~stream ~check:env.check
+          Synth.Stratify.run ~jobs ~check:env.check
             ~target_length:syn ?strata ?pilot ~control_variate ?ci_target cfg
             p ~steady_state ~master_seed:seed
             ~replicas:(Option.value replicas ~default))
@@ -272,7 +269,7 @@ let simulate env ~force_replicas params =
     env.check ();
     let r =
       tspan env "replicate.run" (fun () ->
-          Synth.Replicate.run ~jobs ~stream ~check:env.check ?ci_target cfg
+          Synth.Replicate.run ~jobs ~check:env.check ?ci_target cfg
             plan ~master_seed:seed
             ~replicas:(Option.value replicas ~default:4))
     in
@@ -449,7 +446,7 @@ let diag env params =
 (* --- experiment --- *)
 
 (* The selected tables, then for every workload of [Exp_common.benches]
-   a divergence report ("diag") and a streamed replication report
+   a divergence report ("diag") and a replication report
    ("replicas"): how far the experiments' synthetic traces sit from
    their profiles, and how much of each table entry is seed noise. *)
 let experiment env params =
@@ -501,8 +498,7 @@ let experiment env params =
     (fun n ->
       per_bench (fun name p ->
           let r =
-            Synth.Replicate.run ~jobs:env.jobs ~stream:true ~check:env.check
-              cfg
+            Synth.Replicate.run ~jobs:env.jobs ~check:env.check cfg
               (Kernel.Compile.plan ~target_length:E.syn_length p)
               ~master_seed:E.seed ~replicas:n
           in

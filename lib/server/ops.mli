@@ -55,7 +55,7 @@ val op_names : string list
 
     After its tables, [experiment] adds per workload of
     {!Experiments.Exp_common.benches} a {!Diag} report with
-    ["diag": true] and a streamed {!Synth.Replicate} report with
+    ["diag": true] and a {!Synth.Replicate} report with
     ["replicas": n] (n >= 1). [dse] adds the Pareto frontier CSV
     ({!Dse.Driver.pareto_report}), the CLI's [--pareto-out] file, as a
     ["pareto_csv"] string member. *)

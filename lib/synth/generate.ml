@@ -25,25 +25,14 @@ let h_redirect_run = Telemetry.histogram "synth.redirect_run"
 
 let dep_retries = 1_000
 
-(* Where the random walk stands between two [next] calls, unboxed into
-   three mutable ints so the per-instruction path allocates nothing:
-   [emit] writes the instruction's packed words in place. [ph_after]
-   means the block [node] has been fully emitted and its outgoing edge
-   has not yet been drawn — deferring the draw to the next pull keeps
-   the RNG call sequence identical to the materialized path, since
-   there is a single consumer of the stream's generator. While
-   emitting, [slot] is the next absolute slot index. *)
-let ph_start = 0
-let ph_emitting = 1
-let ph_after = 2
-let ph_finished = 3
-
-type stream = {
+(* The walk's state, unboxed into mutable ints so the per-instruction
+   path allocates nothing: [emit] writes the instruction's packed words
+   in place. *)
+type walk = {
   plan : Kernel.Plan.t;
   rng : Prng.t;
   remaining : int array;  (* per dense node index *)
   start_tree : Kernel.Fenwick.t;  (* remaining counts, for start picks *)
-  live : int;  (* total block visits the walk owes *)
   (* recent destination-producing status, for the dependency retry rule *)
   recent_has_dest : bool array;
   mutable pos : int;
@@ -51,13 +40,9 @@ type stream = {
      so the per-instruction path never pays an integer division *)
   mutable ring : int;
   mutable redirect_run : int;
-  mutable visits : int;
-  mutable phase : int;
-  mutable node : int;
-  mutable slot : int;
 }
 
-let stream_of_plan (plan : Kernel.Plan.t) ~seed =
+let walk_of_plan (plan : Kernel.Plan.t) ~seed =
   Array.iter
     (fun meta ->
       if Kernel.Plan.meta_ndeps meta > Trace.max_deps then
@@ -69,22 +54,11 @@ let stream_of_plan (plan : Kernel.Plan.t) ~seed =
     rng = Prng.create ~seed;
     remaining;
     start_tree = Kernel.Fenwick.create remaining;
-    live = Array.fold_left ( + ) 0 remaining;
     recent_has_dest = Array.make (Profile.Sfg.dep_cap + 1) true;
     pos = 0;
     ring = 0;
     redirect_run = 0;
-    visits = 0;
-    phase = ph_start;
-    node = -1;
-    slot = 0;
   }
-
-let stream ?reduction ?target_length (p : Profile.Stat_profile.t) ~seed =
-  let tel = Telemetry.start () in
-  let plan = Kernel.Compile.plan ?reduction ?target_length p in
-  Telemetry.stop span_compile tel;
-  stream_of_plan plan ~seed
 
 let producer_has_dest t delta =
   delta > t.pos
@@ -104,7 +78,7 @@ let squash () =
   0
 
 (* A draw ends the retry loop when it is accepted, or when it is out of
-   range (the loop raises on it). Top-level, with the stream passed as
+   range (the loop raises on it). Top-level, with the walk passed as
    [exists_value]'s environment, so the test allocates no closure. *)
 let ends_retry t delta =
   delta < 0 || delta > Profile.Sfg.dep_cap || producer_has_dest t delta
@@ -217,8 +191,7 @@ let emit t ni si (out : Trace.t) i =
   t.ring <-
     (let r = t.ring + 1 in
      if r = Array.length t.recent_has_dest then 0 else r);
-  (* synth.instructions is charged by the caller: per pull in [next],
-     batched in the materializing fill loop *)
+  (* synth.instructions is charged once per trace, by [fill] *)
   t.redirect_run <- t.redirect_run + 1
 
 (* step 1: start-node selection by cumulative occurrence distribution,
@@ -229,95 +202,48 @@ let pick_start t =
   if total = 0 then -1
   else Kernel.Fenwick.find t.start_tree (1 + Prng.int t.rng total)
 
-let start_block t ni =
-  t.remaining.(ni) <- t.remaining.(ni) - 1;
-  Kernel.Fenwick.add t.start_tree ni (-1);
-  t.visits <- t.visits + 1;
-  t.phase <- ph_emitting;
-  t.node <- ni;
-  t.slot <- t.plan.node_slot_off.(ni)
-
-let restart t =
-  if t.visits >= t.live then t.phase <- ph_finished
-  else
-    let ni = pick_start t in
-    if ni >= 0 then start_block t ni else t.phase <- ph_finished
-
 (* step 9: follow an outgoing edge by transition probability, via the
-   node's alias table over successor indices *)
-let advance t ni =
+   node's alias table over successor indices; a dead end or an
+   exhausted successor restarts at step 1 *)
+let follow t ni =
   let edges = t.plan.edges.(ni) in
-  if (not t.plan.use_edges) || Stats.Alias.is_empty edges then restart t
+  if (not t.plan.use_edges) || Stats.Alias.is_empty edges then pick_start t
   else begin
     let succ = Stats.Alias.sample edges t.rng in
-    if t.remaining.(succ) > 0 then start_block t succ else restart t
+    if t.remaining.(succ) > 0 then succ else pick_start t
   end
 
-let rec next t (out : Trace.t) i =
-  if i < 0 || i >= Trace.length out then
-    invalid_arg "Generate.next: index outside the buffer";
-  if t.phase = ph_emitting then begin
-    let ni = t.node in
-    let si = t.slot in
-    if si >= t.plan.node_slot_off.(ni + 1) then begin
-      t.phase <- ph_after;
-      next t out i
-    end
-    else begin
-      t.slot <- si + 1;
-      emit t ni si out i;
-      Telemetry.incr c_instructions;
-      true
-    end
-  end
-  else if t.phase = ph_after then begin
-    advance t t.node;
-    next t out i
-  end
-  else if t.phase = ph_start then begin
-    restart t;
-    next t out i
-  end
-  else false
-
-(* Instructions the stream will still emit: slots of every remaining
-   visit plus the unemitted slots of the visit in flight. Exact, so the
-   materializer can fill a right-sized array. *)
-let expected t =
-  let p = t.plan in
+(* Instructions the walk emits: the slots of every reduced visit. Exact,
+   so the trace is filled in place at its final size. *)
+let expected (p : Kernel.Plan.t) =
   let n = ref 0 in
   Array.iteri
-    (fun ni rem ->
-      n := !n + (rem * (p.Kernel.Plan.node_slot_off.(ni + 1) - p.node_slot_off.(ni))))
-    t.remaining;
-  if t.phase = ph_emitting then
-    n := !n + (p.node_slot_off.(t.node + 1) - t.slot);
+    (fun ni occ ->
+      n := !n + (occ * (p.node_slot_off.(ni + 1) - p.node_slot_off.(ni))))
+    p.node_occ;
   !n
 
-let drain t ~seed =
-  (* the walk's length is known up front, so the trace is filled in
-     place: per instruction this costs one [emit], with no per-pull
-     dispatch, and the instruction counter is settled once at the end *)
-  let n = expected t in
-  let out = Trace.create ~k:t.plan.k ~reduction:t.plan.reduction ~seed n in
+(* The walk: pick a start node, emit its slots, follow an edge or
+   restart, until every reduced occurrence count is zero. Per
+   instruction this costs one [emit], and the instruction counter is
+   settled once at the end. *)
+let fill plan ~seed =
+  let t = walk_of_plan plan ~seed in
+  let n = expected plan in
+  let out = Trace.create ~k:plan.k ~reduction:plan.reduction ~seed n in
   let i = ref 0 in
-  if t.phase = ph_start then restart t;
-  while t.phase <> ph_finished do
-    if t.phase = ph_emitting then begin
-      let ni = t.node in
-      let s1 = t.plan.node_slot_off.(ni + 1) in
-      let si = ref t.slot in
-      while !si < s1 do
-        (* in bounds because [expected] counts exactly the slots this
-           loop will emit (asserted below) *)
-        emit t ni !si out !i;
-        incr i;
-        incr si
-      done;
-      t.slot <- s1;
-      t.phase <- ph_after
-    end
-    else advance t t.node
+  let ni = ref (pick_start t) in
+  while !ni >= 0 do
+    let node = !ni in
+    t.remaining.(node) <- t.remaining.(node) - 1;
+    Kernel.Fenwick.add t.start_tree node (-1);
+    for si = plan.node_slot_off.(node) to plan.node_slot_off.(node + 1) - 1 do
+      (* in bounds because [expected] counts exactly the slots this
+         loop emits (asserted below) *)
+      emit t node si out !i;
+      incr i
+    done;
+    ni := follow t node
   done;
   assert (!i = n);
   Telemetry.add c_instructions n;
@@ -325,12 +251,15 @@ let drain t ~seed =
 
 let generate ?reduction ?target_length (p : Profile.Stat_profile.t) ~seed =
   let tel = Telemetry.start () in
-  let trace = drain (stream ?reduction ?target_length p ~seed) ~seed in
+  let tc = Telemetry.start () in
+  let plan = Kernel.Compile.plan ?reduction ?target_length p in
+  Telemetry.stop span_compile tc;
+  let trace = fill plan ~seed in
   Telemetry.stop span_generate tel;
   trace
 
 let generate_of_plan plan ~seed =
   let tel = Telemetry.start () in
-  let trace = drain (stream_of_plan plan ~seed) ~seed in
+  let trace = fill plan ~seed in
   Telemetry.stop span_generate tel;
   trace

@@ -26,36 +26,8 @@
     walk executes the plan, visiting every surviving node exactly
     [occurrences / R] times.
 
-    The walk is exposed in two forms over the same sampling core:
-    {!generate} materializes a {!Trace.t}, while {!stream}/{!next} pull
-    instructions one at a time into a caller's buffer — feeding the
-    pipeline through a window-sized ring without the whole trace. Both
-    write the packed words in place. For equal arguments and seed the
-    two forms draw from the PRNG in the same order and therefore produce
-    bit-identical instruction sequences. *)
-
-type stream
-(** An in-progress random walk: a single-consumer pull generator. *)
-
-val stream :
-  ?reduction:int ->
-  ?target_length:int ->
-  Profile.Stat_profile.t ->
-  seed:int ->
-  stream
-(** Compile the reduced SFG to a plan and position the walk before its
-    first block. Argument handling is exactly {!generate}'s; raises
-    [Invalid_argument] under the same conditions. *)
-
-val stream_of_plan : Kernel.Plan.t -> seed:int -> stream
-(** A walk over an already-compiled plan, skipping compilation — the
-    entry point for cached plans and for replicas sharing one plan. *)
-
-val next : stream -> Trace.t -> int -> bool
-(** [next s buf i] writes the walk's next instruction at index [i] of
-    [buf] and answers [true], or answers [false] once every reduced
-    occurrence count has been consumed. Nothing is allocated. Raises
-    [Invalid_argument] when [i] is not an index of [buf]. *)
+    The walk fills the trace's packed words in place, at the size the
+    plan fixes, with no per-instruction allocation. *)
 
 val generate :
   ?reduction:int ->

@@ -20,7 +20,6 @@ type stat = { mean : float; stddev : float; ci95 : float }
 
 type t = {
   master_seed : int;
-  streamed : bool;
   seeds : int array;
   metrics : Uarch.Metrics.t array;
   ipc : stat;
@@ -59,7 +58,7 @@ let frac num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 let stall_cause_names =
   List.map fst (Uarch.Metrics.stall_causes Uarch.Metrics.no_stalls)
 
-let aggregate ~master_seed ~streamed seeds metrics =
+let aggregate ~master_seed seeds metrics =
   let ipcs = Array.to_list (Array.map Uarch.Metrics.ipc metrics) in
   let stall_fractions =
     List.map
@@ -78,7 +77,6 @@ let aggregate ~master_seed ~streamed seeds metrics =
   in
   {
     master_seed;
-    streamed;
     seeds;
     metrics;
     ipc = stat_of ipcs;
@@ -135,22 +133,18 @@ let adaptive ?ci_target ~start ~cap ~ci result =
     in
     go start
 
-(* The per-seed replica function. Every replica, streamed or
-   materialized, walks the caller's plan: its tables are immutable, so
-   sharing it across Parallel's domains is safe, and a caller that
-   memoises plans pays no compile per request. *)
-let replica_runner ?(check = fun () -> ()) ?wrong_path_locality ~stream cfg
-    plan seed =
+(* The per-seed replica function. Every replica walks the caller's
+   plan: its tables are immutable, so sharing it across Parallel's
+   domains is safe, and a caller that memoises plans pays no compile
+   per request. *)
+let replica_runner ?(check = fun () -> ()) ?wrong_path_locality cfg plan seed =
   check ();
   Telemetry.time span_replica (fun () ->
       observe_replica
-        (if stream then
-           Run.run_stream_of_plan ?wrong_path_locality cfg plan ~seed
-         else
-           Run.run ?wrong_path_locality cfg
-             (Generate.generate_of_plan plan ~seed)))
+        (Run.run ?wrong_path_locality cfg
+           (Generate.generate_of_plan plan ~seed)))
 
-let run ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality ?ci_target
+let run ?(jobs = 1) ?check ?wrong_path_locality ?ci_target
     ?(max_replicas = 64) cfg plan ~master_seed ~replicas =
   let cap =
     match ci_target with
@@ -165,13 +159,13 @@ let run ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality ?ci_target
       max_replicas
   in
   let seeds = split_seeds ~master_seed ~n:cap in
-  let replica = replica_runner ?check ?wrong_path_locality ~stream cfg plan in
+  let replica = replica_runner ?check ?wrong_path_locality cfg plan in
   let metrics = ref [||] in
   let result n =
     metrics :=
       (grow ~jobs (fun _ seed -> replica seed) ~seeds:[| seeds |]
          [| !metrics |] ~want:[| n |]).(0);
-    aggregate ~master_seed ~streamed:stream (Array.sub seeds 0 n) !metrics
+    aggregate ~master_seed (Array.sub seeds 0 n) !metrics
   in
   adaptive ?ci_target ~start:replicas ~cap
     ~ci:(fun r -> (r.ipc.mean, r.ipc.ci95))
@@ -192,7 +186,7 @@ let to_json t =
   Obj
     [
       ("master_seed", Num (float_of_int t.master_seed));
-      ("streamed", Bool t.streamed);
+      ("streamed", Bool false);
       ("replicas", Num (float_of_int (replicas t)));
       ( "seeds",
         Arr (Array.to_list (Array.map (fun s -> Num (float_of_int s)) t.seeds))
@@ -208,10 +202,8 @@ let to_json t =
     ]
 
 let render_text ppf t =
-  Format.fprintf ppf "replication: %d replicas (%s), master seed %d@."
-    (replicas t)
-    (if t.streamed then "streamed" else "materialized")
-    t.master_seed;
+  Format.fprintf ppf "replication: %d replicas (materialized), master seed %d@."
+    (replicas t) t.master_seed;
   Format.fprintf ppf "  %-16s mean %8.4f  stddev %8.4f  95%% CI +/-%.4f@."
     "IPC" t.ipc.mean t.ipc.stddev t.ipc.ci95;
   Format.fprintf ppf "  stall-cause fractions (of all cycles):@.";

@@ -19,7 +19,6 @@ type stat = { mean : float; stddev : float; ci95 : float }
 
 type t = {
   master_seed : int;
-  streamed : bool;  (** replicas ran through {!Run.run_stream_of_plan} *)
   seeds : int array;  (** per-replica seeds, in run order *)
   metrics : Uarch.Metrics.t array;  (** per-replica raw metrics *)
   ipc : stat;
@@ -38,7 +37,6 @@ val split_seeds : master_seed:int -> n:int -> int array
 
 val run :
   ?jobs:int ->
-  ?stream:bool ->
   ?check:(unit -> unit) ->
   ?wrong_path_locality:bool ->
   ?ci_target:float ->
@@ -49,9 +47,8 @@ val run :
   replicas:int ->
   t
 (** Simulate [replicas] independent seeds of the compiled plan and
-    aggregate. [stream] selects the constant-memory
-    {!Run.run_stream_of_plan} path (default materializes each trace).
-    Every replica walks the one plan, which is immutable and so
+    aggregate: each replica generates its trace from the plan and runs
+    it. Every replica walks the one plan, which is immutable and so
     domain-safe; nothing is compiled here, so a caller holding a
     memoised plan ({!Runner.Cache.plan}) pays only for the replicas.
     [jobs] only distributes the work; it never changes the result.
@@ -104,6 +101,8 @@ val adaptive :
     [start < 1]. *)
 
 val to_json : t -> Telemetry.Json.t
-(** Stable key order; byte-identical across [jobs] values. *)
+(** Stable key order; byte-identical across [jobs] values. The
+    ["streamed"] key is always [false]: replicas materialize their
+    traces, and the key stays for readers of the report. *)
 
 val render_text : Format.formatter -> t -> unit

@@ -108,7 +108,6 @@ type report = {
 
 type t = {
   master_seed : int;
-  streamed : bool;
   reduction : int;
   pilot : int;
   control_variate : bool;
@@ -356,7 +355,7 @@ let partition ?strata ?(max_strata = 4) ?(strata_seed = 1) ~reduction
    stratification removes.  (An explicit ~reduction is honored as-is,
    shared by all strata.)  Stratum weights are unreduced instruction
    shares, so the weighted CPI combination targets the original mix. *)
-let prepare ?check ?wrong_path_locality ?(stream = false) ?strata ?max_strata
+let prepare ?check ?wrong_path_locality ?strata ?max_strata
     ?strata_seed ?reduction ?target_length ~control_variate
     (cfg : Config.Machine.t) (p : Profile.Stat_profile.t) =
   Telemetry.time span_prepare (fun () ->
@@ -407,21 +406,9 @@ let prepare ?check ?wrong_path_locality ?(stream = false) ?strata ?max_strata
             let runner seed =
               check ();
               Telemetry.time span_replica (fun () ->
-                  if control_variate then begin
-                    (* the CV needs the trace's own flags, so this path
-                       materializes; Run.run is bit-identical to the
-                       streamed pipeline for equal arguments *)
-                    let tr = Generate.generate_of_plan plan ~seed in
-                    (Run.run ?wrong_path_locality cfg tr, cv_sample cfg tr)
-                  end
-                  else if stream then
-                    ( Run.run_stream_of_plan ?wrong_path_locality cfg plan
-                        ~seed,
-                      0.0 )
-                  else
-                    ( Run.run ?wrong_path_locality cfg
-                        (Generate.generate_of_plan plan ~seed),
-                      0.0 ))
+                  let tr = Generate.generate_of_plan plan ~seed in
+                  ( Run.run ?wrong_path_locality cfg tr,
+                    if control_variate then cv_sample cfg tr else 0.0 ))
             in
             { meta; runner })
           members
@@ -445,7 +432,7 @@ let ipc_of_cpi (c : Stats.Summary.stratified) =
 
 exception Budget_too_small of string
 
-let run ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality ?reduction
+let run ?(jobs = 1) ?check ?wrong_path_locality ?reduction
     ?target_length ?strata ?max_strata ?strata_seed ?(pilot = 3)
     ?(control_variate = true) ?ci_target cfg p ~steady_state ~master_seed
     ~replicas =
@@ -454,7 +441,7 @@ let run ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality ?reduction
       if c <= 0.0 then invalid_arg "Stratify.run: ci_target must be positive")
     ci_target;
   let r, ctxs =
-    prepare ?check ?wrong_path_locality ~stream ?strata ?max_strata
+    prepare ?check ?wrong_path_locality ?strata ?max_strata
       ?strata_seed ?reduction ?target_length ~control_variate cfg p
   in
   let h = Array.length ctxs in
@@ -510,7 +497,6 @@ let run ?(jobs = 1) ?(stream = false) ?check ?wrong_path_locality ?reduction
     let cpi = combine ~beta reports in
     {
       master_seed;
-      streamed = stream;
       reduction = r;
       pilot;
       control_variate;
@@ -536,7 +522,7 @@ let to_json t =
   Obj
     [
       ("master_seed", Num (float_of_int t.master_seed));
-      ("streamed", Bool t.streamed);
+      ("streamed", Bool false);
       ("reduction", Num (float_of_int t.reduction));
       ("strata", Num (float_of_int (strata t)));
       ("pilot", Num (float_of_int t.pilot));
@@ -585,10 +571,9 @@ let to_json t =
 
 let render_text ppf t =
   Format.fprintf ppf
-    "stratified replication: %d replicas over %d strata (%s), master seed %d@."
-    (total_replicas t) (strata t)
-    (if t.streamed then "streamed" else "materialized")
-    t.master_seed;
+    "stratified replication: %d replicas over %d strata (materialized), \
+     master seed %d@."
+    (total_replicas t) (strata t) t.master_seed;
   (match t.beta with
   | Some b ->
     Format.fprintf ppf

@@ -62,7 +62,6 @@ type report = {
 
 type t = {
   master_seed : int;
-  streamed : bool;
   reduction : int;
   pilot : int;
   control_variate : bool;  (** the caller asked for the CV *)
@@ -90,9 +89,7 @@ val cv_sample : Config.Machine.t -> Trace.t -> float
     mispredict restart, redirect bubble), per instruction — CPI units.
     Computed over the trace's own flags (the raw threshold draws), not
     the pipeline's counters, which is what makes the expectation
-    exactly computable.  With the control variate enabled the engine
-    therefore materializes each replica's trace ([Run.run] is
-    bit-identical to the streamed pipeline for equal arguments). *)
+    exactly computable. *)
 
 val cv_expectation : Config.Machine.t -> Kernel.Plan.t -> float
 (** The exact expectation of {!cv_sample} under the compiled plan: the
@@ -112,7 +109,6 @@ exception Budget_too_small of string
 
 val run :
   ?jobs:int ->
-  ?stream:bool ->
   ?check:(unit -> unit) ->
   ?wrong_path_locality:bool ->
   ?reduction:int ->
@@ -152,6 +148,7 @@ val run :
     parameters. *)
 
 val to_json : t -> Telemetry.Json.t
-(** Stable key order; byte-identical across [jobs] values. *)
+(** Stable key order; byte-identical across [jobs] values. The
+    ["streamed"] key is always [false], as in {!Replicate.to_json}. *)
 
 val render_text : Format.formatter -> t -> unit

@@ -10,17 +10,13 @@
     synthetic simulator does not model misspeculated cache accesses,
     as the paper notes.
 
-    One feed serves both forms of a trace, and reads the packed
-    {!Trace} words at the slot a {!Uarch.Feed.Ring} assigns: a
-    materialized trace sits behind a full ring, whose window covers the
-    whole trace; a streamed walk is pulled by {!Generate.next} into a
-    window-sized trace buffer deep enough for every squash rewind, in
-    memory independent of the trace length. [fetch] masks the code
-    word, [producer] shifts the dependency word, and the accesses read
-    a table of {!Cache.Hierarchy} access words, so nothing is allocated
-    per instruction. The "miss already charged" marks live in the ring
-    slot each position occupies, so for the same walk the two forms
-    produce bit-identical {!Uarch.Metrics}. *)
+    The feed reads the packed {!Trace} words at each position: [fetch]
+    masks the code word, [producer] shifts the dependency word, and the
+    accesses read a table of {!Cache.Hierarchy} access words, so nothing
+    is allocated per instruction. One byte per position marks the
+    misses already charged. Every read is bounds-checked: a position
+    outside the trace raises [Invalid_argument], except that [fetch]
+    answers {!Uarch.Feed.end_of_stream} past the end. *)
 
 type t
 
@@ -32,10 +28,5 @@ val of_trace : ?wrong_path_locality:bool -> Config.Machine.t -> Trace.t -> t
     Bechem et al.); used by the ablation experiment to bound that
     omission's impact. The trace is only read, so one trace may feed
     several runs at once. *)
-
-val of_stream :
-  ?wrong_path_locality:bool -> Config.Machine.t -> Generate.stream -> t
-(** Feed straight from a walk, with no intermediate {!Trace.t}.
-    [wrong_path_locality] as in {!of_trace}. *)
 
 include Uarch.Feed.S with type t := t

@@ -87,7 +87,7 @@ let create ?(perfect_caches = false) ?(perfect_bpred = false) cfg gen =
       hier = Cache.Hierarchy.create cfg;
       pred = Branch.Predictor.create cfg.Config.Machine.bpred;
       gen;
-      ring = Feed.Ring.full 0;
+      ring = Feed.Ring.create ~window:1 (fun _ -> false);
       words = [||];
       insts = [||];
       prods = [||];

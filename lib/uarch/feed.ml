@@ -52,7 +52,7 @@ module Ring = struct
   type t = {
     produce : int -> bool;
     window : int;
-    mask : int;  (* [window - 1] when pulled; all ones when full *)
+    mask : int;  (* [window - 1] *)
     mutable oldest : int;  (* positions [oldest, produced) are held *)
     mutable produced : int;
     mutable finished : bool;
@@ -70,16 +70,6 @@ module Ring = struct
       oldest = 0;
       produced = 0;
       finished = false;
-    }
-
-  let full n =
-    {
-      produce = (fun _ -> false);
-      window = n;
-      mask = -1;
-      oldest = 0;
-      produced = n;
-      finished = true;
     }
 
   let window t = t.window
@@ -105,9 +95,9 @@ module Ring = struct
       invalid_arg "Feed.Ring.index: index slid out of window"
     else i land t.mask
 
-  (* The fast paths, inlined into the feeds: a position already pulled
-     and still held. A full ring's mask keeps every bit and a pulled
-     ring's window is a power of two, so the slot needs no division. *)
+  (* The fast paths, inlined into the feed: a position already pulled
+     and still held. The window is a power of two, so the slot needs no
+     division. *)
   let[@inline] mem t i = (i >= 0 && i < t.produced) || mem_pull t i
 
   let[@inline] index t i =

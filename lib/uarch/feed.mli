@@ -14,10 +14,10 @@
     producers one at a time, and the memory calls answer with a
     {!Cache.Hierarchy} access word. After a misprediction squash the
     pipeline re-fetches positions it has already seen (the wrong-path
-    instructions re-played as correct path, exactly as in Section 2.3),
-    so feeds keep recent positions in slots a {!Ring} assigns: the one
-    rewind window, pulled from a generator or covering an already-built
-    array. *)
+    instructions re-played as correct path, exactly as in Section 2.3).
+    The synthetic feed indexes its whole trace; the execution-driven
+    feed pulls from a generator and keeps recent positions in slots a
+    {!Ring} assigns, a window deep enough for every rewind. *)
 
 (** {1 Feed words}
 
@@ -97,11 +97,6 @@ module Ring : sig
       slot [s] of the feed's storage, or answers [false] at the end of
       the stream; past the first lap it takes over the slot of a
       position that slid out of the window. *)
-
-  val full : int -> t
-  (** A ring that already holds positions [\[0, n)]: the window is [n],
-      each position is its own slot and nothing is pulled, so one
-      array may back rings in several domains at once. *)
 
   val window : t -> int
   (** How many slots the feed's storage needs. *)

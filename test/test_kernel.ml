@@ -149,19 +149,6 @@ let test_compiled_counts_match_profile () =
         "per-block counts" expected (block_counts t))
     [ 7; 8 ]
 
-let test_compiled_stream_equals_materialized () =
-  let p = profile_of "twolf" 20_000 in
-  let plan = Statsim.compile_plan ~reduction:4 p in
-  let t = Synth.Generate.generate_of_plan plan ~seed:9 in
-  let s = Synth.Generate.stream_of_plan plan ~seed:9 in
-  let streamed = ref [] in
-  let slot = Synth.Trace.create 1 in
-  while Synth.Generate.next s slot 0 do
-    streamed := Synth.Trace.get slot 0 :: !streamed
-  done;
-  check "bit-identical instructions" true
-    (Synth.Trace.to_insts t = Array.of_list (List.rev !streamed))
-
 (* [check_survivors] must reject exactly the reductions [plan] rejects
    as an empty graph, so request boundaries can answer before it runs *)
 let test_survivors_agree_with_plan () =
@@ -342,8 +329,6 @@ let suite =
     Alcotest.test_case "fenwick bounds" `Quick test_fenwick_bounds;
     Alcotest.test_case "compiled counts match profile" `Quick
       test_compiled_counts_match_profile;
-    Alcotest.test_case "compiled stream equals materialized" `Quick
-      test_compiled_stream_equals_materialized;
     Alcotest.test_case "empty-count node" `Quick test_empty_count_node;
     Alcotest.test_case "survivor check agrees with plan" `Quick
       test_survivors_agree_with_plan;

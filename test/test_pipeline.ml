@@ -48,9 +48,9 @@ let digest runs = Digest.to_hex (Digest.string (String.concat "\n" runs))
 let synthetic_digest run =
   digest
     (List.concat_map
-       (fun (_, plan, trace) ->
+       (fun (_, _, trace) ->
          List.map
-           (fun (_, cfg) -> Uarch.Metrics.encode (run cfg plan trace))
+           (fun (_, cfg) -> Uarch.Metrics.encode (run cfg trace))
            machines)
        (Lazy.force inputs))
 
@@ -86,7 +86,7 @@ let edge_machines =
 let edge_workloads = [ "gcc"; "twolf" ]
 
 (* every run mode on every edge machine: the event and dense loops,
-   wrong-path locality, a streamed walk and EDS *)
+   wrong-path locality, a run from the plan and EDS *)
 let edge_digest () =
   let synthetic =
     List.concat_map
@@ -97,7 +97,7 @@ let edge_digest () =
               Synth.Run.run cfg trace;
               Synth.Run.run ~skip_idle:false cfg trace;
               Synth.Run.run ~wrong_path_locality:true cfg trace;
-              Synth.Run.run_stream_of_plan cfg plan ~seed;
+              (Statsim.run_plan cfg plan ~seed).Statsim.metrics;
             ])
           edge_machines)
       (List.filter
@@ -129,7 +129,8 @@ let wheel_machines =
     Config.Machine.with_window base ~ruu:96 ~lsq:48;
   ]
 
-(* the event, dense and streamed synthetic runs and EDS on each *)
+(* the event and dense synthetic runs, a run from the plan and EDS on
+   each *)
 let wheel_digest () =
   let synthetic =
     List.concat_map
@@ -139,7 +140,7 @@ let wheel_digest () =
             [
               Synth.Run.run cfg trace;
               Synth.Run.run ~skip_idle:false cfg trace;
-              Synth.Run.run_stream_of_plan cfg plan ~seed;
+              (Statsim.run_plan cfg plan ~seed).Statsim.metrics;
             ])
           wheel_machines)
       (List.filter
@@ -160,22 +161,17 @@ let pinned =
   [
     ( "synthetic",
       "d983fce515e6d517a816eb8e03a14589",
-      fun () -> synthetic_digest (fun cfg _ trace -> Synth.Run.run cfg trace) );
+      fun () -> synthetic_digest (fun cfg trace -> Synth.Run.run cfg trace) );
     ( "dense loop",
       "d983fce515e6d517a816eb8e03a14589",
       fun () ->
-        synthetic_digest (fun cfg _ trace ->
+        synthetic_digest (fun cfg trace ->
             Synth.Run.run ~skip_idle:false cfg trace) );
     ( "wrong-path locality",
       "83867937d4bda936546a8f82029825ea",
       fun () ->
-        synthetic_digest (fun cfg _ trace ->
+        synthetic_digest (fun cfg trace ->
             Synth.Run.run ~wrong_path_locality:true cfg trace) );
-    ( "streamed",
-      "d983fce515e6d517a816eb8e03a14589",
-      fun () ->
-        synthetic_digest (fun cfg plan _ ->
-            Synth.Run.run_stream_of_plan cfg plan ~seed) );
     ("EDS", "b911401a33ca52300a048690b783e9dd", eds_digest);
     ("edge machines", "59b25dab1936899fb3c7ccb1c67402da", edge_digest);
     ("wheel machines", "da89592058123637be8257ec050e5d8f", wheel_digest);
@@ -186,32 +182,6 @@ let test_digests_pinned () =
     (fun (label, expected, compute) ->
       Alcotest.(check string) (label ^ " metrics digest") expected (compute ()))
     pinned
-
-(* These gcc and twolf traces (about 39k instructions) wrap the rewind
-   window at least twice: slots are recycled and each new occupant must
-   pay its own misses. *)
-let past_window_machines =
-  List.filter
-    (fun (name, _) ->
-      List.mem name [ "ruu16"; "ruu128"; "in-order"; "ruu256-ifq64" ])
-    machines
-
-let test_streamed_past_window () =
-  List.iter
-    (fun (name, stream) ->
-      let p = Statsim.profile base (stream ~length:120_000) in
-      let plan = Statsim.compile_plan ~target_length:40_000 p in
-      let trace = Synth.Generate.generate_of_plan plan ~seed in
-      List.iter
-        (fun (machine, cfg) ->
-          let label = name ^ " on " ^ machine in
-          Alcotest.(check bool) (label ^ ": trace wraps the window twice") true
-            (Synth.Trace.length trace > 2 * Uarch.Feed.rewind_window cfg);
-          Alcotest.(check string) label
-            (Uarch.Metrics.encode (Synth.Run.run cfg trace))
-            (Uarch.Metrics.encode (Synth.Run.run_stream_of_plan cfg plan ~seed)))
-        past_window_machines)
-    (List.filter (fun (name, _) -> name = "gcc" || name = "twolf") streams)
 
 let gcc_trace () =
   let _, _, trace = List.hd (Lazy.force inputs) in
@@ -334,11 +304,7 @@ let test_allocation_bound () =
               let label = name ^ " on " ^ machine in
               bound (label ^ ": run")
                 (words_per (fun () ->
-                     (Synth.Run.run cfg trace).Uarch.Metrics.committed));
-              bound (label ^ ": run_stream_of_plan")
-                (words_per (fun () ->
-                     (Synth.Run.run_stream_of_plan cfg plan ~seed)
-                       .Uarch.Metrics.committed)))
+                     (Synth.Run.run cfg trace).Uarch.Metrics.committed)))
             alloc_machines)
         (List.concat_map
            (fun w -> [ (w, 1); (w, 0) ])
@@ -349,8 +315,6 @@ let test_allocation_bound () =
 let suite =
   [
     Alcotest.test_case "metrics digests pinned" `Quick test_digests_pinned;
-    Alcotest.test_case "streamed = materialized past the window" `Quick
-      test_streamed_past_window;
     Alcotest.test_case "watchdog scales with latency" `Quick
       test_watchdog_scales_with_latency;
     Alcotest.test_case "stage counters" `Quick test_stage_counters;

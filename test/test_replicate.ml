@@ -1,6 +1,5 @@
-(* Streaming replication engine tests: streamed/materialized
-   bit-identity, deterministic seed splitting, jobs-independence of the
-   aggregate report, adaptive CI mode. *)
+(* Replication engine tests: deterministic seed splitting,
+   jobs-independence of the aggregate report, adaptive CI mode. *)
 
 let check = Alcotest.(check bool)
 
@@ -13,34 +12,8 @@ let profile_of name len =
 (* one shared profile: every case here explores seeds, not workloads *)
 let shared_p = lazy (profile_of "gcc" 16_000)
 
-(* satellite 1: for any seed and target length, the pull generator
-   yields the same instruction sequence as the materialized trace, and
-   the two pipeline paths produce identical metric wire encodings *)
-let prop_stream_equals_materialized =
-  QCheck.Test.make ~name:"streamed = materialized (insts and metrics)"
-    ~count:8
-    QCheck.(pair (int_range 0 1_000_000) (int_range 500 8_000))
-    (fun (seed, target) ->
-      let p = Lazy.force shared_p in
-      let tr = Synth.Generate.generate ~target_length:target p ~seed in
-      let s = Synth.Generate.stream ~target_length:target p ~seed in
-      let slot = Synth.Trace.create 1 in
-      let rec drain acc =
-        if Synth.Generate.next s slot 0 then
-          drain (Synth.Trace.get slot 0 :: acc)
-        else Array.of_list (List.rev acc)
-      in
-      let streamed_insts = drain [] in
-      if streamed_insts <> Synth.Trace.to_insts tr then
-        QCheck.Test.fail_report "instruction sequences differ";
-      let ms = Synth.Run.run_stream ~target_length:target cfg p ~seed in
-      let mm = Synth.Run.run cfg tr in
-      if Uarch.Metrics.encode ms <> Uarch.Metrics.encode mm then
-        QCheck.Test.fail_report "metric encodings differ";
-      true)
-
-(* satellite 2 (first half): seed splitting is deterministic, pairwise
-   distinct and prefix-stable *)
+(* seed splitting is deterministic, pairwise distinct and
+   prefix-stable *)
 let prop_seed_split =
   QCheck.Test.make ~name:"seed split deterministic/distinct/prefix-stable"
     ~count:200
@@ -114,8 +87,7 @@ let test_split_rejects_zero () =
     (Invalid_argument "Replicate.split_seeds: n must be >= 1") (fun () ->
       ignore (Synth.Replicate.split_seeds ~master_seed:1 ~n:0))
 
-(* satellite 2 (second half): the aggregate report is byte-identical
-   whatever the worker count, streamed or not *)
+(* the aggregate report is byte-identical whatever the worker count *)
 let test_jobs_independent () =
   let p = Lazy.force shared_p in
   let render r = Telemetry.Json.to_string (Synth.Replicate.to_json r) in
@@ -129,25 +101,12 @@ let test_jobs_independent () =
       (Kernel.Compile.plan ~target_length:2_000 p) ~master_seed:99
       ~replicas:6
   in
-  Alcotest.(check string) "jobs 1 = jobs 4" (render serial) (render parallel);
-  let streamed =
-    Synth.Replicate.run ~jobs:4 ~stream:true cfg
-      (Kernel.Compile.plan ~target_length:2_000 p)
-      ~master_seed:99 ~replicas:6
-  in
-  check "streamed flag recorded" true streamed.Synth.Replicate.streamed;
-  (* the streamed engine draws the same per-replica metrics, so the
-     documents differ only in the streamed flag *)
-  Alcotest.(check (list string)) "streamed replicas bit-identical"
-    (Array.to_list
-       (Array.map Uarch.Metrics.encode serial.Synth.Replicate.metrics))
-    (Array.to_list
-       (Array.map Uarch.Metrics.encode streamed.Synth.Replicate.metrics))
+  Alcotest.(check string) "jobs 1 = jobs 4" (render serial) (render parallel)
 
 let test_aggregate_statistics () =
   let p = Lazy.force shared_p in
   let r =
-    Synth.Replicate.run ~jobs:2 ~stream:true cfg
+    Synth.Replicate.run ~jobs:2 cfg
       (Kernel.Compile.plan ~target_length:2_000 p)
       ~master_seed:7 ~replicas:5
   in
@@ -177,8 +136,9 @@ let test_aggregate_statistics () =
     r.Synth.Replicate.stall_fractions;
   (* replica metrics are reproducible from their recorded seeds *)
   let m0 =
-    Synth.Run.run_stream ~target_length:2_000 cfg p
-      ~seed:r.Synth.Replicate.seeds.(0)
+    Synth.Run.run cfg
+      (Synth.Generate.generate ~target_length:2_000 p
+         ~seed:r.Synth.Replicate.seeds.(0))
   in
   Alcotest.(check string) "replica 0 reproducible"
     (Uarch.Metrics.encode r.Synth.Replicate.metrics.(0))
@@ -188,7 +148,7 @@ let test_ci_target () =
   let p = Lazy.force shared_p in
   (* a huge target is satisfied immediately at the first round *)
   let loose =
-    Synth.Replicate.run ~jobs:2 ~stream:true ~ci_target:500.0 ~max_replicas:16
+    Synth.Replicate.run ~jobs:2 ~ci_target:500.0 ~max_replicas:16
       cfg
       (Kernel.Compile.plan ~target_length:1_500 p)
       ~master_seed:5 ~replicas:3
@@ -197,7 +157,7 @@ let test_ci_target () =
     (Synth.Replicate.replicas loose);
   (* an impossible target stops at max_replicas *)
   let tight =
-    Synth.Replicate.run ~jobs:2 ~stream:true ~ci_target:1e-9 ~max_replicas:5
+    Synth.Replicate.run ~jobs:2 ~ci_target:1e-9 ~max_replicas:5
       cfg
       (Kernel.Compile.plan ~target_length:1_500 p)
       ~master_seed:5 ~replicas:2
@@ -207,7 +167,7 @@ let test_ci_target () =
   (* adaptive growth only extends the seed table: a converged run equals
      the fixed-count run for the same master seed *)
   let fixed =
-    Synth.Replicate.run ~jobs:1 ~stream:true cfg
+    Synth.Replicate.run ~jobs:1 cfg
       (Kernel.Compile.plan ~target_length:1_500 p)
       ~master_seed:5 ~replicas:3
   in
@@ -250,7 +210,7 @@ let test_check_hook () =
   let r =
     Synth.Replicate.run
       ~check:(fun () -> Atomic.incr calls)
-      ~jobs:2 ~stream:true cfg
+      ~jobs:2 cfg
       (Kernel.Compile.plan ~target_length:1_500 p) ~master_seed:3
       ~replicas:4
   in
@@ -260,7 +220,7 @@ let test_check_hook () =
   (match
      Synth.Replicate.run
        ~check:(fun () -> raise Abort)
-       ~jobs:1 ~stream:true cfg
+       ~jobs:1 cfg
        (Kernel.Compile.plan ~target_length:1_500 p)
        ~master_seed:3 ~replicas:4
    with
@@ -271,7 +231,7 @@ let test_check_hook () =
   let r =
     Synth.Replicate.run
       ~check:(fun () -> Atomic.incr calls_ci)
-      ~jobs:1 ~stream:true ~ci_target:500.0
+      ~jobs:1 ~ci_target:500.0
       ~max_replicas:4 cfg
       (Kernel.Compile.plan ~target_length:1_500 p) ~master_seed:5 ~replicas:3
   in
@@ -280,7 +240,6 @@ let test_check_hook () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_stream_equals_materialized;
     QCheck_alcotest.to_alcotest prop_seed_split;
     QCheck_alcotest.to_alcotest prop_grow;
     Alcotest.test_case "split rejects n=0" `Quick test_split_rejects_zero;

@@ -635,14 +635,11 @@ let pinned_outputs =
   [
     ("simulate", base "gcc" 2000, "b9ed0880adfef5b32b806ab59e2f5f9d");
     ( "simulate",
-      base "gcc" 2000 @ [ ("stream", t) ],
-      "b9ed0880adfef5b32b806ab59e2f5f9d" );
-    ( "simulate",
       base "twolf" 2000 @ [ ("replicas", Json.Num 4.0); ("json", t) ],
       "dd5a95904669a5ad6cfed005382bfc8d" );
     ( "simulate",
-      base "twolf" 2000 @ [ ("replicas", Json.Num 4.0); ("stream", t) ],
-      "526cd98162d7f06d3b657f16d5a2f972" );
+      base "twolf" 2000 @ [ ("replicas", Json.Num 4.0) ],
+      "87c99d0762664af67d9e7805bebfe785" );
     ( "simulate",
       base "gcc" 800 @ [ ("ci_target", Json.Num 25.0) ],
       "40dc59a4df1664a81f818e12e9dbc916" );
