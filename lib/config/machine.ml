@@ -171,22 +171,30 @@ let with_predictor t kind = { t with bpred = { t.bpred with kind } }
    The named knobs a sweep grammar may vary. Each axis owns its getter
    and setter, so the DSE layer never pattern-matches on the record:
    adding an axis here is the whole job. Setter values are validated
-   (>= 1) because a sweep file is user input. *)
+   (in [1, axis_max]) because a sweep file is user input. *)
 
 type axis = {
   axis_name : string;
   axis_get : t -> int;
   axis_set : t -> int -> t;
+  axis_max : int;
 }
 
-let ax name get set =
+let check_value ~name ~max v =
+  if v < 1 then
+    invalid_arg (Printf.sprintf "Config.Machine axis %s: value %d < 1" name v)
+  else if v > max then
+    invalid_arg
+      (Printf.sprintf "Config.Machine axis %s: value %d > %d" name v max)
+
+let check_axis a v = check_value ~name:a.axis_name ~max:a.axis_max v
+
+let ax ?(max = max_int) name get set =
   let checked t v =
-    if v < 1 then
-      invalid_arg
-        (Printf.sprintf "Config.Machine axis %s: value %d < 1" name v)
-    else set t v
+    check_value ~name ~max v;
+    set t v
   in
-  { axis_name = name; axis_get = get; axis_set = checked }
+  { axis_name = name; axis_get = get; axis_set = checked; axis_max = max }
 
 let set_bpred_tables t v =
   {
@@ -220,7 +228,10 @@ let axes =
       (fun t v -> { t with commit_width = v });
     (* the classic machine-width sweep: decode = issue = commit *)
     ax "width" (fun t -> t.decode_width) with_width;
-    ax "mem_latency"
+    (* 2^30 cycles: IPC is ~1e-7 there already, and the bound keeps a
+       run's cycle count and the pipeline's watchdog sum far from
+       wrapping for any trace under 2^31 instructions *)
+    ax "mem_latency" ~max:(1 lsl 30)
       (fun t -> t.mem_latency)
       (fun t v -> { t with mem_latency = v });
     ax "icache_kb"

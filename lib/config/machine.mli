@@ -119,9 +119,16 @@ type axis = {
   axis_name : string;
   axis_get : t -> int;
   axis_set : t -> int -> t;
-      (** Raises [Invalid_argument] for values < 1 — sweep files are
-          user input. *)
+      (** Raises [Invalid_argument] for values outside [\[1, axis_max\]]
+          ({!check_axis}) — sweep files are user input. *)
+  axis_max : int;
+      (** The largest value the axis takes: 2^30 cycles for
+          [mem_latency], [max_int] elsewhere. *)
 }
+
+val check_axis : axis -> int -> unit
+(** Raises [Invalid_argument] when a value is outside
+    [\[1, axis_max\]]; the check [axis_set] applies. *)
 
 val axes : axis list
 (** Every sweepable axis, in a stable documentation order. *)

@@ -18,18 +18,17 @@ let axis name values =
   | Some ax ->
     if values = [] then
       invalid_arg (Printf.sprintf "Sweep.axis %s: empty value list" name);
-    List.iter
-      (fun v ->
-        if v < 1 then
-          invalid_arg (Printf.sprintf "Sweep.axis %s: value %d < 1" name v))
-      values;
+    List.iter (Config.Machine.check_axis ax) values;
     Axis (ax, values)
 
 let log2_range name ~lo ~hi =
   if lo < 1 || hi < lo then
     invalid_arg
       (Printf.sprintf "Sweep.log2_range %s: bad range [%d, %d]" name lo hi);
-  let rec go v acc = if v > hi then List.rev acc else go (v * 2) (v :: acc) in
+  (* stop before a doubling could pass max_int and wrap *)
+  let rec go v acc =
+    if v > hi / 2 then List.rev (v :: acc) else go (v * 2) (v :: acc)
+  in
   axis name (go lo [])
 
 let cross ss = Cross ss
@@ -148,8 +147,11 @@ module J = Telemetry.Json
 
 let jstr = function J.Str s -> Some s | _ -> None
 
+(* the bound [Ops.int_exn] uses: [int_of_float] is unspecified past
+   2^62, so larger magnitudes are refused, not converted *)
 let jint name = function
-  | J.Num v when Float.is_integer v -> int_of_float v
+  | J.Num v when Float.is_integer v && Float.abs v < 1e15 -> int_of_float v
+  | J.Num v when Float.is_integer v -> fail "%s: %g is out of range" name v
   | _ -> fail "%s: expected an integer" name
 
 let rec spec_of_json j =
@@ -178,10 +180,10 @@ and axis_of_json kvs =
     | Some s -> s
     | None -> fail "\"axis\" must name an axis"
   in
-  let values =
+  match
     match (List.assoc_opt "values" kvs, List.assoc_opt "log2" kvs) with
     | Some (J.Arr vs), None ->
-      List.map (jint (Printf.sprintf "axis %s values" name)) vs
+      axis name (List.map (jint (Printf.sprintf "axis %s values" name)) vs)
     | Some _, None -> fail "axis %s: \"values\" must be an array" name
     | None, Some (J.Obj r) ->
       let field k =
@@ -189,16 +191,11 @@ and axis_of_json kvs =
         | Some v -> jint (Printf.sprintf "axis %s log2.%s" name k) v
         | None -> fail "axis %s: log2 range needs \"from\" and \"to\"" name
       in
-      let lo = field "from" and hi = field "to" in
-      if lo < 1 || hi < lo then
-        fail "axis %s: bad log2 range [%d, %d]" name lo hi;
-      let rec go v acc = if v > hi then List.rev acc else go (v * 2) (v :: acc) in
-      go lo []
+      log2_range name ~lo:(field "from") ~hi:(field "to")
     | None, Some _ -> fail "axis %s: \"log2\" must be an object" name
     | Some _, Some _ -> fail "axis %s: give \"values\" or \"log2\", not both" name
     | None, None -> fail "axis %s: missing \"values\" or \"log2\"" name
-  in
-  match axis name values with
+  with
   | s -> s
   | exception Invalid_argument msg -> fail "%s" msg
 

@@ -31,13 +31,16 @@ type t = {
 
 val axis : string -> int list -> spec
 (** [axis name values]. Raises [Invalid_argument] on an unknown axis
-    name, an empty value list, or a value < 1. *)
+    name, an empty value list, or a value the axis does not take
+    ({!Config.Machine.check_axis}). *)
 
 val log2_range : string -> lo:int -> hi:int -> spec
 (** [log2_range "ruu" ~lo:8 ~hi:64] is [axis "ruu" [8; 16; 32; 64]]:
     doubling from [lo] while <= [hi], both endpoints included when [hi]
-    is a power-of-two multiple of [lo]. Raises [Invalid_argument] when
-    [lo < 1] or [hi < lo]. *)
+    is a power-of-two multiple of [lo]. The doubling never wraps: up to
+    [hi = max_int] it stops at the largest value <= [hi]. Raises
+    [Invalid_argument] when [lo < 1] or [hi < lo], and as {!axis}
+    does. *)
 
 val cross : spec list -> spec
 val zip : spec list -> spec
@@ -57,7 +60,8 @@ val of_json : Telemetry.Json.t -> (t, string) result
                    { "axis": "issue_width",  "values": [4, 8] } ] } ] } }
     v}
     [max_points] is optional. Axis nodes carry either ["values"] or a
-    ["log2"] range. *)
+    ["log2"] range, expanded by {!log2_range}. Numbers must be integers
+    of magnitude below 1e15. *)
 
 val of_string : string -> (t, string) result
 val load_file : string -> (t, string) result
