@@ -29,16 +29,10 @@ let default_config ~socket_path =
 
 module Json = Telemetry.Json
 
-(* --- telemetry instruments (mirrors of the exact atomic counters) --- *)
+(* --- telemetry spans: timings only; [stats] holds the exact counts --- *)
 
 let span_request = Telemetry.span "server.request"
 let span_reply_write = Telemetry.span "server.reply_write"
-let c_requests = Telemetry.counter "server.requests"
-let c_shed = Telemetry.counter "server.shed"
-let c_deadline = Telemetry.counter "server.deadline_exceeded"
-let c_cancelled = Telemetry.counter "server.cancelled"
-let c_malformed = Telemetry.counter "server.malformed"
-let g_active = Telemetry.gauge "server.active"
 
 (* A connection is shared by its reader thread and any number of queued
    jobs; the fd closes only when the last holder releases it, so a
@@ -79,7 +73,6 @@ type t = {
   mutable acceptor : Thread.t option;
   conns_mutex : Mutex.t;
   mutable conns : (conn * Thread.t) list;
-  active : int Atomic.t;
   s_requests : int Atomic.t;
   s_shed : int Atomic.t;
   s_deadline : int Atomic.t;
@@ -180,7 +173,6 @@ let execute t job =
       in
       if not (Atomic.get job.conn.alive) then begin
         Atomic.incr t.s_cancelled;
-        Telemetry.incr c_cancelled;
         account ~outcome:(Obs.Err Protocol.Cancelled) None
       end
       else begin
@@ -191,7 +183,6 @@ let execute t job =
         in
         if expired () then begin
           Atomic.incr t.s_deadline;
-          Telemetry.incr c_deadline;
           account
             ~outcome:(Obs.Err Protocol.Deadline_exceeded)
             (Some
@@ -200,8 +191,6 @@ let execute t job =
                   "deadline expired before execution finished"))
         end
         else begin
-          Telemetry.set_gauge g_active
-            (float_of_int (Atomic.fetch_and_add t.active 1 + 1));
           let check () =
             if not (Atomic.get job.conn.alive) then raise Ops.Cancelled;
             if expired () then raise Ops.Deadline_exceeded
@@ -229,11 +218,9 @@ let execute t job =
               (Some (Protocol.error_reply ~id Protocol.Bad_request msg))
           | exception Ops.Cancelled ->
             Atomic.incr t.s_cancelled;
-            Telemetry.incr c_cancelled;
             account ~outcome:(Obs.Err Protocol.Cancelled) None
           | exception Ops.Deadline_exceeded ->
             Atomic.incr t.s_deadline;
-            Telemetry.incr c_deadline;
             account
               ~outcome:(Obs.Err Protocol.Deadline_exceeded)
               (Some
@@ -245,9 +232,7 @@ let execute t job =
               ~outcome:(Obs.Err Protocol.Internal)
               (Some
                  (Protocol.error_reply ~id Protocol.Internal
-                    (Printexc.to_string exn))));
-          Telemetry.set_gauge g_active
-            (float_of_int (Atomic.fetch_and_add t.active (-1) - 1))
+                    (Printexc.to_string exn))))
         end
       end)
 
@@ -260,7 +245,6 @@ let handle_conn t conn =
     | Error (Frame.Corrupt msg) ->
       (* the byte stream is desynced: answer, then hang up *)
       Atomic.incr t.s_malformed;
-      Telemetry.incr c_malformed;
       send_reply t conn
         (Protocol.error_reply ~id:None Protocol.Bad_request
            ("bad frame: " ^ msg))
@@ -272,13 +256,11 @@ let handle_conn t conn =
       | Error msg ->
         (* framing was sound, only this request is bad: keep serving *)
         Atomic.incr t.s_malformed;
-        Telemetry.incr c_malformed;
         send_reply t conn
           (Protocol.error_reply ~id:None Protocol.Bad_request msg);
         loop ()
       | Ok req ->
         Atomic.incr t.s_requests;
-        Telemetry.incr c_requests;
         (* the request-scoped trace is born here, at frame decode *)
         let trace =
           match Json.member "trace" req.Protocol.params with
@@ -315,7 +297,6 @@ let handle_conn t conn =
         if not admitted then begin
           release conn;
           Atomic.incr t.s_shed;
-          Telemetry.incr c_shed;
           let reply =
             Protocol.error_reply ~id:req.Protocol.id Protocol.Overloaded
               "admission queue full"
@@ -450,7 +431,6 @@ let start cfg =
       acceptor = None;
       conns_mutex = Mutex.create ();
       conns = [];
-      active = Atomic.make 0;
       s_requests = Atomic.make 0;
       s_shed = Atomic.make 0;
       s_deadline = Atomic.make 0;

@@ -74,8 +74,9 @@ val cache : t -> Runner.Cache.t
 (** The shared hot cache (for tests and in-process clients). *)
 
 val stats : t -> stats
-(** Daemon counters, tracked independently of the telemetry registry
-    so they are exact even when telemetry is disabled. *)
+(** The daemon's one count of each request outcome, kept in its own
+    atomics so it is exact even when telemetry is disabled. {!Obs}
+    gives the per-op view. *)
 
 val serve : config -> unit
 (** [start], then block until SIGTERM/SIGINT, then [stop]. Logs a
