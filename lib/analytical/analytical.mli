@@ -58,25 +58,22 @@ module Steady_state : sig
     dead_ends : int;  (** rows rewritten to the restart distribution *)
   }
 
-  val of_sfg : ?reduction:int -> ?restart:float -> Profile.Sfg.t -> graph
+  val of_sfg : ?reduction:int -> Profile.Sfg.t -> graph
   (** Transition structure of the reduced SFG: survivors are nodes with
       [occurrences / R > 0] in key order (the kernel plan's ordering);
       edges to reduced-away nodes are dropped and dead-end rows become
       the generator's restart distribution (reduced occurrences).
       Every other row is mixed with the restart distribution at weight
-      [restart] (default 0.01) — the generator's occupancy-budget
-      renormalisation acts as a global restart, and the mixture makes
-      the chain irreducible so the stationary vector is unique.
-      Raises [Invalid_argument] when reduction empties the graph or
-      [restart] is outside [0, 1). *)
+      0.01 — the generator's occupancy-budget renormalisation acts as
+      a global restart, and the mixture makes the chain irreducible so
+      the stationary vector is unique. Raises [Invalid_argument] when
+      reduction empties the graph. *)
 
-  val solve :
-    ?max_dense:int -> ?tol:float -> ?max_iter:int -> graph -> solution
+  val solve : graph -> solution
   (** Stationary vector of [g.rows], seeded from the reduced-occurrence
-      distribution.  Direct elimination is attempted up to [max_dense]
-      (default 1024) nodes and must pass a residual check; otherwise the
-      damped power iteration runs with convergence guard [tol] (default
-      1e-12) and [max_iter] (default 50000). *)
+      distribution.  Direct elimination is attempted up to 1024 nodes
+      and must pass a residual check; otherwise the damped power
+      iteration runs with its default guard. *)
 
   val solve_direct : rows -> float array option
   (** Gaussian elimination with partial pivoting over
@@ -85,16 +82,14 @@ module Steady_state : sig
       non-finite / negative. *)
 
   val power_iteration :
-    ?tol:float ->
-    ?max_iter:int ->
-    ?init:float array ->
-    rows ->
-    float array * int * float
+    ?tol:float -> ?init:float array -> rows -> float array * int * float
   (** Damped power iteration [pi <- (pi + pi P) / 2] (same fixed point,
-      aperiodic by construction). Returns (pi, iterations, residual). *)
+      aperiodic by construction), until no entry moves by more than
+      [tol] (default 1e-12) or 50,000 iterations. Returns
+      (pi, iterations, residual). *)
 
   val rows_of_dense : float array array -> rows
-  val stationary_dense : ?max_dense:int -> float array array -> solution
+  val stationary_dense : float array array -> solution
 
   type estimate = {
     nodes : int;
@@ -108,10 +103,6 @@ module Steady_state : sig
 
   val estimate :
     ?reduction:int ->
-    ?restart:float ->
-    ?max_dense:int ->
-    ?tol:float ->
-    ?max_iter:int ->
     Config.Machine.t ->
     Profile.Stat_profile.t ->
     estimate

@@ -66,7 +66,13 @@ let normalize pi =
     Array.iteri (fun i x -> pi.(i) <- Float.max 0.0 x /. s) pi;
   pi
 
-let power_iteration ?(tol = 1e-12) ?(max_iter = 50_000) ?init (rows : rows) =
+(* The weight of [of_sfg]'s restart mixture, the largest graph solved by
+   direct elimination, and the power iteration's iteration cap. *)
+let restart = 0.01
+let max_dense = 1024
+let max_iter = 50_000
+
+let power_iteration ?(tol = 1e-12) ?init (rows : rows) =
   let n = Array.length rows in
   if n = 0 then invalid_arg "Steady_state.power_iteration: empty matrix";
   let pi =
@@ -170,7 +176,7 @@ let rows_of_dense p =
       Array.of_list (List.rev !cells))
     p
 
-let solve_rows ?(max_dense = 1024) ?tol ?max_iter ?init (rows : rows) =
+let solve_rows ?init (rows : rows) =
   let n = Array.length rows in
   if n = 0 then invalid_arg "Steady_state.solve: empty matrix";
   let direct =
@@ -186,15 +192,13 @@ let solve_rows ?(max_dense = 1024) ?tol ?max_iter ?init (rows : rows) =
   match direct with
   | Some s -> s
   | None ->
-    let pi, iterations, residual = power_iteration ?tol ?max_iter ?init rows in
+    let pi, iterations, residual = power_iteration ?init rows in
     { pi; solved_by = Power; iterations; residual }
 
-let stationary_dense ?max_dense p = solve_rows ?max_dense (rows_of_dense p)
+let stationary_dense p = solve_rows (rows_of_dense p)
 
-let of_sfg ?(reduction = 1) ?(restart = 0.01) sfg =
+let of_sfg ?(reduction = 1) sfg =
   if reduction < 1 then invalid_arg "Steady_state.of_sfg: reduction < 1";
-  if restart < 0.0 || restart >= 1.0 then
-    invalid_arg "Steady_state.of_sfg: restart must be in [0, 1)";
   let survivors =
     List.filter
       (fun (n : Profile.Sfg.node) -> n.occurrences / reduction > 0)
@@ -261,12 +265,12 @@ let of_sfg ?(reduction = 1) ?(restart = 0.01) sfg =
   in
   { keys; occ; rows; dead_ends = !dead_ends }
 
-let solve ?max_dense ?tol ?max_iter g =
+let solve g =
   let init =
     let t = float_of_int (Array.fold_left ( + ) 0 g.occ) in
     Array.map (fun o -> float_of_int o /. t) g.occ
   in
-  solve_rows ?max_dense ?tol ?max_iter ~init g.rows
+  solve_rows ~init g.rows
 
 type estimate = {
   nodes : int;
@@ -278,10 +282,10 @@ type estimate = {
   ipc : float;
 }
 
-let estimate ?(reduction = 1) ?restart ?max_dense ?tol ?max_iter
-    (cfg : Config.Machine.t) (p : Profile.Stat_profile.t) =
-  let g = of_sfg ~reduction ?restart p.sfg in
-  let sol = solve ?max_dense ?tol ?max_iter g in
+let estimate ?(reduction = 1) (cfg : Config.Machine.t)
+    (p : Profile.Stat_profile.t) =
+  let g = of_sfg ~reduction p.sfg in
+  let sol = solve g in
   let weight_of_key = Hashtbl.create (2 * Array.length g.keys) in
   Array.iteri (fun i k -> Hashtbl.replace weight_of_key k sol.pi.(i)) g.keys;
   (* pi_i / occurrences_i turns raw per-node counts into per-visit

@@ -171,30 +171,44 @@ let with_predictor t kind = { t with bpred = { t.bpred with kind } }
    The named knobs a sweep grammar may vary. Each axis owns its getter
    and setter, so the DSE layer never pattern-matches on the record:
    adding an axis here is the whole job. Setter values are validated
-   (in [1, axis_max]) because a sweep file is user input. *)
+   (in [1, axis_max], and a power of two where the structure indexes by
+   mask) because a sweep file is user input. Each bound is the largest
+   value a run can allocate and finish with; the reason sits with it. *)
 
 type axis = {
   axis_name : string;
   axis_get : t -> int;
   axis_set : t -> int -> t;
   axis_max : int;
+  axis_pow2 : bool;
 }
 
-let check_value ~name ~max v =
+let check_value ~name ~max ~pow2 v =
   if v < 1 then
     invalid_arg (Printf.sprintf "Config.Machine axis %s: value %d < 1" name v)
   else if v > max then
     invalid_arg
       (Printf.sprintf "Config.Machine axis %s: value %d > %d" name v max)
+  else if pow2 && v land (v - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Config.Machine axis %s: value %d is not a power of two"
+         name v)
 
-let check_axis a v = check_value ~name:a.axis_name ~max:a.axis_max v
+let check_axis a v =
+  check_value ~name:a.axis_name ~max:a.axis_max ~pow2:a.axis_pow2 v
 
-let ax ?(max = max_int) name get set =
+let ax ?(pow2 = false) ~max name get set =
   let checked t v =
-    check_value ~name ~max v;
+    check_value ~name ~max ~pow2 v;
     set t v
   in
-  { axis_name = name; axis_get = get; axis_set = checked; axis_max = max }
+  {
+    axis_name = name;
+    axis_get = get;
+    axis_set = checked;
+    axis_max = max;
+    axis_pow2 = pow2;
+  }
 
 let set_bpred_tables t v =
   {
@@ -209,55 +223,91 @@ let set_bpred_tables t v =
       };
   }
 
+(* A run holds about 25 words per RUU entry (its slot arrays and eight
+   waiter edges): 2^16 entries is 13 MiB of pipeline state. *)
+let ruu_max = 1 lsl 16
+
+(* Up to 1,024 instructions decoded, issued or committed a cycle.
+   decode_width x fetch_speed is a cycle's fetch budget, and EDS's
+   rewind window holds one budget: 2^16 instructions at both bounds. *)
+let width_max = 1 lsl 10
+
+(* Each cache keeps a tag and an LRU stamp per block: a 64 MiB cache of
+   32-byte blocks is 32 MiB of them, and the profiler and EDS each build
+   a hierarchy. *)
+let cache_kb_max = 1 lsl 16
+
 let axes =
   [
-    ax "ruu" (fun t -> t.ruu_size) (fun t v -> { t with ruu_size = v });
-    ax "lsq" (fun t -> t.lsq_size) (fun t v -> { t with lsq_size = v });
-    ax "ifq" (fun t -> t.ifq_size) (fun t v -> { t with ifq_size = v });
-    ax "fetch_speed"
+    ax "ruu" ~max:ruu_max
+      (fun t -> t.ruu_size)
+      (fun t v -> { t with ruu_size = v });
+    (* the LSQ is a count, and each memory op in it also holds an RUU
+       entry: a larger LSQ than the largest RUU never fills *)
+    ax "lsq" ~max:ruu_max
+      (fun t -> t.lsq_size)
+      (fun t v -> { t with lsq_size = v });
+    (* delayed branch profiling keeps an IFQ-sized FIFO holding one RAS
+       copy per branch: with [ras_entries] at its bound too, that is
+       2^20 words, 8 MiB *)
+    ax "ifq" ~max:(1 lsl 10)
+      (fun t -> t.ifq_size)
+      (fun t v -> { t with ifq_size = v });
+    (* taken branches fetched a cycle, a factor of the fetch budget *)
+    ax "fetch_speed" ~max:(1 lsl 6)
       (fun t -> t.fetch_speed)
       (fun t v -> { t with fetch_speed = v });
-    ax "decode_width"
+    ax "decode_width" ~max:width_max
       (fun t -> t.decode_width)
       (fun t v -> { t with decode_width = v });
-    ax "issue_width"
+    ax "issue_width" ~max:width_max
       (fun t -> t.issue_width)
       (fun t v -> { t with issue_width = v });
-    ax "commit_width"
+    ax "commit_width" ~max:width_max
       (fun t -> t.commit_width)
       (fun t v -> { t with commit_width = v });
     (* the classic machine-width sweep: decode = issue = commit *)
-    ax "width" (fun t -> t.decode_width) with_width;
+    ax "width" ~max:width_max (fun t -> t.decode_width) with_width;
     (* 2^30 cycles: IPC is ~1e-7 there already, and the bound keeps a
        run's cycle count and the pipeline's watchdog sum far from
        wrapping for any trace under 2^31 instructions *)
     ax "mem_latency" ~max:(1 lsl 30)
       (fun t -> t.mem_latency)
       (fun t v -> { t with mem_latency = v });
-    ax "icache_kb"
+    ax "icache_kb" ~max:cache_kb_max
       (fun t -> t.icache.size_bytes / 1024)
       (fun t v -> { t with icache = { t.icache with size_bytes = kb v } });
-    ax "dcache_kb"
+    ax "dcache_kb" ~max:cache_kb_max
       (fun t -> t.dcache.size_bytes / 1024)
       (fun t v -> { t with dcache = { t.dcache with size_bytes = kb v } });
-    ax "l2_kb"
+    ax "l2_kb" ~max:cache_kb_max
       (fun t -> t.l2.size_bytes / 1024)
       (fun t v -> { t with l2 = { t.l2 with size_bytes = kb v } });
-    ax "icache_assoc"
+    (* every access scans all the ways of its set, and a set keeps all
+       its ways even when they outnumber the cache's blocks *)
+    ax "icache_assoc" ~max:(1 lsl 10)
       (fun t -> t.icache.assoc)
       (fun t v -> { t with icache = { t.icache with assoc = v } });
-    ax "dcache_assoc"
+    ax "dcache_assoc" ~max:(1 lsl 10)
       (fun t -> t.dcache.assoc)
       (fun t v -> { t with dcache = { t.dcache with assoc = v } });
-    ax "l2_assoc"
+    ax "l2_assoc" ~max:(1 lsl 10)
       (fun t -> t.l2.assoc)
       (fun t v -> { t with l2 = { t.l2 with assoc = v } });
-    (* all four predictor tables in lockstep, like [scale_bpred] *)
-    ax "bpred_entries" (fun t -> t.bpred.meta_entries) set_bpred_tables;
-    ax "btb_sets"
+    (* all four predictor tables in lockstep, like [scale_bpred]. They
+       index by mask, so sizes are powers of two, and take 11 bytes an
+       entry together: 11 MiB at 2^20 *)
+    ax "bpred_entries" ~max:(1 lsl 20) ~pow2:true
+      (fun t -> t.bpred.meta_entries)
+      set_bpred_tables;
+    (* three words per BTB way: 6 MiB at 2^16 sets of the baseline's
+       four ways *)
+    ax "btb_sets" ~max:(1 lsl 16)
       (fun t -> t.bpred.btb_sets)
       (fun t v -> { t with bpred = { t.bpred with btb_sets = v } });
-    ax "ras_entries"
+    (* delayed branch profiling copies the RAS at every branch: 8 KiB a
+       branch at 2^10 entries *)
+    ax "ras_entries" ~max:(1 lsl 10)
       (fun t -> t.bpred.ras_entries)
       (fun t v -> { t with bpred = { t.bpred with ras_entries = v } });
   ]

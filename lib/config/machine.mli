@@ -119,16 +119,22 @@ type axis = {
   axis_name : string;
   axis_get : t -> int;
   axis_set : t -> int -> t;
-      (** Raises [Invalid_argument] for values outside [\[1, axis_max\]]
-          ({!check_axis}) — sweep files are user input. *)
+      (** Raises [Invalid_argument] for a value {!check_axis} rejects —
+          sweep files are user input. *)
   axis_max : int;
-      (** The largest value the axis takes: 2^30 cycles for
-          [mem_latency], [max_int] elsewhere. *)
+      (** The largest value the axis takes: the largest a run can
+          allocate and finish with (2^16 RUU entries, 2^10 for the
+          widths, 64 MiB caches, 2^20 predictor entries, ...), or 2^30
+          cycles for [mem_latency]. *)
+  axis_pow2 : bool;
+      (** Values must be powers of two: [bpred_entries], whose tables
+          index by mask. *)
 }
 
 val check_axis : axis -> int -> unit
 (** Raises [Invalid_argument] when a value is outside
-    [\[1, axis_max\]]; the check [axis_set] applies. *)
+    [\[1, axis_max\]], or is not a power of two on an [axis_pow2]
+    axis; the check [axis_set] applies. *)
 
 val axes : axis list
 (** Every sweepable axis, in a stable documentation order. *)

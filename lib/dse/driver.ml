@@ -29,8 +29,8 @@ let stat_of samples =
     ci95 = Stats.Summary.ci95_or_zero samples;
   }
 
-let run ~cache ?(jobs = 1) ?(replicas = 1) ?max_points
-    ?(base = Config.Machine.baseline) ?(length = 300_000)
+let run ~cache ?(jobs = 1) ?(check = fun () -> ()) ?(replicas = 1)
+    ?max_points ?(base = Config.Machine.baseline) ?(length = 300_000)
     ?(target_length = 40_000) ~sweep ~(bench : Workload.Spec.t) ~seed () =
   if replicas < 1 then invalid_arg "Dse.Driver.run: replicas < 1";
   let ( let* ) = Result.bind in
@@ -55,6 +55,7 @@ let run ~cache ?(jobs = 1) ?(replicas = 1) ?max_points
       let rec prepare acc = function
         | [] -> Ok (List.rev acc)
         | pcfg :: rest ->
+          check ();
           let before = Runner.Cache.stats cache in
           let profile = Runner.Cache.profile cache pcfg ~stream_key stream in
           let* () = Kernel.Compile.check_survivors ~target_length profile in
@@ -83,6 +84,7 @@ let run ~cache ?(jobs = 1) ?(replicas = 1) ?max_points
       let evaluated =
         Parallel.map ~jobs
           (fun (point, cfg) ->
+            check ();
             let traces =
               List.assoc
                 (Profile.Stat_profile.profile_config ~base cfg)

@@ -48,6 +48,7 @@ type t = {
 val run :
   cache:Runner.Cache.t ->
   ?jobs:int ->
+  ?check:(unit -> unit) ->
   ?replicas:int ->
   ?max_points:int ->
   ?base:Config.Machine.t ->
@@ -60,9 +61,12 @@ val run :
   (t, string) result
 (** Defaults: [jobs = 1], [replicas = 1], [base = baseline],
     [length = 300_000] (profiling stream), [target_length = 40_000]
-    (synthetic trace). [Error] reproduces {!Sweep.expand} failures
-    (oversize sweep, zip mismatch) and a [target_length] whose
-    reduction factor empties the profile's graph
+    (synthetic trace). [check] is the cooperative cancellation hook
+    (default a no-op), called before each profile group is prepared
+    and before each design point is evaluated, on whichever domain
+    evaluates it; whatever it raises propagates. [Error] reproduces
+    {!Sweep.expand} failures (oversize sweep, zip mismatch) and a
+    [target_length] whose reduction factor empties the profile's graph
     ({!Kernel.Compile.check_survivors}). Raises [Failure] if the shared
     cache reports more than one profile collection or plan compilation
     for one group of points — the invariant the whole driver exists to

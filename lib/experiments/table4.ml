@@ -136,32 +136,19 @@ let jobs () =
          List.map (fun spec -> (f, spec)) Exp_common.benches)
   |> Array.of_list
 
+(* every family profiles each point at its profile configuration, so
+   points that differ only in what profiling does not read (the window
+   and width families, and each family's base point) share one profile
+   through the cache's memo and store tiers *)
 let exec cache ((family : family), (spec : Workload.Spec.t)) =
-  let cfgs = configs family in
   let s = Exp_common.src ~length:t4_ref_length spec in
-  (* the cache sweep profiles all its configurations in one pass
-     (cheetah-style single-pass multi-configuration simulation) *)
-  let multi_profiles =
-    match family with
-    | Cache_size ->
-      let _, ps =
-        Profile.Stat_profile.collect_multi_cache base
-          ~variants:(List.map snd cfgs)
-          (Exp_common.src_gen s)
-      in
-      Some ps
-    | Window | Width | Ifq | Bpred -> None
-  in
-  List.mapi
-    (fun i (_, cfg) ->
+  List.map
+    (fun (_, cfg) ->
       let eds = (Exp_common.reference cache cfg s).Statsim.metrics in
       let p =
-        match multi_profiles with
-        | Some ps -> List.nth ps i
-        | None ->
-          Exp_common.profile cache
-            (Profile.Stat_profile.profile_config ~base cfg)
-            s
+        Exp_common.profile cache
+          (Profile.Stat_profile.profile_config ~base cfg)
+          s
       in
       let ss =
         (Statsim.run_profile ~target_length:t4_syn_length cfg p
@@ -169,7 +156,7 @@ let exec cache ((family : family), (spec : Workload.Spec.t)) =
           .Statsim.metrics
       in
       (cfg, eds, ss))
-    cfgs
+    (configs family)
 
 let family_table family per_bench =
   let cfgs = configs family in

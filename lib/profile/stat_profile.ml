@@ -1,6 +1,6 @@
-(* Stage telemetry: one span per profiling pass (all three collectors
-   share it — they are the same pipeline stage), instructions counted
-   per pass. Free when telemetry is disabled. *)
+(* Stage telemetry: one span per profiling pass (both collectors run
+   the one loop, [collect_chunks]), instructions counted per pass. Free
+   when telemetry is disabled. *)
 let span_collect = Telemetry.span "profile.collect"
 let c_instructions = Telemetry.counter "profile.instructions"
 
@@ -203,28 +203,12 @@ let finish st sfg ~instructions =
     mispredicts;
   }
 
-let collect ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg gen =
-  Telemetry.time span_collect (fun () ->
-      let st =
-        make_state ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg
-      in
-      let sfg = Sfg.create ~k:st.k in
-      let rec loop () =
-        match gen () with
-        | None -> ()
-        | Some inst ->
-          step st sfg inst;
-          loop ()
-      in
-      loop ();
-      (match st.bprof with Some bp -> Branch_profiler.flush bp | None -> ());
-      Telemetry.add c_instructions st.seq;
-      finish st sfg ~instructions:st.seq)
-
-let collect_chunked ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred
-    cfg gen ~chunk_length =
-  if chunk_length <= 0 then
-    invalid_arg "Stat_profile.collect_chunked: chunk_length <= 0";
+(* The one profiling loop: consecutive chunks of at most [chunk_length]
+   instructions, each into a fresh SFG, with the machine state warm
+   across chunk boundaries. A chunk that reads no instruction yields no
+   profile; the state comes back with the profiles. *)
+let collect_chunks ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg
+    gen ~chunk_length =
   Telemetry.time span_collect (fun () ->
       let st =
         make_state ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg
@@ -251,7 +235,23 @@ let collect_chunked ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred
         st.cur_node <- None
       done;
       Telemetry.add c_instructions st.seq;
-      List.rev !profiles)
+      (st, List.rev !profiles))
+
+let collect ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg gen =
+  match
+    collect_chunks ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg
+      gen ~chunk_length:max_int
+  with
+  | _, p :: _ -> p
+  | st, [] -> finish st (Sfg.create ~k:st.k) ~instructions:0
+
+let collect_chunked ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred
+    cfg gen ~chunk_length =
+  if chunk_length <= 0 then
+    invalid_arg "Stat_profile.collect_chunked: chunk_length <= 0";
+  snd
+    (collect_chunks ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred
+       cfg gen ~chunk_length)
 
 let mpki t =
   if t.instructions = 0 then 0.0
@@ -260,19 +260,6 @@ let mpki t =
 let mean_block_size t =
   let occ = Sfg.total_occurrences t.sfg in
   if occ = 0 then 0.0 else float_of_int t.instructions /. float_of_int occ
-
-(* --- single-pass multi-configuration cache profiling --- *)
-
-type cache_counters = {
-  mutable c_fetches : int;
-  mutable c_l1i : int;
-  mutable c_l2i : int;
-  mutable c_itlb : int;
-  mutable c_loads : int;
-  mutable c_l1d : int;
-  mutable c_l2d : int;
-  mutable c_dtlb : int;
-}
 
 let profile_config ~(base : Config.Machine.t) (cfg : Config.Machine.t) =
   {
@@ -286,103 +273,3 @@ let profile_config ~(base : Config.Machine.t) (cfg : Config.Machine.t) =
     ifq_size = cfg.ifq_size;
     in_order = cfg.in_order;
   }
-
-let same_noncache (a : Config.Machine.t) (b : Config.Machine.t) =
-  a.bpred = b.bpred && a.ifq_size = b.ifq_size && a.in_order = b.in_order
-
-let collect_multi_cache ?k ?dep_cap ?branch_mode base_cfg ~variants gen =
-  List.iter
-    (fun v ->
-      if not (same_noncache base_cfg v) then
-        invalid_arg
-          "Stat_profile.collect_multi_cache: variants may differ only in \
-           cache/TLB geometry")
-    variants;
-  (* timer rather than a closure: the body is long and single-exit *)
-  let tel = Telemetry.start () in
-  let st = make_state ?k ?dep_cap ?branch_mode base_cfg in
-  let sfg = Sfg.create ~k:st.k in
-  let var_state =
-    List.map
-      (fun cfg -> (cfg, Cache.Hierarchy.create cfg, Hashtbl.create 4096))
-      variants
-  in
-  let counters_for table key =
-    match Hashtbl.find_opt table key with
-    | Some c -> c
-    | None ->
-      let c =
-        {
-          c_fetches = 0;
-          c_l1i = 0;
-          c_l2i = 0;
-          c_itlb = 0;
-          c_loads = 0;
-          c_l1d = 0;
-          c_l2d = 0;
-          c_dtlb = 0;
-        }
-      in
-      Hashtbl.add table key c;
-      c
-  in
-  let rec loop () =
-    match gen () with
-    | None -> ()
-    | Some (inst : Isa.Dyn_inst.t) ->
-      step st sfg inst;
-      let key = (Option.get st.cur_node).Sfg.key in
-      List.iter
-        (fun (_, hier, table) ->
-          let c = counters_for table key in
-          let io = Cache.Hierarchy.ifetch hier inst.pc in
-          c.c_fetches <- c.c_fetches + 1;
-          if Cache.Hierarchy.l1_miss io then c.c_l1i <- c.c_l1i + 1;
-          if Cache.Hierarchy.l1_miss io && Cache.Hierarchy.l2_miss io then
-            c.c_l2i <- c.c_l2i + 1;
-          if Cache.Hierarchy.tlb_miss io then c.c_itlb <- c.c_itlb + 1;
-          if Isa.Iclass.is_load inst.klass then begin
-            let o = Cache.Hierarchy.dload hier inst.mem_addr in
-            c.c_loads <- c.c_loads + 1;
-            if Cache.Hierarchy.l1_miss o then c.c_l1d <- c.c_l1d + 1;
-            if Cache.Hierarchy.l1_miss o && Cache.Hierarchy.l2_miss o then
-              c.c_l2d <- c.c_l2d + 1;
-            if Cache.Hierarchy.tlb_miss o then c.c_dtlb <- c.c_dtlb + 1
-          end
-          else if Isa.Iclass.is_store inst.klass then
-            ignore (Cache.Hierarchy.dstore hier inst.mem_addr))
-        var_state;
-      loop ()
-  in
-  loop ();
-  (match st.bprof with Some bp -> Branch_profiler.flush bp | None -> ());
-  let base = finish st sfg ~instructions:st.seq in
-  let variant_profile (cfg, _, table) =
-    let vsfg = Sfg.create ~k:base.k in
-    Sfg.iter_nodes base.sfg (fun n ->
-        let m = Sfg.find_or_add vsfg ~key:n.key ~block:n.block in
-        m.occurrences <- n.occurrences;
-        (* microarchitecture-independent statistics are shared *)
-        m.slots <- n.slots;
-        Hashtbl.iter (fun succ c -> Hashtbl.replace m.edges succ c) n.edges;
-        m.br_execs <- n.br_execs;
-        m.br_taken <- n.br_taken;
-        m.br_mispredict <- n.br_mispredict;
-        m.br_redirect <- n.br_redirect;
-        match Hashtbl.find_opt table n.key with
-        | None -> ()
-        | Some c ->
-          m.fetches <- c.c_fetches;
-          m.l1i_misses <- c.c_l1i;
-          m.l2i_misses <- c.c_l2i;
-          m.itlb_misses <- c.c_itlb;
-          m.loads <- c.c_loads;
-          m.l1d_misses <- c.c_l1d;
-          m.l2d_misses <- c.c_l2d;
-          m.dtlb_misses <- c.c_dtlb);
-    { base with cfg; sfg = vsfg }
-  in
-  let result = (base, List.map variant_profile var_state) in
-  Telemetry.add c_instructions base.instructions;
-  Telemetry.stop span_collect tel;
-  result

@@ -36,9 +36,11 @@ val profile_config : base:Config.Machine.t -> Config.Machine.t -> Config.Machine
 (** The configuration to profile at for a machine [cfg]: [base] with
     every field profiling reads taken from [cfg] — the cache and TLB
     geometry, the branch predictor, [ifq_size] (the delayed-update
-    FIFO) and [in_order]. Machines with equal answers share a profile;
-    the rest of the machine (window, widths, latencies) is applied
-    only when the synthetic trace is simulated. *)
+    FIFO) and [in_order]. This is the one list of the fields profiling
+    reads: machines with equal answers share a profile (DSE groups its
+    points by it, and every Table 4 family profiles at it), and the
+    rest of the machine (window, widths, latencies) is applied only
+    when the synthetic trace is simulated. *)
 
 val collect_chunked :
   ?k:int ->
@@ -54,25 +56,9 @@ val collect_chunked :
     per chunk — the per-phase / per-sample scenarios of Section 4.4.
     Unlike calling {!collect} per chunk, the cache, TLB, predictor and
     register state stay warm across chunk boundaries, as they would in
-    the paper's contiguous-sample profiling of a long execution. *)
-
-val collect_multi_cache :
-  ?k:int ->
-  ?dep_cap:int ->
-  ?branch_mode:Branch_profiler.mode ->
-  Config.Machine.t ->
-  variants:Config.Machine.t list ->
-  (unit -> Isa.Dyn_inst.t option) ->
-  t * t list
-(** Single-pass multi-configuration cache profiling, in the spirit of the
-    cheetah simulator the paper points to (Section 2.1.2): one walk over
-    the stream profiles the base configuration fully and, in parallel,
-    measures the cache/TLB events of every [variant] configuration. The
-    returned variant profiles share the (microarchitecture-independent)
-    instruction statistics with the base profile and carry their own
-    locality annotations. Variants must differ from the base only in
-    cache/TLB geometry — same predictor and fetch queue — or
-    [Invalid_argument] is raised. *)
+    the paper's contiguous-sample profiling of a long execution. Both
+    collectors run one loop, so a stream read as a single chunk profiles
+    exactly as {!collect} does. *)
 
 val mpki : t -> float
 (** Branch mispredictions per 1,000 instructions as seen by the

@@ -535,8 +535,9 @@ let dse env params =
   env.check ();
   match
     tspan env "dse.run" (fun () ->
-        Dse.Driver.run ~cache:env.cache ~jobs:env.jobs ~replicas ?max_points
-          ~length ~target_length:syn ~sweep ~bench:spec ~seed ())
+        Dse.Driver.run ~cache:env.cache ~jobs:env.jobs ~check:env.check
+          ~replicas ?max_points ~length ~target_length:syn ~sweep
+          ~bench:spec ~seed ())
   with
   | Error m -> Error m
   | Ok r ->

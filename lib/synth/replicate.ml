@@ -137,15 +137,13 @@ let adaptive ?ci_target ~start ~cap ~ci result =
    plan: its tables are immutable, so sharing it across Parallel's
    domains is safe, and a caller that memoises plans pays no compile
    per request. *)
-let replica_runner ?(check = fun () -> ()) ?wrong_path_locality cfg plan seed =
+let replica_runner ?(check = fun () -> ()) cfg plan seed =
   check ();
   Telemetry.time span_replica (fun () ->
-      observe_replica
-        (Run.run ?wrong_path_locality cfg
-           (Generate.generate_of_plan plan ~seed)))
+      observe_replica (Run.run cfg (Generate.generate_of_plan plan ~seed)))
 
-let run ?(jobs = 1) ?check ?wrong_path_locality ?ci_target
-    ?(max_replicas = 64) cfg plan ~master_seed ~replicas =
+let run ?(jobs = 1) ?check ?ci_target ?(max_replicas = 64) cfg plan
+    ~master_seed ~replicas =
   let cap =
     match ci_target with
     | None -> replicas
@@ -159,7 +157,7 @@ let run ?(jobs = 1) ?check ?wrong_path_locality ?ci_target
       max_replicas
   in
   let seeds = split_seeds ~master_seed ~n:cap in
-  let replica = replica_runner ?check ?wrong_path_locality cfg plan in
+  let replica = replica_runner ?check cfg plan in
   let metrics = ref [||] in
   let result n =
     metrics :=

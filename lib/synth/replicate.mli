@@ -38,7 +38,6 @@ val split_seeds : master_seed:int -> n:int -> int array
 val run :
   ?jobs:int ->
   ?check:(unit -> unit) ->
-  ?wrong_path_locality:bool ->
   ?ci_target:float ->
   ?max_replicas:int ->
   Config.Machine.t ->

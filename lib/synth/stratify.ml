@@ -303,8 +303,11 @@ let stratum_master_seed master_seed h =
      each other and from the unstratified table for the same master *)
   (master_seed lxor (0x9E3779B9 * (h + 1))) land 0x3FFFFFFF
 
-let partition ?strata ?(max_strata = 4) ?(strata_seed = 1) ~reduction
-    (p : Profile.Stat_profile.t) =
+(* The partition's k-means seed and the most strata BIC may pick. *)
+let strata_seed = 1
+let max_strata = 4
+
+let partition ?strata ~reduction (p : Profile.Stat_profile.t) =
   let survivors = ref [] in
   Profile.Sfg.iter_nodes p.sfg (fun n ->
       if n.occurrences / reduction > 0 then survivors := n :: !survivors);
@@ -352,19 +355,15 @@ let partition ?strata ?(max_strata = 4) ?(strata_seed = 1) ~reduction
    instruction mass: under ~target_length every stratum synthesizes a
    full-length homogeneous trace, rather than a W_h-sized slice whose
    per-replica CPI noise would swamp the between-strata variance the
-   stratification removes.  (An explicit ~reduction is honored as-is,
-   shared by all strata.)  Stratum weights are unreduced instruction
+   stratification removes.  Stratum weights are unreduced instruction
    shares, so the weighted CPI combination targets the original mix. *)
-let prepare ?check ?wrong_path_locality ?strata ?max_strata
-    ?strata_seed ?reduction ?target_length ~control_variate
+let prepare ?check ?strata ~target_length ~control_variate
     (cfg : Config.Machine.t) (p : Profile.Stat_profile.t) =
   Telemetry.time span_prepare (fun () ->
       let r =
-        Kernel.Compile.derive_reduction ?reduction ?target_length
-          (max 1 p.instructions)
+        Kernel.Compile.derive_reduction ~target_length (max 1 p.instructions)
       in
-      if r < 1 then invalid_arg "Stratify: reduction must be >= 1";
-      let members = partition ?strata ?max_strata ?strata_seed ~reduction:r p in
+      let members = partition ?strata ~reduction:r p in
       let raw_insts =
         List.map
           (fun ms ->
@@ -389,7 +388,7 @@ let prepare ?check ?wrong_path_locality ?strata ?max_strata
             in
             let insts = List.nth raw_insts idx in
             let plan =
-              Kernel.Compile.plan ?reduction ?target_length
+              Kernel.Compile.plan ~target_length
                 { p with sfg = sub_sfg; instructions = insts }
             in
             let meta =
@@ -407,7 +406,7 @@ let prepare ?check ?wrong_path_locality ?strata ?max_strata
               check ();
               Telemetry.time span_replica (fun () ->
                   let tr = Generate.generate_of_plan plan ~seed in
-                  ( Run.run ?wrong_path_locality cfg tr,
+                  ( Run.run cfg tr,
                     if control_variate then cv_sample cfg tr else 0.0 ))
             in
             { meta; runner })
@@ -432,8 +431,7 @@ let ipc_of_cpi (c : Stats.Summary.stratified) =
 
 exception Budget_too_small of string
 
-let run ?(jobs = 1) ?check ?wrong_path_locality ?reduction
-    ?target_length ?strata ?max_strata ?strata_seed ?(pilot = 3)
+let run ?(jobs = 1) ?check ~target_length ?strata ?(pilot = 3)
     ?(control_variate = true) ?ci_target cfg p ~steady_state ~master_seed
     ~replicas =
   Option.iter
@@ -441,8 +439,7 @@ let run ?(jobs = 1) ?check ?wrong_path_locality ?reduction
       if c <= 0.0 then invalid_arg "Stratify.run: ci_target must be positive")
     ci_target;
   let r, ctxs =
-    prepare ?check ?wrong_path_locality ?strata ?max_strata
-      ?strata_seed ?reduction ?target_length ~control_variate cfg p
+    prepare ?check ?strata ~target_length ~control_variate cfg p
   in
   let h = Array.length ctxs in
   if pilot < 2 then invalid_arg "Stratify.run: pilot < 2";

@@ -44,7 +44,7 @@ type stratum = {
       (** one replica's synthetic trace length: each stratum re-derives
           its reduction against its own instruction mass, so under
           [target_length] every stratum synthesizes a full-length
-          homogeneous trace (an explicit [reduction] is shared as-is) *)
+          homogeneous trace *)
   mu_x : float;  (** exact control-variate expectation, CPI units *)
 }
 
@@ -110,12 +110,8 @@ exception Budget_too_small of string
 val run :
   ?jobs:int ->
   ?check:(unit -> unit) ->
-  ?wrong_path_locality:bool ->
-  ?reduction:int ->
-  ?target_length:int ->
+  target_length:int ->
   ?strata:int ->
-  ?max_strata:int ->
-  ?strata_seed:int ->
   ?pilot:int ->
   ?control_variate:bool ->
   ?ci_target:float ->
@@ -127,10 +123,11 @@ val run :
   t
 (** Stratified run with a budget of [replicas], totalled across strata:
     [pilot] (default 3) replicas per stratum, the rest by Neyman
-    allocation on the pilot variances.  [strata] forces an exact k; by
-    default {!Simpoint.classify_nodes} picks up to [max_strata]
-    (default 4) by BIC.  [check] is the cooperative cancellation hook,
-    as in {!Replicate.run}.  Raises {!Budget_too_small} when
+    allocation on the pilot variances.  Each stratum's trace is sized
+    to [target_length].  [strata] forces an exact k; by default
+    {!Simpoint.classify_nodes} picks up to 4 by BIC, from k-means seed
+    1.  [check] is the cooperative cancellation hook, as in
+    {!Replicate.run}.  Raises {!Budget_too_small} when
     [replicas < pilot * strata].
 
     [steady_state ~reduction] is the profile's

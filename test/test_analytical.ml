@@ -179,11 +179,7 @@ let test_of_sfg_irreducible () =
     (fun i pi ->
       if pi <= 0.0 then Alcotest.failf "node %d starved (pi = %f)" i pi)
     s.pi;
-  check "residual tiny" true (s.residual < 1e-8);
-  Alcotest.check_raises "restart >= 1 rejected"
-    (Invalid_argument "Steady_state.of_sfg: restart must be in [0, 1)")
-    (fun () ->
-      ignore (Analytical.Steady_state.of_sfg ~restart:1.0 p.sfg))
+  check "residual tiny" true (s.residual < 1e-8)
 
 let test_estimate_sane () =
   let p = profile_of "gcc" in

@@ -92,17 +92,35 @@ let test_bad_specs () =
        ignore (axis "ruu" []);
        false
      with Invalid_argument _ -> true);
-  (* mem_latency is the one bounded axis: at most 2^30 cycles *)
-  check "mem_latency above 2^30" true
-    (try
-       ignore (axis "mem_latency" [ (1 lsl 30) + 1 ]);
-       false
-     with Invalid_argument _ -> true);
-  (* the doubling stops before it can pass max_int *)
-  match log2_range "ruu" ~lo:1 ~hi:max_int with
+  let rejects what f =
+    check what true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "mem_latency above 2^30" (fun () ->
+      axis "mem_latency" [ (1 lsl 30) + 1 ]);
+  (* every axis takes its bound and rejects one more *)
+  List.iter
+    (fun (a : Config.Machine.axis) ->
+      ignore (axis a.axis_name [ a.axis_max ]);
+      rejects (a.axis_name ^ " above its bound") (fun () ->
+          axis a.axis_name [ a.axis_max + 1 ]))
+    Config.Machine.axes;
+  (* sizes a run cannot allocate, and predictor tables that index by
+     mask *)
+  rejects "ruu 2^40" (fun () -> axis "ruu" [ 16; 1 lsl 40 ]);
+  rejects "l2_kb 2^30" (fun () -> axis "l2_kb" [ 256; 1 lsl 30 ]);
+  rejects "bpred_entries 1000" (fun () -> axis "bpred_entries" [ 1000 ]);
+  (* the doubling stops before it can pass max_int, and the range is
+     then rejected at the axis bound *)
+  rejects "ruu log2 up to max_int" (fun () ->
+      log2_range "ruu" ~lo:1 ~hi:max_int);
+  match log2_range "ruu" ~lo:1 ~hi:(1 lsl 16) with
   | Axis (_, vs) ->
-    Alcotest.(check (list int)) "log2 up to max_int"
-      (List.init 62 (fun i -> 1 lsl i)) vs
+    Alcotest.(check (list int)) "log2 up to the ruu bound"
+      (List.init 17 (fun i -> 1 lsl i)) vs
   | _ -> Alcotest.fail "expected Axis"
 
 let test_label_apply () =

@@ -226,45 +226,33 @@ let test_mean_block_size () =
     (Profile.Stat_profile.mean_block_size p)
 
 
-let test_multi_cache_matches_individual () =
-  (* one multi-config pass must reproduce exactly what per-config passes
-     measure *)
-  let spec = Workload.Suite.find "twolf" in
+(* Profile sharing is sound: DSE and Table 4 profile a machine at
+   [profile_config ~base cfg], so moving the baseline along any sweep
+   axis must profile exactly as its profile configuration does. An axis
+   profiling reads moves the profile configuration with it; any other
+   axis must leave the profile's bytes unchanged. *)
+let test_profile_config_sharing () =
   let base = Config.Machine.baseline in
-  let variants =
-    [ Config.Machine.scale_caches base 0.5; Config.Machine.scale_caches base 2.0 ]
-  in
-  let stream () = Workload.Suite.stream spec ~length:20_000 in
-  let _, multi =
-    Profile.Stat_profile.collect_multi_cache base ~variants (stream ())
-  in
-  List.iter2
-    (fun cfg (mp : Profile.Stat_profile.t) ->
-      let ind = Profile.Stat_profile.collect cfg (stream ()) in
-      Profile.Sfg.iter_nodes ind.sfg (fun n ->
-          match Profile.Sfg.find mp.sfg ~key:n.key with
-          | None -> Alcotest.failf "node missing in multi profile"
-          | Some m ->
-            if
-              not
-                (n.loads = m.loads && n.l1d_misses = m.l1d_misses
-                && n.l2d_misses = m.l2d_misses
-                && n.dtlb_misses = m.dtlb_misses
-                && n.fetches = m.fetches
-                && n.l1i_misses = m.l1i_misses)
-            then Alcotest.failf "cache counters differ for node %d" n.key))
-    variants multi
-
-let test_multi_cache_rejects_bpred_variant () =
-  let base = Config.Machine.baseline in
-  let bad = Config.Machine.scale_bpred base 2.0 in
-  check "rejects non-cache variant" true
-    (try
-       ignore
-         (Profile.Stat_profile.collect_multi_cache base ~variants:[ bad ]
-            (stream_of_blocks [ 0 ]));
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun bench ->
+      let spec = Workload.Suite.find bench in
+      let digest cfg =
+        let p =
+          Profile.Stat_profile.collect cfg
+            (Workload.Suite.stream spec ~length:20_000)
+        in
+        Digest.to_hex
+          (Digest.string (Profile.Serialize.to_string { p with cfg = base }))
+      in
+      List.iter
+        (fun (ax : Config.Machine.axis) ->
+          let cfg = ax.axis_set base (2 * ax.axis_get base) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %s doubled" bench ax.axis_name)
+            (digest (Profile.Stat_profile.profile_config ~base cfg))
+            (digest cfg))
+        Config.Machine.axes)
+    [ "gcc"; "twolf" ]
 
 let suite =
   [
@@ -282,8 +270,6 @@ let suite =
     Alcotest.test_case "key packing" `Quick test_key_packing_no_collision;
     Alcotest.test_case "perfect modes" `Quick test_perfect_modes_zero_rates;
     Alcotest.test_case "mean block size" `Quick test_mean_block_size;
-    Alcotest.test_case "multi-cache matches individual" `Quick
-      test_multi_cache_matches_individual;
-    Alcotest.test_case "multi-cache validation" `Quick
-      test_multi_cache_rejects_bpred_variant;
+    Alcotest.test_case "profile config shares soundly" `Quick
+      test_profile_config_sharing;
   ]

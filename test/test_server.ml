@@ -708,6 +708,25 @@ let test_pinned_outputs () =
     | _ -> Alcotest.fail "dse result carries no pareto_csv string")
   | Error e -> Alcotest.failf "dse rejected: %s" e
 
+(* The dse op checks its deadline inside the sweep as well as before
+   it: a check that first fires on its second call (the op's own check
+   is the first) must stop the request. *)
+let test_dse_deadline () =
+  let calls = ref 0 in
+  let env =
+    {
+      (fresh_env ()) with
+      Server.Ops.check =
+        (fun () ->
+          incr calls;
+          if !calls >= 2 then raise Server.Ops.Deadline_exceeded);
+    }
+  in
+  match Server.Ops.dispatch env ~op:"dse" (Json.Obj dse_smoke) with
+  | exception Server.Ops.Deadline_exceeded -> ()
+  | Ok _ -> Alcotest.fail "dse answered past its deadline"
+  | Error e -> Alcotest.failf "dse rejected: %s" e
+
 (* --- out-of-range params --- *)
 
 (* [fields] over a small gcc request, later keys replacing earlier *)
@@ -918,6 +937,7 @@ let suite =
       test_access_log_untimed_nulls;
     Alcotest.test_case "unknown op" `Quick test_unknown_op;
     Alcotest.test_case "pinned op output digests" `Quick test_pinned_outputs;
+    Alcotest.test_case "dse honours its deadline" `Quick test_dse_deadline;
     Alcotest.test_case "out-of-range params rejected" `Quick
       test_out_of_range_params;
     Alcotest.test_case "out-of-range param answers bad_request" `Quick
