@@ -247,9 +247,10 @@ let axes =
     ax "lsq" ~max:ruu_max
       (fun t -> t.lsq_size)
       (fun t v -> { t with lsq_size = v });
-    (* delayed branch profiling keeps an IFQ-sized FIFO holding one RAS
-       copy per branch: with [ras_entries] at its bound too, that is
-       2^20 words, 8 MiB *)
+    (* delayed branch profiling keeps an IFQ-sized FIFO; under
+       squash-and-refetch (the ablation's mode) each branch in it holds
+       a RAS copy: with [ras_entries] at its bound too, 2^20 words,
+       8 MiB *)
     ax "ifq" ~max:(1 lsl 10)
       (fun t -> t.ifq_size)
       (fun t v -> { t with ifq_size = v });
@@ -283,8 +284,8 @@ let axes =
     ax "l2_kb" ~max:cache_kb_max
       (fun t -> t.l2.size_bytes / 1024)
       (fun t v -> { t with l2 = { t.l2 with size_bytes = kb v } });
-    (* every access scans all the ways of its set, and a set keeps all
-       its ways even when they outnumber the cache's blocks *)
+    (* every access scans all the ways of its set; [validate] keeps
+       the ways within the cache's blocks *)
     ax "icache_assoc" ~max:(1 lsl 10)
       (fun t -> t.icache.assoc)
       (fun t v -> { t with icache = { t.icache with assoc = v } });
@@ -305,12 +306,23 @@ let axes =
     ax "btb_sets" ~max:(1 lsl 16)
       (fun t -> t.bpred.btb_sets)
       (fun t v -> { t with bpred = { t.bpred with btb_sets = v } });
-    (* delayed branch profiling copies the RAS at every branch: 8 KiB a
-       branch at 2^10 entries *)
+    (* squash-and-refetch branch profiling (the ablation's mode) copies
+       the RAS at every branch: 8 KiB a branch at 2^10 entries. The
+       default delayed mode never squashes and copies nothing *)
     ax "ras_entries" ~max:(1 lsl 10)
       (fun t -> t.bpred.ras_entries)
       (fun t v -> { t with bpred = { t.bpred with ras_entries = v } });
   ]
+
+let validate t =
+  let ways_fit name c =
+    let blocks = c.size_bytes / c.block_bytes in
+    if c.assoc <= blocks then Ok ()
+    else
+      Error (Printf.sprintf "%s has %d ways but %d blocks" name c.assoc blocks)
+  in
+  Result.bind (ways_fit "icache" t.icache) (fun () ->
+      Result.bind (ways_fit "dcache" t.dcache) (fun () -> ways_fit "l2" t.l2))
 
 let axis_names = List.map (fun a -> a.axis_name) axes
 let find_axis name = List.find_opt (fun a -> a.axis_name = name) axes

@@ -136,6 +136,12 @@ val check_axis : axis -> int -> unit
     [\[1, axis_max\]], or is not a power of two on an [axis_pow2]
     axis; the check [axis_set] applies. *)
 
+val validate : t -> (unit, string) result
+(** The cross-field rules no one field's bound states. So far one: a
+    cache (icache, dcache, L2) has no more ways than blocks. A set
+    keeps all its ways, so more ways than blocks would model a larger
+    cache than configured. [Error] names the cache and both counts. *)
+
 val axes : axis list
 (** Every sweepable axis, in a stable documentation order. *)
 

@@ -35,6 +35,15 @@ let run ~cache ?(jobs = 1) ?(check = fun () -> ()) ?(replicas = 1)
   if replicas < 1 then invalid_arg "Dse.Driver.run: replicas < 1";
   let ( let* ) = Result.bind in
   let* points = Sweep.expand ?max_points sweep in
+  let rec valid = function
+    | [] -> Ok ()
+    | point :: rest -> (
+      match Config.Machine.validate (Sweep.apply base point) with
+      | Ok () -> valid rest
+      | Error m ->
+        Error (Printf.sprintf "design point %s: %s" (Sweep.label point) m))
+  in
+  let* () = valid points in
   Telemetry.time span_sweep (fun () ->
       let points = Array.of_list points in
       let cfgs = Array.map (Sweep.apply base) points in
@@ -57,9 +66,10 @@ let run ~cache ?(jobs = 1) ?(check = fun () -> ()) ?(replicas = 1)
         | pcfg :: rest ->
           check ();
           let before = Runner.Cache.stats cache in
-          let profile = Runner.Cache.profile cache pcfg ~stream_key stream in
-          let* () = Kernel.Compile.check_survivors ~target_length profile in
-          let plan = Runner.Cache.plan cache ~target_length profile in
+          let* plan =
+            Runner.Cache.profile_plan cache pcfg ~stream_key ~target_length
+              stream
+          in
           let after = Runner.Cache.stats cache in
           if after.profile_computes - before.profile_computes > 1 then
             failwith "Dse.Driver.run: profile collected more than once";

@@ -5,14 +5,15 @@
     reads the caches, TLBs, predictor, fetch queue and issue order, so
     the points of a group share {b one} statistical profile and {b one}
     compiled execution plan, and a sweep over the window, widths or
-    latencies has exactly one group. Each group's profile and plan are
-    drawn from the shared {!Runner.Cache} (memo tier, then the
-    content-addressed store — a warm store makes a whole sweep
-    resumable without recollecting anything), and the driver {e fails}
-    if preparing one group makes the cache collect or compile more than
-    once. Replica traces are generated once per group from its plan
-    (deterministic seed split) and shared read-only by the group's
-    points; points fan out over the {!Parallel} Domain pool.
+    latencies has exactly one group. Each group's plan is drawn from
+    the shared {!Runner.Cache} through {!Runner.Cache.profile_plan}
+    (memo tier, then the content-addressed store — a warm store makes a
+    whole sweep resumable without collecting or decoding a profile),
+    and the driver {e fails} if preparing one group makes the cache
+    collect or compile more than once. Replica traces are generated
+    once per group from its plan (deterministic seed split) and shared
+    read-only by the group's points; points fan out over the
+    {!Parallel} Domain pool.
 
     Determinism: points are evaluated independently and aggregated in
     sweep order with per-replica seeds fixed up front, so the result —
@@ -65,12 +66,13 @@ val run :
     (default a no-op), called before each profile group is prepared
     and before each design point is evaluated, on whichever domain
     evaluates it; whatever it raises propagates. [Error] reproduces
-    {!Sweep.expand} failures (oversize sweep, zip mismatch) and a
-    [target_length] whose reduction factor empties the profile's graph
-    ({!Kernel.Compile.check_survivors}). Raises [Failure] if the shared
-    cache reports more than one profile collection or plan compilation
-    for one group of points — the invariant the whole driver exists to
-    exploit. *)
+    {!Sweep.expand} failures (oversize sweep, zip mismatch), names the
+    first point {!Config.Machine.validate} rejects (before any profile
+    is collected), and reports a [target_length] whose reduction factor
+    empties the profile's graph ({!Kernel.Compile.check_survivors}).
+    Raises [Failure] if the shared cache reports more than one profile
+    collection or plan compilation for one group of points — the
+    invariant the whole driver exists to exploit. *)
 
 val frontier : t -> point_result list
 (** Frontier points sorted by descending IPC (stable: sweep order

@@ -16,7 +16,8 @@ type 'a entry = {
   mutable resolution : Branch.Predictor.resolution option;
   ras_before : Branch.Ras.t option;
       (* RAS snapshot taken just before this branch's lookup, used to
-         rewind speculative RAS damage when a squash redoes lookups *)
+         rewind speculative RAS damage when a squash redoes lookups;
+         taken only under [squash_refetch], the one mode that squashes *)
 }
 
 type 'a t = {
@@ -103,15 +104,18 @@ let push t tag inst =
       let r = Branch.Predictor.lookup t.pred ~pc:inst.pc ~branch:b in
       Branch.Predictor.update t.pred ~pc:inst.pc ~branch:b;
       deliver t { tag; inst; resolution = Some r; ras_before = None } r)
-  | Delayed _ ->
+  | Delayed { squash_refetch; _ } ->
     if t.count = Array.length t.fifo then pop_oldest t;
     let entry =
       match inst.Isa.Dyn_inst.branch with
       | None -> { tag; inst; resolution = None; ras_before = None }
       | Some b ->
-        let snapshot = Branch.Predictor.ras_copy t.pred in
+        let ras_before =
+          if squash_refetch then Some (Branch.Predictor.ras_copy t.pred)
+          else None
+        in
         let r = Branch.Predictor.lookup t.pred ~pc:inst.pc ~branch:b in
-        { tag; inst; resolution = Some r; ras_before = Some snapshot }
+        { tag; inst; resolution = Some r; ras_before }
     in
     t.fifo.((t.head + t.count) mod Array.length t.fifo) <- Some entry;
     t.count <- t.count + 1

@@ -336,28 +336,35 @@ let read_config c : Config.Machine.t =
     in_order;
   }
 
+let expect c tag what =
+  if not (Text.next_line c && Text.token c && Text.token_is c tag) then
+    fail_at c ("expected " ^ what)
+
+(* The header, then the meta line up to its instruction count *)
+let read_meta c =
+  expect c "statsim-profile" "statsim-profile header";
+  let v = next_int c in
+  if v <> version then fail_at c (Printf.sprintf "unsupported version %d" v);
+  expect c "meta" "meta line";
+  let k = next_int c in
+  let instructions = next_count c in
+  (k, instructions)
+
+let instructions s = snd (read_meta (Text.cursor s))
+
 (* One pass over the string: each line is read in place through the
    cursor, and blank lines are skipped between records. *)
 let of_string s =
   Telemetry.time span_decode @@ fun () ->
   let c = Text.cursor s in
-  let expect tag what =
-    if not (Text.next_line c && Text.token c && Text.token_is c tag) then
-      fail_at c ("expected " ^ what)
-  in
-  expect "statsim-profile" "statsim-profile header";
-  let v = next_int c in
-  if v <> version then fail_at c (Printf.sprintf "unsupported version %d" v);
-  expect "meta" "meta line";
-  let k = next_int c in
-  let instructions = next_count c in
+  let k, instructions = read_meta c in
   let perfect_caches = next_bool c in
   let perfect_bpred = next_bool c in
   let branches = next_count c in
   let mispredicts = next_count c in
   if k < 0 || k > Sfg.max_k then
     fail_at c (Printf.sprintf "k %d out of [0, %d]" k Sfg.max_k);
-  expect "config" "config line";
+  expect c "config" "config line";
   let cfg = read_config c in
   let sfg = Sfg.create ~k in
   let cur_node : Sfg.node option ref = ref None in

@@ -34,6 +34,12 @@ val of_string : string -> Stat_profile.t
     allocation stays proportional to the input). Timed under the
     [profile.decode] telemetry span. *)
 
+val instructions : string -> int
+(** The instruction count on an encoded profile's meta line, read
+    without decoding anything past it: with the MD5 of the bytes, all a
+    plan key needs. Raises [Failure] as {!of_string} does on a
+    malformed header or meta line. Not timed under [profile.decode]. *)
+
 val save_file : Stat_profile.t -> string -> unit
 (** Writes via a temp file in the destination directory followed by an
     atomic rename: a crash mid-write never leaves a truncated profile

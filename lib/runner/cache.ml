@@ -18,6 +18,10 @@ type t = {
      profile that never passed through the store is encoded again *)
   mutable pdigests : (Profile.Stat_profile.t * string) list;
   pdigest_mu : Mutex.t;
+  (* per profile key, the MD5 and instruction count of its stored
+     bytes: what [profile_plan] keys a plan by without decoding the
+     profile, read from disk once per key for the cache's lifetime *)
+  stored : (string * int) Memo.t;
 }
 
 type stats = {
@@ -50,6 +54,7 @@ let create ?store () =
     reference_computes = Atomic.make 0;
     pdigests = [];
     pdigest_mu = Mutex.create ();
+    stored = Memo.create ();
   }
 
 let stats t =
@@ -138,8 +143,11 @@ let profile_digest t p =
         t.pdigests <- (p, d) :: t.pdigests;
         d)
 
-let profile t ?(k = 1) ?(dep_cap = Profile.Sfg.dep_cap) ?branch_mode
-    ?(perfect_caches = false) ?(perfect_bpred = false) cfg ~stream_key mk =
+(* The memo key of a profile request and the collection it names:
+   the one place the key format is built *)
+let profile_request (t : t) ?(k = 1) ?(dep_cap = Profile.Sfg.dep_cap)
+    ?branch_mode ?(perfect_caches = false) ?(perfect_bpred = false) cfg
+    ~stream_key mk =
   let branch_mode =
     match branch_mode with
     | Some m -> m
@@ -149,9 +157,18 @@ let profile t ?(k = 1) ?(dep_cap = Profile.Sfg.dep_cap) ?branch_mode
     Printf.sprintf "%s|%s|k=%d|cap=%d|%s|pc=%b|pb=%b" stream_key (cfg_key cfg)
       k dep_cap (mode_key branch_mode) perfect_caches perfect_bpred
   in
-  tiered t.profiles t.store ~key
-    ~store_key:
-      (Printf.sprintf "profile/fmt%d/%s" Profile.Serialize.version key)
+  let collect () =
+    Atomic.incr t.profile_computes;
+    Profile.Stat_profile.collect ~k ~dep_cap ~branch_mode ~perfect_caches
+      ~perfect_bpred cfg (mk ())
+  in
+  (key, collect)
+
+let profile_store_key key =
+  Printf.sprintf "profile/fmt%d/%s" Profile.Serialize.version key
+
+let profile_tier t key collect =
+  tiered t.profiles t.store ~key ~store_key:(profile_store_key key)
     ~encode:(fun p ->
       let s = Profile.Serialize.to_string p in
       record_digest t p s;
@@ -162,22 +179,30 @@ let profile t ?(k = 1) ?(dep_cap = Profile.Sfg.dep_cap) ?branch_mode
         record_digest t p s;
         Ok p
       | exception Failure msg -> Error msg)
-    (fun () ->
-      Atomic.incr t.profile_computes;
-      Profile.Stat_profile.collect ~k ~dep_cap ~branch_mode ~perfect_caches
-        ~perfect_bpred cfg (mk ()))
+    collect
+
+let profile t ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg
+    ~stream_key mk =
+  let key, collect =
+    profile_request t ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred
+      cfg ~stream_key mk
+  in
+  profile_tier t key collect
+
+let compile (t : t) ~r p =
+  Atomic.incr t.plan_computes;
+  (* a named span so a warm-store run can prove (calls = 0) that it
+     never recompiled — Stat_profile.collect carries its own *)
+  Telemetry.time span_plan_compile (fun () ->
+      Kernel.Compile.plan ~reduction:r p)
 
 (* Plans are machine-independent (only the static per-class operation
    latencies are baked in, and those are covered by the plan format
    version), so the key is just the profile's content digest and the
    resolved reduction: one plan serves every pipeline configuration of
    a design-space sweep. *)
-let plan t ?reduction ?target_length (p : Profile.Stat_profile.t) =
-  let r =
-    Kernel.Compile.derive_reduction ?reduction ?target_length
-      (max 1 p.instructions)
-  in
-  let key = Printf.sprintf "%s|r=%d" (profile_digest t p) r in
+let plan_tier t ~digest ~r compute =
+  let key = Printf.sprintf "%s|r=%d" digest r in
   tiered t.plans t.store ~key
     ~store_key:(Printf.sprintf "plan/fmt%d/%s" Kernel.Plan.version key)
     ~encode:Kernel.Plan.to_string
@@ -185,12 +210,60 @@ let plan t ?reduction ?target_length (p : Profile.Stat_profile.t) =
       match Kernel.Plan.of_string s with
       | pl -> Ok pl
       | exception Failure msg -> Error msg)
-    (fun () ->
-      Atomic.incr t.plan_computes;
-      (* a named span so a warm-store run can prove (calls = 0) that it
-         never recompiled — Stat_profile.collect carries its own *)
-      Telemetry.time span_plan_compile (fun () ->
-          Kernel.Compile.plan ~reduction:r p))
+    compute
+
+let plan t ?reduction ?target_length (p : Profile.Stat_profile.t) =
+  let r =
+    Kernel.Compile.derive_reduction ?reduction ?target_length
+      (max 1 p.instructions)
+  in
+  plan_tier t ~digest:(profile_digest t p) ~r (fun () -> compile t ~r p)
+
+exception Empty_graph of string
+
+let profile_plan t ?k cfg ~stream_key ~target_length mk =
+  let key, collect = profile_request t ?k cfg ~stream_key mk in
+  (* the plan key from the stored profile's bytes, read once per key;
+     a profile in the memo keys its plan as [plan] does *)
+  let keyed =
+    match t.store with
+    | Some s when not (Memo.mem t.profiles ~key) -> (
+      match
+        Memo.get t.stored ~key (fun () ->
+            match
+              Store.lookup s ~key:(profile_store_key key) ~decode:(fun b ->
+                  match Profile.Serialize.instructions b with
+                  | n -> Ok (digest_hex b, n)
+                  | exception Failure msg -> Error msg)
+            with
+            | Some v -> v
+            | None -> raise Not_found)
+      with
+      | v -> Some v
+      | exception Not_found -> None)
+    | Some _ | None -> None
+  in
+  let ( let* ) = Result.bind in
+  let* digest, instructions =
+    match keyed with
+    | Some v -> Ok v
+    | None ->
+      let p = profile_tier t key collect in
+      let* () = Kernel.Compile.check_survivors ~target_length p in
+      Ok (profile_digest t p, p.instructions)
+  in
+  let r = Kernel.Compile.derive_reduction ~target_length (max 1 instructions) in
+  (* a stored plan proves R leaves survivors (compiling an empty graph
+     raises), so only the compute path needs the profile's graph *)
+  match
+    plan_tier t ~digest ~r (fun () ->
+        let p = profile_tier t key collect in
+        match Kernel.Compile.check_survivors ~reduction:r p with
+        | Ok () -> compile t ~r p
+        | Error msg -> raise (Empty_graph msg))
+  with
+  | pl -> Ok pl
+  | exception Empty_graph msg -> Error msg
 
 (* The instant-answer tier behind the server's `estimate` op: the
    stationary solve is microseconds, but memoizing the whole estimate

@@ -92,6 +92,25 @@ val plan :
     entries round-trip through the exact-integer plan codec and
     therefore sample bit-identically to a freshly compiled plan. *)
 
+val profile_plan :
+  t ->
+  ?k:int ->
+  Config.Machine.t ->
+  stream_key:string ->
+  target_length:int ->
+  (unit -> unit -> Isa.Dyn_inst.t option) ->
+  (Kernel.Plan.t, string) result
+(** The compiled plan of {!profile}'s profile (same key, other options
+    at their defaults), for a caller that needs the profile only to
+    reach it. A profile in the memo takes {!profile} then {!plan}. With
+    a store and no memo entry, the plan key comes from the stored
+    profile's verified bytes: their MD5 and the instruction count on
+    their meta line. That read counts as one store hit and is kept in
+    memory, so each profile key is read from disk at most once. The
+    profile is decoded only when no plan is stored under that key, to
+    compile one. [Error] is {!Kernel.Compile.check_survivors}' message
+    when [target_length]'s reduction empties the graph, warm or cold. *)
+
 val estimate :
   t ->
   ?reduction:int ->

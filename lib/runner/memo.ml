@@ -67,6 +67,8 @@ let get t ~key f =
       publish t key entry (Failed exn);
       raise exn)
 
+let mem t ~key = Mutex.protect t.mutex (fun () -> Hashtbl.mem t.tbl key)
+
 let hits t =
   Mutex.lock t.mutex;
   let h = t.hits in

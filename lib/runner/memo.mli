@@ -16,6 +16,10 @@ val create : ?name:string -> unit -> 'v t
 
 val get : 'v t -> key:string -> (unit -> 'v) -> 'v
 
+val mem : 'v t -> key:string -> bool
+(** Whether [get] would answer [key] without running its thunk: the
+    value is published or being computed. Counts nothing. *)
+
 val hits : 'v t -> int
 (** Number of [get] calls answered from the table (including waits on an
     in-flight computation of the same key). *)

@@ -143,6 +143,26 @@ let collect_profile env ~warn cfg ~bench ~length ~k ~profile_file =
       ~stream_key:(Workload.Suite.stream_key bench ~length) (fun () ->
         Workload.Suite.stream spec ~length)
 
+(* The compiled plan of a profile needed only to reach it: through the
+   shared cache, a stored plan answers without the profile being
+   decoded; a profile file is loaded and compiled as before. *)
+let profile_plan env ~warn cfg ~bench ~length ~k ~profile_file ~target_length
+    =
+  match profile_file with
+  | Some _ ->
+    let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+    ok_exn (Kernel.Compile.check_survivors ~target_length p);
+    env.check ();
+    tspan env "cache.plan" (fun () ->
+        Runner.Cache.plan env.cache ~target_length p)
+  | None ->
+    let spec = find_spec bench in
+    tspan env "cache.plan" (fun () ->
+        ok_exn
+          (Runner.Cache.profile_plan env.cache ?k cfg
+             ~stream_key:(Workload.Suite.stream_key bench ~length)
+             ~target_length (fun () -> Workload.Suite.stream spec ~length)))
+
 let result_obj ?(extra = []) ~warnings buf =
   let fields = [ ("output", Json.Str (Buffer.contents buf)) ] @ extra in
   let fields =
@@ -192,10 +212,9 @@ let simulate env ~force_replicas params =
   let cfg = Config.Machine.baseline in
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
-  let collect () =
-    let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
-    ok_exn (Kernel.Compile.check_survivors ~target_length:syn p);
-    p
+  let plan () =
+    profile_plan env ~warn cfg ~bench ~length ~k ~profile_file
+      ~target_length:syn
   in
   let buf = Buffer.create 512 in
   (match (replicas, ci_target) with
@@ -210,15 +229,10 @@ let simulate env ~force_replicas params =
     in
     env.check ();
     let ss =
-      let p = collect () in
-      env.check ();
       (* the cached plan samples bit-identically to a fresh
          Generate.generate, so this equals the one-shot
          Statsim.run_profile path byte-for-byte *)
-      let plan =
-        tspan env "cache.plan" (fun () ->
-            Runner.Cache.plan env.cache ~target_length:syn p)
-      in
+      let plan = plan () in
       env.check ();
       tspan env "simulate.run" (fun () -> Statsim.run_plan cfg plan ~seed)
     in
@@ -238,7 +252,8 @@ let simulate env ~force_replicas params =
       (Uarch.Metrics.mpki ss.Statsim.metrics)
   | _ when stratify ->
     (* variance-aware replication: stratified seeds + control variate *)
-    let p = collect () in
+    let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+    ok_exn (Kernel.Compile.check_survivors ~target_length:syn p);
     env.check ();
     (* the fixed budget, or the cap an adaptive run doubles up to *)
     let default = if ci_target = None then 16 else 64 in
@@ -260,12 +275,7 @@ let simulate env ~force_replicas params =
            else Format.asprintf "%a" Synth.Stratify.render_text r))
   | _ ->
     (* replication mode: dispersion across seeds, no EDS reference *)
-    let p = collect () in
-    env.check ();
-    let plan =
-      tspan env "cache.plan" (fun () ->
-          Runner.Cache.plan env.cache ~target_length:syn p)
-    in
+    let plan = plan () in
     env.check ();
     let r =
       tspan env "replicate.run" (fun () ->

@@ -227,6 +227,11 @@ let miss t =
   Mutex.unlock t.mutex;
   Telemetry.incr c_misses
 
+let lookup t ~key ~decode =
+  let v = lookup_decoded t ~key ~decode in
+  if Option.is_some v then hit t;
+  v
+
 let get_or_compute t ~key ~encode ~decode f =
   match lookup_decoded t ~key ~decode with
   | Some v ->

@@ -345,6 +345,103 @@ let test_driver_oversize () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "guard should have rejected 4 > 2"
 
+(* A set keeps all its ways, so a cache with more ways than blocks
+   models a larger cache than configured: such a point is a usage error
+   that names it, raised before any profile is collected. *)
+let test_driver_rejects_ways_over_blocks () =
+  let run assocs =
+    let cache = Runner.Cache.create () in
+    let sweep =
+      Dse.Sweep.make ~name:"ways"
+        (Dse.Sweep.cross
+           [
+             Dse.Sweep.axis "icache_kb" [ 1 ];
+             Dse.Sweep.axis "icache_assoc" assocs;
+           ])
+    in
+    let r =
+      Dse.Driver.run ~cache ~length:20_000 ~target_length:4_000 ~sweep
+        ~bench:(Workload.Suite.find "gcc")
+        ~seed:7 ()
+    in
+    (r, (Runner.Cache.stats cache).Runner.Cache.profile_computes)
+  in
+  (match run [ 32 ] with
+  | Ok r, _ ->
+    check_int "32 ways: one point" 1 (Array.length r.Dse.Driver.points)
+  | Error m, _ -> Alcotest.failf "32 ways rejected: %s" m);
+  List.iter
+    (fun ways ->
+      match run [ 32; ways ] with
+      | Ok _, _ -> Alcotest.failf "%d ways accepted" ways
+      | Error m, computes ->
+        Alcotest.(check string)
+          (Printf.sprintf "%d ways named" ways)
+          (Printf.sprintf
+             "design point icache_kb=1 icache_assoc=%d: icache has %d ways \
+              but 32 blocks"
+             ways ways)
+          m;
+        check_int "rejected before profiling" 0 computes)
+    [ 64; 1024 ];
+  let set (name : string) v cfg =
+    match Config.Machine.find_axis name with
+    | Some a -> a.axis_set cfg v
+    | None -> Alcotest.failf "no axis %s" name
+  in
+  let base = Config.Machine.baseline in
+  List.iter
+    (fun (what, cfg) ->
+      check what true (Result.is_error (Config.Machine.validate cfg)))
+    [
+      ( "dcache 1 KiB x 64 ways",
+        set "dcache_assoc" 64 (set "dcache_kb" 1 base) );
+      ("l2 1 KiB x 32 ways", set "l2_assoc" 32 (set "l2_kb" 1 base));
+    ];
+  check "l2 1 KiB x 16 ways" true
+    (Config.Machine.validate (set "l2_assoc" 16 (set "l2_kb" 1 base)) = Ok ())
+
+(* Every machine the repository ships passes the machine rules: the two
+   baselines, every point of the sweeps in examples/, and the 8 points
+   of perfbench's dse-sweep workload (restated here: ruu 16-128 x lsq 8,
+   32 x width 8). *)
+let test_shipped_points_valid () =
+  let valid label base sweep =
+    List.iter
+      (fun point ->
+        match Config.Machine.validate (Dse.Sweep.apply base point) with
+        | Ok () -> ()
+        | Error m ->
+          Alcotest.failf "%s, %s: %s" label (Dse.Sweep.label point) m)
+      (expand_exn sweep)
+  in
+  let none = Dse.Sweep.make ~name:"none" (Dse.Sweep.axis "ruu" [ 128 ]) in
+  valid "baseline" Config.Machine.baseline none;
+  valid "hls baseline" Config.Machine.hls_baseline none;
+  (* the test runs in the build tree's test/ under dune runtest and at
+     the root under dune exec *)
+  let dir = List.find Sys.file_exists [ "../examples"; "examples" ] in
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".json")
+      (Array.to_list (Sys.readdir dir))
+  in
+  check "example sweeps found" true (files <> []);
+  List.iter
+    (fun f ->
+      match Dse.Sweep.load_file (Filename.concat dir f) with
+      | Ok sweep -> valid f Config.Machine.baseline sweep
+      | Error m -> Alcotest.failf "%s: %s" f m)
+    files;
+  valid "perfbench dse-sweep" Config.Machine.baseline
+    (Dse.Sweep.make ~name:"ruu_lsq"
+       (Dse.Sweep.cross
+          [
+            Dse.Sweep.axis "ruu" [ 16; 32; 64; 128 ];
+            Dse.Sweep.axis "lsq" [ 8; 32 ];
+            Dse.Sweep.axis "width" [ 8 ];
+          ]))
+
 let suite =
   [
     Alcotest.test_case "cross order" `Quick test_cross_order;
@@ -364,4 +461,8 @@ let suite =
     Alcotest.test_case "driver oversize" `Quick test_driver_oversize;
     Alcotest.test_case "driver profiles per cache size" `Quick
       test_driver_profiles_per_cache;
+    Alcotest.test_case "driver rejects more ways than blocks" `Quick
+      test_driver_rejects_ways_over_blocks;
+    Alcotest.test_case "shipped machines pass validate" `Quick
+      test_shipped_points_valid;
   ]

@@ -254,6 +254,30 @@ let test_profile_config_sharing () =
         Config.Machine.axes)
     [ "gcc"; "twolf" ]
 
+(* Default delayed profiling never squashes, so it takes no RAS
+   snapshots: what it allocates per instruction does not grow with the
+   RAS. [Gc.minor_words] is exact; [Gc.counters]' major words less its
+   promoted words count what went straight to the major heap, where a
+   1,024-entry snapshot goes. The 1,024-entry RAS itself is 0.05 words
+   an instruction here. *)
+let test_ras_size_free_profiling () =
+  let base = Config.Machine.baseline in
+  let n = 20_000 in
+  let words_per_inst ras_entries =
+    let cfg = { base with bpred = { base.bpred with ras_entries } } in
+    let next = Workload.Suite.stream (Workload.Suite.find "gcc") ~length:n in
+    let _, pro0, maj0 = Gc.counters () in
+    let min0 = Gc.minor_words () in
+    ignore (Profile.Stat_profile.collect cfg next);
+    let min1 = Gc.minor_words () in
+    let _, pro1, maj1 = Gc.counters () in
+    (min1 -. min0 +. (maj1 -. maj0 -. (pro1 -. pro0))) /. float_of_int n
+  in
+  let small = words_per_inst 8 and large = words_per_inst 1024 in
+  if Float.abs (large -. small) > 0.1 then
+    Alcotest.failf "%.2f words per instruction at 1024 RAS entries, %.2f at 8"
+      large small
+
 let suite =
   [
     Alcotest.test_case "Figure 2, first order" `Quick test_fig2_first_order;
@@ -272,4 +296,6 @@ let suite =
     Alcotest.test_case "mean block size" `Quick test_mean_block_size;
     Alcotest.test_case "profile config shares soundly" `Quick
       test_profile_config_sharing;
+    Alcotest.test_case "allocation independent of the RAS size" `Quick
+      test_ras_size_free_profiling;
   ]

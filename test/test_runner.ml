@@ -137,49 +137,88 @@ let test_plan_parallel_deterministic () =
   in
   Alcotest.(check string) "same text" (render 1) (render 4)
 
-(* A cold then a warm `simulate` over one store, each through a fresh
-   env as a new CLI process would be: the warm call must print the same
-   bytes while reading its three artifacts (profile, plan, EDS
-   reference) from disk, computing nothing and encoding nothing — the
-   plan key comes from the profile bytes the store tier just read. *)
-let test_warm_store_simulate () =
+(* --- store-backed ops, each through a fresh env as a new CLI process
+   would run it --- *)
+
+let with_store_root f =
   let root = Filename.temp_file "statsim_warm" "" in
   Sys.remove root;
-  let params =
-    Telemetry.Json.(
-      Obj
-        [
-          ("bench", Str "gcc"); ("length", Num 4000.0); ("synthetic", Num 600.0);
-        ])
-  in
   let was = Telemetry.enabled () in
   Telemetry.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Telemetry.set_enabled was;
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root))))
-    (fun () ->
-      let calls name =
-        match Telemetry.span_stat (Telemetry.snapshot ()) name with
-        | Some s -> s.Telemetry.calls
-        | None -> 0
-      in
-      let spans =
-        [ "profile.encode"; "profile.decode"; "plan.encode"; "plan.decode" ]
-      in
-      let run () =
-        let before = List.map calls spans in
-        let env = Server.Ops.default_env ~jobs:1 ~cache_dir:root () in
-        let out =
-          match Server.Ops.dispatch env ~op:"simulate" params with
-          | Ok r -> Server.Ops.output r
-          | Error e -> Alcotest.failf "simulate: %s" e
-        in
-        let delta =
-          List.map2 (fun name b -> (name, calls name - b)) spans before
-        in
-        (out, Runner.Cache.stats env.cache, fun name -> List.assoc name delta)
-      in
+    (fun () -> f root)
+
+let span_calls name =
+  match Telemetry.span_stat (Telemetry.snapshot ()) name with
+  | Some s -> s.Telemetry.calls
+  | None -> 0
+
+let spans =
+  [
+    "profile.encode"; "profile.decode"; "plan.encode"; "plan.decode";
+    "cache.plan.compile";
+  ]
+
+(* [calls] ops through one env: the outputs (or error messages), the
+   env's cache stats and each span's calls over the ops *)
+let run_ops ?cache_dir ~op calls =
+  let before = List.map span_calls spans in
+  let env = Server.Ops.default_env ~jobs:1 ?cache_dir () in
+  let outs =
+    List.map
+      (fun params ->
+        match Server.Ops.dispatch env ~op params with
+        | Ok r -> Server.Ops.output r
+        | Error e -> "error: " ^ e)
+      calls
+  in
+  let delta =
+    List.map2 (fun name b -> (name, span_calls name - b)) spans before
+  in
+  (outs, Runner.Cache.stats env.cache, fun name -> List.assoc name delta)
+
+let run_op ?cache_dir ~op params =
+  match run_ops ?cache_dir ~op [ params ] with
+  | [ out ], st, calls -> (out, st, calls)
+  | _ -> assert false
+
+let sim_params ?(synthetic = 600) () =
+  Telemetry.Json.(
+    Obj
+      [
+        ("bench", Str "gcc"); ("length", Num 4000.0);
+        ("synthetic", Num (float_of_int synthetic));
+      ])
+
+(* The store entry files whose key starts with [prefix]; a frame holds
+   its key after the magic, a u16 version and a u32 key length. *)
+let entries root prefix =
+  let objects = Filename.concat root "objects" in
+  Array.to_list (Sys.readdir objects)
+  |> List.concat_map (fun sub ->
+         let dir = Filename.concat objects sub in
+         List.map (Filename.concat dir) (Array.to_list (Sys.readdir dir)))
+  |> List.filter (fun path ->
+         let frame = In_channel.with_open_bin path In_channel.input_all in
+         let len = Int32.to_int (String.get_int32_be frame 8) in
+         String.starts_with ~prefix (String.sub frame 12 len))
+
+let only_entry root prefix =
+  match entries root prefix with
+  | [ path ] -> path
+  | l -> Alcotest.failf "%d %s entries" (List.length l) prefix
+
+(* A cold then a warm `simulate` over one store: the warm call must
+   print the same bytes while reading its three entries (profile, plan,
+   EDS reference) from disk, computing nothing and encoding nothing. It
+   decodes the plan and the reference only: the plan key comes from the
+   stored profile's bytes, which are verified but never decoded. *)
+let test_warm_store_simulate () =
+  with_store_root (fun root ->
+      let run () = run_op ~cache_dir:root ~op:"simulate" (sim_params ()) in
       let cold, _, cold_calls = run () in
       let warm, st, warm_calls = run () in
       Alcotest.(check string) "warm output byte-identical" cold warm;
@@ -188,11 +227,121 @@ let test_warm_store_simulate () =
       Alcotest.(check int) "no EDS run" 0 st.reference_computes;
       Alcotest.(check int) "three store hits" 3 st.store_hits;
       Alcotest.(check int) "no store misses" 0 st.store_misses;
-      Alcotest.(check int) "warm profile.decode" 1 (warm_calls "profile.decode");
+      Alcotest.(check int) "warm profile.decode" 0 (warm_calls "profile.decode");
       Alcotest.(check int) "warm profile.encode" 0 (warm_calls "profile.encode");
       Alcotest.(check int) "warm plan.decode" 1 (warm_calls "plan.decode");
       Alcotest.(check int) "cold profile.encode" 1 (cold_calls "profile.encode");
       Alcotest.(check int) "cold plan.encode" 1 (cold_calls "plan.encode"))
+
+(* The other two ops that need a profile only for its plan: warm, each
+   answers as it did cold and with no store, decoding no profile. *)
+let test_warm_store_replicate_dse () =
+  let sweep =
+    Telemetry.Json.(
+      Obj
+        [
+          ("name", Str "w");
+          ( "sweep",
+            Obj [ ("axis", Str "ruu"); ("values", Arr [ Num 16.0; Num 32.0 ]) ]
+          );
+        ])
+  in
+  List.iter
+    (fun (op, params) ->
+      with_store_root (fun root ->
+          let plain, _, _ = run_op ~op params in
+          let cold, _, _ = run_op ~cache_dir:root ~op params in
+          let warm, st, calls = run_op ~cache_dir:root ~op params in
+          Alcotest.(check string) (op ^ ": cold = no store") plain cold;
+          Alcotest.(check string) (op ^ ": warm = cold") cold warm;
+          Alcotest.(check int) (op ^ ": warm profile.decode") 0
+            (calls "profile.decode");
+          Alcotest.(check int) (op ^ ": warm collects nothing") 0
+            st.profile_computes;
+          Alcotest.(check int) (op ^ ": warm compiles nothing") 0
+            st.plan_computes))
+    [
+      ( "replicate",
+        Telemetry.Json.(
+          Obj
+            [
+              ("bench", Str "gcc"); ("length", Num 4000.0);
+              ("synthetic", Num 600.0); ("replicas", Num 2.0);
+            ]) );
+      ( "dse",
+        Telemetry.Json.(
+          Obj
+            [
+              ("sweep", sweep); ("bench", Str "gcc"); ("length", Num 4000.0);
+              ("synthetic", Num 600.0);
+            ]) );
+    ]
+
+(* One store-backed env answering the same request twice, as a
+   long-running daemon does: the stored profile is read once, for the
+   first request, and never decoded. *)
+let test_warm_env_reads_profile_once () =
+  with_store_root (fun root ->
+      let cold, _, _ = run_op ~cache_dir:root ~op:"simulate" (sim_params ()) in
+      match
+        run_ops ~cache_dir:root ~op:"simulate" [ sim_params (); sim_params () ]
+      with
+      | [ a; b ], st, calls ->
+        Alcotest.(check string) "first = cold" cold a;
+        Alcotest.(check string) "second = cold" cold b;
+        (* reference, profile and plan, each read once *)
+        Alcotest.(check int) "three store reads" 3 st.store_hits;
+        Alcotest.(check int) "no profile.decode" 0 (calls "profile.decode")
+      | _ -> assert false)
+
+(* Without its plan entry, a warm call decodes the stored profile once
+   to compile it once, and answers the same. *)
+let test_warm_store_plan_deleted () =
+  with_store_root (fun root ->
+      let cold, _, _ = run_op ~cache_dir:root ~op:"simulate" (sim_params ()) in
+      Sys.remove (only_entry root "plan/");
+      let warm, st, calls =
+        run_op ~cache_dir:root ~op:"simulate" (sim_params ())
+      in
+      Alcotest.(check string) "same output" cold warm;
+      Alcotest.(check int) "profile decoded once" 1 (calls "profile.decode");
+      Alcotest.(check int) "plan compiled once" 1
+        (calls "cache.plan.compile");
+      Alcotest.(check int) "no profile collected" 0 st.profile_computes;
+      Alcotest.(check int) "plan stored again" 1
+        (List.length (entries root "plan/")))
+
+(* A damaged profile entry is quarantined and the profile recollected;
+   the answer is the same. *)
+let test_warm_store_profile_corrupt () =
+  with_store_root (fun root ->
+      let cold, _, _ = run_op ~cache_dir:root ~op:"simulate" (sim_params ()) in
+      let path = only_entry root "profile/" in
+      let frame =
+        Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+      in
+      let last = Bytes.length frame - 1 in
+      Bytes.set frame last (Char.chr (Char.code (Bytes.get frame last) lxor 1));
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_bytes oc frame);
+      let warm, st, _ = run_op ~cache_dir:root ~op:"simulate" (sim_params ()) in
+      Alcotest.(check string) "same output" cold warm;
+      Alcotest.(check int) "quarantined" 1 st.store_quarantined;
+      Alcotest.(check int) "profile recollected" 1 st.profile_computes;
+      Alcotest.(check int) "stored plan still answers" 0 st.plan_computes)
+
+(* A synthetic length whose reduction empties the graph is the same
+   usage error with no store, cold and warm. *)
+let test_empty_graph_warm_and_cold () =
+  with_store_root (fun root ->
+      let params = sim_params ~synthetic:1 () in
+      let plain, _, _ = run_op ~op:"simulate" params in
+      let cold, _, _ = run_op ~cache_dir:root ~op:"simulate" params in
+      let warm, _, _ = run_op ~cache_dir:root ~op:"simulate" params in
+      Alcotest.(check bool) "an error" true
+        (String.starts_with ~prefix:"error: reduction factor" plain);
+      Alcotest.(check string) "cold = no store" plain cold;
+      Alcotest.(check string) "warm = cold" cold warm)
 
 let suite =
   [
@@ -209,4 +358,14 @@ let suite =
       test_plan_parallel_deterministic;
     Alcotest.test_case "warm store simulate re-encodes nothing" `Quick
       test_warm_store_simulate;
+    Alcotest.test_case "warm store replicate and dse decode no profile" `Quick
+      test_warm_store_replicate_dse;
+    Alcotest.test_case "warm env reads a stored profile once" `Quick
+      test_warm_env_reads_profile_once;
+    Alcotest.test_case "warm store without its plan compiles once" `Quick
+      test_warm_store_plan_deleted;
+    Alcotest.test_case "warm store with a damaged profile recollects" `Quick
+      test_warm_store_profile_corrupt;
+    Alcotest.test_case "empty graph: same error warm and cold" `Quick
+      test_empty_graph_warm_and_cold;
   ]
