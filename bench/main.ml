@@ -1,11 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 4) and runs bechamel micro-benchmarks of the
-   simulator components.
+   evaluation (Section 4) and times the compiled kernel, a design-space
+   sweep, the daemon and replication.
 
    Usage:
-     dune exec bench/main.exe              # all experiments + micro suite
+     dune exec bench/main.exe              # all experiments + sections
      dune exec bench/main.exe fig6 table4  # a subset
-     dune exec bench/main.exe micro        # component throughputs only
+     dune exec bench/main.exe kernel       # one timing section
      REPRO_SCALE=4 dune exec bench/main.exe    # 4x longer streams
      REPRO_JOBS=4 dune exec bench/main.exe     # 4 worker domains
      REPRO_BENCHES=gcc,twolf dune exec bench/main.exe fig6
@@ -20,75 +20,6 @@
    against the checked-in bench/baseline.json in CI. *)
 
 let ppf = Format.std_formatter
-
-(* --- bechamel micro-benchmarks: one Test.make per component --- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let cfg = Config.Machine.baseline in
-  let spec = Workload.Suite.find "gcc" in
-  (* pre-built inputs so the staged functions measure steady-state work *)
-  let cache = Cache.Sa_cache.create cfg.dcache in
-  let pred = Branch.Predictor.create cfg.bpred in
-  let branch : Isa.Dyn_inst.branch =
-    { kind = Cond; taken = true; target = 0x400100; next_pc = 0x400004 }
-  in
-  let prog = Workload.Suite.program spec in
-  let profile_input () = Workload.Suite.stream spec ~length:20_000 in
-  let profile = Statsim.profile cfg (profile_input ()) in
-  let trace = Statsim.synthesize ~target_length:5_000 profile ~seed:7 in
-  let addr = ref 0 in
-  [
-    Test.make ~name:"cache_access"
-      (Staged.stage (fun () ->
-           addr := (!addr + 4096) land 0xFFFFF;
-           ignore (Cache.Sa_cache.access cache !addr)));
-    Test.make ~name:"bpred_lookup_update"
-      (Staged.stage (fun () ->
-           ignore (Branch.Predictor.lookup pred ~pc:0x400000 ~branch);
-           Branch.Predictor.update pred ~pc:0x400000 ~branch));
-    Test.make ~name:"workload_interp_1k"
-      (Staged.stage (fun () ->
-           let gen = Workload.Interp.generator prog ~seed:1 ~length:1_000 in
-           let rec drain () = match gen () with Some _ -> drain () | None -> () in
-           drain ()));
-    Test.make ~name:"eds_pipeline_5k"
-      (Staged.stage (fun () ->
-           ignore
-             (Uarch.Eds.run cfg (Workload.Suite.stream spec ~length:5_000))));
-    Test.make ~name:"profile_5k"
-      (Staged.stage (fun () ->
-           ignore
-             (Statsim.profile cfg (Workload.Suite.stream spec ~length:5_000))));
-    Test.make ~name:"synthesize_5k"
-      (Staged.stage (fun () ->
-           ignore (Statsim.synthesize ~target_length:5_000 profile ~seed:11)));
-    Test.make ~name:"synth_pipeline_5k"
-      (Staged.stage (fun () -> ignore (Synth.Run.run cfg trace)));
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  Format.fprintf ppf "== micro-benchmarks (bechamel, ns/run) ==@.";
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg_b = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg_b [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) ->
-            Format.fprintf ppf "  %-24s %12.0f ns/run@." name est
-          | Some [] | None ->
-            Format.fprintf ppf "  %-24s (no estimate)@." name)
-        analyzed)
-    (micro_tests ());
-  Format.fprintf ppf "@."
 
 (* --- compiled kernel: plan compilation, generation, pipeline --- *)
 
@@ -523,7 +454,6 @@ let usage () =
     (fun (e : Experiments.Registry.entry) ->
       Format.fprintf ppf "  %-8s %s@." e.id e.description)
     Experiments.Registry.all;
-  Format.fprintf ppf "  %-8s %s@." "micro" "bechamel component micro-benchmarks";
   Format.fprintf ppf "  %-8s %s@." "kernel"
     "compiled plan generation, event-driven vs dense pipeline";
   (* "dse" is taken by the paper's DSE case-study experiment above *)
@@ -544,8 +474,7 @@ let run_one id =
     timings := (id, dt) :: !timings;
     Format.fprintf ppf "[%s done in %.1fs]@.@." id dt
   | None ->
-    if id = "micro" then run_micro ()
-    else if id = "kernel" then run_kernel ()
+    if id = "kernel" then run_kernel ()
     else if id = "sweep" then run_dse ()
     else if id = "serve" then run_serve ()
     else if id = "replication" then run_replication ()
@@ -718,7 +647,6 @@ let () =
     List.iter
       (fun (e : Experiments.Registry.entry) -> run_one e.id)
       Experiments.Registry.all;
-    run_micro ();
     run_kernel ();
     run_dse ();
     run_replication ()

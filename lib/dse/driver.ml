@@ -29,12 +29,64 @@ let stat_of samples =
     ci95 = Stats.Summary.ci95_or_zero samples;
   }
 
+(* Profiling reads the caches, predictor, fetch queue and issue order,
+   so the machines share one profile and one plan per distinct
+   configuration of those fields; machines that differ only in the
+   window, widths or latencies have exactly one. *)
+let evaluate ~cache ~jobs ?(check = fun () -> ()) ~length ~target_length
+    ~(bench : Workload.Spec.t) ~seeds machines =
+  let base = Config.Machine.baseline in
+  let pcfg_of cfg = Profile.Stat_profile.profile_config ~base cfg in
+  let groups =
+    Array.fold_left
+      (fun acc cfg ->
+        let pcfg = pcfg_of cfg in
+        if List.mem pcfg acc then acc else acc @ [ pcfg ])
+      [] machines
+  in
+  let stream_key = Workload.Suite.stream_key bench.name ~length in
+  let ( let* ) = Result.bind in
+  let rec prepare acc = function
+    | [] -> Ok (List.rev acc)
+    | pcfg :: rest ->
+      check ();
+      (* the stream is built only to collect, so a group that never
+         builds it was answered by a cache tier *)
+      let collected = ref false in
+      let stream () =
+        collected := true;
+        Workload.Suite.stream bench ~length
+      in
+      let* plan =
+        Runner.Cache.profile_plan cache pcfg ~stream_key ~target_length stream
+      in
+      if not !collected then Telemetry.incr c_store_reuse;
+      (* replica traces are independent of the rest of the machine:
+         generate once per group, share read-only across its machines
+         and every worker domain *)
+      let traces =
+        Array.map (fun s -> Synth.Generate.generate_of_plan plan ~seed:s) seeds
+      in
+      prepare ((pcfg, traces) :: acc) rest
+  in
+  let* traces_of = prepare [] groups in
+  Telemetry.add c_points (Array.length machines);
+  Ok
+    (Parallel.map ~jobs
+       (fun cfg ->
+         check ();
+         Array.map
+           (fun tr -> Statsim.result_of_metrics cfg (Synth.Run.run cfg tr))
+           (List.assoc (pcfg_of cfg) traces_of))
+       machines)
+
 let run ~cache ?(jobs = 1) ?(check = fun () -> ()) ?(replicas = 1)
-    ?max_points ?(base = Config.Machine.baseline) ?(length = 300_000)
-    ?(target_length = 40_000) ~sweep ~(bench : Workload.Spec.t) ~seed () =
+    ?max_points ?(length = 300_000) ?(target_length = 40_000) ~sweep
+    ~(bench : Workload.Spec.t) ~seed () =
   if replicas < 1 then invalid_arg "Dse.Driver.run: replicas < 1";
   let ( let* ) = Result.bind in
   let* points = Sweep.expand ?max_points sweep in
+  let base = Config.Machine.baseline in
   let rec valid = function
     | [] -> Ok ()
     | point :: rest -> (
@@ -46,77 +98,24 @@ let run ~cache ?(jobs = 1) ?(check = fun () -> ()) ?(replicas = 1)
   let* () = valid points in
   Telemetry.time span_sweep (fun () ->
       let points = Array.of_list points in
-      let cfgs = Array.map (Sweep.apply base) points in
-      (* Profiling reads the caches, predictor, fetch queue and issue
-         order, so the points share one profile and one plan per
-         distinct configuration of those fields; sweeps over the window,
-         widths or latencies have exactly one. *)
-      let groups =
-        Array.fold_left
-          (fun acc cfg ->
-            let pcfg = Profile.Stat_profile.profile_config ~base cfg in
-            if List.mem pcfg acc then acc else acc @ [ pcfg ])
-          [] cfgs
-      in
       let seeds = Synth.Replicate.split_seeds ~master_seed:seed ~n:replicas in
-      let stream () = Workload.Suite.stream bench ~length in
-      let stream_key = Workload.Suite.stream_key bench.name ~length in
-      let rec prepare acc = function
-        | [] -> Ok (List.rev acc)
-        | pcfg :: rest ->
-          check ();
-          let before = Runner.Cache.stats cache in
-          let* plan =
-            Runner.Cache.profile_plan cache pcfg ~stream_key ~target_length
-              stream
-          in
-          let after = Runner.Cache.stats cache in
-          if after.profile_computes - before.profile_computes > 1 then
-            failwith "Dse.Driver.run: profile collected more than once";
-          if after.plan_computes - before.plan_computes > 1 then
-            failwith "Dse.Driver.run: plan compiled more than once";
-          Telemetry.add c_store_reuse
-            (after.store_hits - before.store_hits
-            + (after.profile_hits - before.profile_hits)
-            + (after.plan_hits - before.plan_hits));
-          (* replica traces are independent of the rest of the machine:
-             generate once per group, share read-only across its points
-             and every worker domain *)
-          let traces =
-            Array.map
-              (fun s -> Synth.Generate.generate_of_plan plan ~seed:s)
-              seeds
-          in
-          prepare ((pcfg, traces) :: acc) rest
+      let* per_seed =
+        evaluate ~cache ~jobs ~check ~length ~target_length ~bench ~seeds
+          (Array.map (Sweep.apply base) points)
       in
-      let* traces_of = prepare [] groups in
-      Telemetry.add c_points (Array.length points);
       let evaluated =
-        Parallel.map ~jobs
-          (fun (point, cfg) ->
-            check ();
-            let traces =
-              List.assoc
-                (Profile.Stat_profile.profile_config ~base cfg)
-                traces_of
-            in
-            let results =
-              Array.map
-                (fun tr ->
-                  Statsim.result_of_metrics cfg (Synth.Run.run cfg tr))
-                traces
-            in
+        Array.map
+          (fun results ->
             let of_field f = Array.to_list (Array.map f results) in
-            ( point,
-              stat_of (of_field (fun r -> r.Statsim.ipc)),
+            ( stat_of (of_field (fun r -> r.Statsim.ipc)),
               Stats.Summary.mean (of_field (fun r -> r.Statsim.epc)),
               stat_of (of_field (fun r -> r.Statsim.edp)) ))
-          (Array.map2 (fun p c -> (p, c)) points cfgs)
+          per_seed
       in
       let flags =
         Pareto.frontier_flags
           (Array.map
-             (fun (_, ipc, _, edp) ->
+             (fun (ipc, _, edp) ->
                {
                  Pareto.ipc = { value = ipc.mean; ci = ipc.ci95 };
                  edp = { value = edp.mean; ci = edp.ci95 };
@@ -125,7 +124,8 @@ let run ~cache ?(jobs = 1) ?(check = fun () -> ()) ?(replicas = 1)
       in
       let results =
         Array.mapi
-          (fun i (point, ipc, epc, edp) ->
+          (fun i (ipc, epc, edp) ->
+            let point = points.(i) in
             {
               point;
               label = Sweep.label point;

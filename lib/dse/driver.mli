@@ -1,28 +1,34 @@
-(** The DSE job planner and report layer.
+(** The design-point engine, the DSE job planner and its report layer.
 
-    [run] expands a {!Sweep} into its canonically ordered design points
-    and groups them by {!Profile.Stat_profile.profile_config}: profiling
-    reads the caches, TLBs, predictor, fetch queue and issue order, so
-    the points of a group share {b one} statistical profile and {b one}
-    compiled execution plan, and a sweep over the window, widths or
-    latencies has exactly one group. Each group's plan is drawn from
-    the shared {!Runner.Cache} through {!Runner.Cache.profile_plan}
-    (memo tier, then the content-addressed store — a warm store makes a
-    whole sweep resumable without collecting or decoding a profile),
-    and the driver {e fails} if preparing one group makes the cache
-    collect or compile more than once. Replica traces are generated
-    once per group from its plan (deterministic seed split) and shared
-    read-only by the group's points; points fan out over the
-    {!Parallel} Domain pool.
+    [evaluate] is the engine: it runs a list of machines on one
+    workload's synthetic traces. It groups the machines by
+    {!Profile.Stat_profile.profile_config}: profiling reads the caches,
+    TLBs, predictor, fetch queue and issue order, so the machines of a
+    group share {b one} statistical profile and {b one} compiled
+    execution plan, and machines that differ only in the window, widths
+    or latencies form exactly one group. Each group's plan is drawn
+    from the shared {!Runner.Cache} through
+    {!Runner.Cache.profile_plan} (memo tier, then the content-addressed
+    store — a warm store answers without collecting or decoding a
+    profile), which fails if the call collects or compiles more than
+    once. One trace per seed is generated per group from its plan and
+    shared read-only by the group's machines; machines fan out over the
+    {!Parallel} Domain pool. [statsim dse], the daemon's [dse] op,
+    Table 4 and the Section 4.6 experiment all evaluate through it.
 
-    Determinism: points are evaluated independently and aggregated in
-    sweep order with per-replica seeds fixed up front, so the result —
+    [run] is the sweep layer above it: it expands a {!Sweep} into its
+    canonically ordered design points, validates them, splits the
+    master seed into replica seeds, and reduces each point's replicas
+    to means, CIs and a Pareto frontier.
+
+    Determinism: machines are evaluated independently and aggregated in
+    input order with per-replica seeds fixed up front, so the result —
     and every rendering of it — is byte-identical at any [jobs] value
     and across cold/warm store runs.
 
-    Telemetry: the [dse.sweep] span, [dse.points] (points evaluated)
-    and [dse.store_reuse] (profile/plan lookups answered by a cache
-    tier instead of computed) counters. *)
+    Telemetry: the [dse.sweep] span (one per [run]), [dse.points]
+    (machines evaluated) and [dse.store_reuse] (profile groups prepared
+    without collecting a profile) counters. *)
 
 type stat = { mean : float; ci95 : float }
 (** Across replicas; [ci95 = 0.] when [replicas = 1]. *)
@@ -46,13 +52,36 @@ type t = {
   frontier_count : int;
 }
 
+val evaluate :
+  cache:Runner.Cache.t ->
+  jobs:int ->
+  ?check:(unit -> unit) ->
+  length:int ->
+  target_length:int ->
+  bench:Workload.Spec.t ->
+  seeds:int array ->
+  Config.Machine.t array ->
+  (Statsim.result array array, string) result
+(** [evaluate ~cache ~length ~target_length ~bench ~seeds machines] is,
+    for each machine in order, its result on each seed's trace, in
+    seed order. The profile is collected from [bench]'s
+    [length]-instruction stream at the machine's profile configuration,
+    and each trace is generated from that profile's plan at
+    [target_length]. Each result equals
+    [Statsim.run_profile ~target_length cfg p ~seed] on that profile.
+    Machines run on [jobs] domains. [check] is the cooperative
+    cancellation hook (default a no-op), called before each profile
+    group is prepared and before each machine is evaluated, on
+    whichever domain evaluates it; whatever it raises propagates. [Error] is
+    {!Kernel.Compile.check_survivors}' message when [target_length]'s
+    reduction empties a group's profile. *)
+
 val run :
   cache:Runner.Cache.t ->
   ?jobs:int ->
   ?check:(unit -> unit) ->
   ?replicas:int ->
   ?max_points:int ->
-  ?base:Config.Machine.t ->
   ?length:int ->
   ?target_length:int ->
   sweep:Sweep.t ->
@@ -60,19 +89,15 @@ val run :
   seed:int ->
   unit ->
   (t, string) result
-(** Defaults: [jobs = 1], [replicas = 1], [base = baseline],
-    [length = 300_000] (profiling stream), [target_length = 40_000]
-    (synthetic trace). [check] is the cooperative cancellation hook
-    (default a no-op), called before each profile group is prepared
-    and before each design point is evaluated, on whichever domain
-    evaluates it; whatever it raises propagates. [Error] reproduces
-    {!Sweep.expand} failures (oversize sweep, zip mismatch), names the
-    first point {!Config.Machine.validate} rejects (before any profile
-    is collected), and reports a [target_length] whose reduction factor
-    empties the profile's graph ({!Kernel.Compile.check_survivors}).
-    Raises [Failure] if the shared cache reports more than one profile
-    collection or plan compilation for one group of points — the
-    invariant the whole driver exists to exploit. *)
+(** The sweep's points applied to {!Config.Machine.baseline}, evaluated
+    over [replicas] seeds split from [seed]
+    ({!Synth.Replicate.split_seeds}). Defaults: [jobs = 1],
+    [replicas = 1], [length = 300_000] (profiling stream),
+    [target_length = 40_000] (synthetic trace); [check] as in
+    {!evaluate}. [Error] reproduces {!Sweep.expand} failures (oversize
+    sweep, zip mismatch), names the first point
+    {!Config.Machine.validate} rejects (before any profile is
+    collected), and passes on {!evaluate}'s. *)
 
 val frontier : t -> point_result list
 (** Frontier points sorted by descending IPC (stable: sweep order

@@ -59,7 +59,7 @@ let all =
     {
       id = "dse";
       description = "Section 4.6: EDP design space exploration";
-      plan = Dse.plan;
+      plan = Sec46.plan;
     };
     {
       id = "inorder";

@@ -41,10 +41,8 @@ let dse_ref_length = max 50_000 (Exp_common.ref_length / 2)
 let max_eds_checks = 12
 let max_benches = 4
 
-let edp_of_metrics cfg (m : Uarch.Metrics.t) =
-  let ipc = Uarch.Metrics.ipc m in
-  let epc = Power.Model.epc (Power.Model.create cfg) m.activity in
-  if ipc > 0.0 then Power.Model.edp ~epc ~ipc else infinity
+(* EDP of a result, with a machine that commits nothing ranked last *)
+let edp_of (r : Statsim.result) = if r.ipc > 0.0 then r.edp else infinity
 
 let jobs () =
   List.filteri (fun i _ -> i < max_benches) Exp_common.benches
@@ -53,16 +51,15 @@ let jobs () =
 let exec cache (spec : Workload.Spec.t) =
   let points = grid () in
   let s = Exp_common.src ~length:dse_ref_length spec in
-  (* the DSE sweeps only microarchitecture-independent parameters, so
-     one profile and one synthetic trace serve every design point *)
-  let p = Exp_common.profile cache Config.Machine.baseline s in
-  let trace =
-    Statsim.synthesize ~target_length:dse_syn_length p ~seed:Exp_common.seed
-  in
   let evaluated =
-    List.map
-      (fun cfg -> (cfg, edp_of_metrics cfg (Synth.Run.run cfg trace)))
-      points
+    match
+      Dse.Driver.evaluate ~cache ~jobs:1 ~length:dse_ref_length
+        ~target_length:dse_syn_length ~bench:spec
+        ~seeds:[| Exp_common.seed |] (Array.of_list points)
+    with
+    | Ok results ->
+      List.mapi (fun i cfg -> (cfg, edp_of results.(i).(0))) points
+    | Error m -> failwith m
   in
   let best_edp =
     List.fold_left (fun acc (_, e) -> Float.min acc e) infinity evaluated
@@ -74,8 +71,7 @@ let exec cache (spec : Workload.Spec.t) =
   let to_check = List.filteri (fun i _ -> i < max_eds_checks) candidates in
   let eds_edps =
     List.map
-      (fun (cfg, _) ->
-        edp_of_metrics cfg (Exp_common.reference cache cfg s).Statsim.metrics)
+      (fun (cfg, _) -> edp_of (Exp_common.reference cache cfg s))
       to_check
   in
   let eds_at_ss_opt = List.hd eds_edps in

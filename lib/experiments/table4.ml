@@ -136,27 +136,27 @@ let jobs () =
          List.map (fun spec -> (f, spec)) Exp_common.benches)
   |> Array.of_list
 
-(* every family profiles each point at its profile configuration, so
-   points that differ only in what profiling does not read (the window
-   and width families, and each family's base point) share one profile
-   through the cache's memo and store tiers *)
+(* every family's points are evaluated on the design-point engine, which
+   profiles each at its profile configuration: points that differ only
+   in what profiling does not read (the window and width families, and
+   each family's base point) share one profile and one plan through the
+   cache's memo and store tiers *)
 let exec cache ((family : family), (spec : Workload.Spec.t)) =
   let s = Exp_common.src ~length:t4_ref_length spec in
-  List.map
-    (fun (_, cfg) ->
-      let eds = (Exp_common.reference cache cfg s).Statsim.metrics in
-      let p =
-        Exp_common.profile cache
-          (Profile.Stat_profile.profile_config ~base cfg)
-          s
-      in
-      let ss =
-        (Statsim.run_profile ~target_length:t4_syn_length cfg p
-           ~seed:Exp_common.seed)
-          .Statsim.metrics
-      in
-      (cfg, eds, ss))
-    (configs family)
+  let cfgs = List.map snd (configs family) in
+  match
+    Dse.Driver.evaluate ~cache ~jobs:1 ~length:t4_ref_length
+      ~target_length:t4_syn_length ~bench:spec ~seeds:[| Exp_common.seed |]
+      (Array.of_list cfgs)
+  with
+  | Error m -> failwith m
+  | Ok ss ->
+    List.mapi
+      (fun i cfg ->
+        ( cfg,
+          (Exp_common.reference cache cfg s).Statsim.metrics,
+          ss.(i).(0).Statsim.metrics ))
+      cfgs
 
 let family_table family per_bench =
   let cfgs = configs family in

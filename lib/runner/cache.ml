@@ -5,10 +5,8 @@ type t = {
   estimates : Analytical.Steady_state.estimate Memo.t;
   store : Store.t option;
   (* actual compute-thunk executions, as opposed to memo misses (which
-     also count lookups the store answered): a design-space sweep
-     asserts profile collection and plan compilation happened at most
-     once from these. Atomic because distinct keys compute concurrently
-     on worker domains. *)
+     also count lookups the store answered), for [stats]. Atomic
+     because distinct keys compute concurrently on worker domains. *)
   profile_computes : int Atomic.t;
   plan_computes : int Atomic.t;
   reference_computes : int Atomic.t;
@@ -223,6 +221,20 @@ exception Empty_graph of string
 
 let profile_plan t ?k cfg ~stream_key ~target_length mk =
   let key, collect = profile_request t ?k cfg ~stream_key mk in
+  (* the call's own work, counted in its own closures: concurrent calls
+     on a shared cache collect and compile for their own keys *)
+  let at_most_once what =
+    let n = ref 0 in
+    fun () ->
+      incr n;
+      if !n > 1 then failwith ("Runner.Cache.profile_plan: " ^ what)
+  in
+  let collected = at_most_once "profile collected more than once" in
+  let compiled = at_most_once "plan compiled more than once" in
+  let collect () =
+    collected ();
+    collect ()
+  in
   (* the plan key from the stored profile's bytes, read once per key;
      a profile in the memo keys its plan as [plan] does *)
   let keyed =
@@ -259,7 +271,9 @@ let profile_plan t ?k cfg ~stream_key ~target_length mk =
     plan_tier t ~digest ~r (fun () ->
         let p = profile_tier t key collect in
         match Kernel.Compile.check_survivors ~reduction:r p with
-        | Ok () -> compile t ~r p
+        | Ok () ->
+          compiled ();
+          compile t ~r p
         | Error msg -> raise (Empty_graph msg))
   with
   | pl -> Ok pl

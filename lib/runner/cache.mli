@@ -33,8 +33,7 @@ type stats = {
   estimate_misses : int;
   profile_computes : int;
       (** actual {!Profile.Stat_profile.collect} executions — unlike
-          [profile_misses], lookups the store answered do not count, so
-          a sweep can assert it collected at most once *)
+          [profile_misses], lookups the store answered do not count *)
   plan_computes : int;  (** actual {!Kernel.Compile.plan} executions *)
   reference_computes : int;  (** actual EDS simulator executions *)
   store_hits : int;  (** lookups answered by the persistent store *)
@@ -109,7 +108,10 @@ val profile_plan :
     memory, so each profile key is read from disk at most once. The
     profile is decoded only when no plan is stored under that key, to
     compile one. [Error] is {!Kernel.Compile.check_survivors}' message
-    when [target_length]'s reduction empties the graph, warm or cold. *)
+    when [target_length]'s reduction empties the graph, warm or cold.
+    Raises [Failure] if the call itself collects the profile or
+    compiles the plan more than once: the guard counts only this
+    call's work, so concurrent calls on one cache never trip it. *)
 
 val estimate :
   t ->

@@ -4,7 +4,6 @@ type table = {
   name : string;
   label_col : string;
   label_width : int;
-  col_width : int;
   columns : string list;
   rows : (string * cell list) list;
 }
@@ -13,9 +12,8 @@ type block = Line of string | Table of table
 
 type t = { id : string; blocks : block list }
 
-let table ?(label_width = 9) ?(col_width = 9) ?(label_col = "bench") ~name
-    ~columns rows =
-  Table { name; label_col; label_width; col_width; columns; rows }
+let table ?(label_width = 9) ?(label_col = "bench") ~name ~columns rows =
+  Table { name; label_col; label_width; columns; rows }
 
 let nums vs = List.map (fun v -> Num v) vs
 
@@ -41,16 +39,19 @@ let text_cell buf ~w = function
   | Pct (v, prec) ->
     Buffer.add_string buf (Printf.sprintf " %*.*f%%" (w - 1) prec v)
 
+(* every value column of the text layout *)
+let col_width = 9
+
 let text_table buf t =
   Buffer.add_string buf (Printf.sprintf "%-*s" t.label_width t.label_col);
   List.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf " %*s" t.col_width c))
+    (fun c -> Buffer.add_string buf (Printf.sprintf " %*s" col_width c))
     t.columns;
   Buffer.add_char buf '\n';
   List.iter
     (fun (label, cells) ->
       Buffer.add_string buf (Printf.sprintf "%-*s" t.label_width label);
-      List.iter (text_cell buf ~w:t.col_width) cells;
+      List.iter (text_cell buf ~w:col_width) cells;
       Buffer.add_char buf '\n')
     t.rows
 

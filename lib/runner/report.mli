@@ -17,7 +17,6 @@ type table = {
   name : string;  (** machine-readable identifier for CSV/JSON *)
   label_col : string;  (** header of the label column; may be [""] *)
   label_width : int;
-  col_width : int;
   columns : string list;
   rows : (string * cell list) list;
 }
@@ -30,14 +29,13 @@ type t = { id : string; blocks : block list }
 
 val table :
   ?label_width:int ->
-  ?col_width:int ->
   ?label_col:string ->
   name:string ->
   columns:string list ->
   (string * cell list) list ->
   block
-(** Defaults: [label_width = 9], [col_width = 9], [label_col = "bench"]
-    — the layout of [Exp_common.row_header]/[row]. *)
+(** Defaults: [label_width = 9], [label_col = "bench"]. Text renders
+    every value column 9 characters wide. *)
 
 val nums : float list -> cell list
 

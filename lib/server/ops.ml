@@ -487,29 +487,30 @@ let experiment env params =
             (Runner.Exec.run ~label:e.id ctx e.plan)))
     entries;
   let cfg = Config.Machine.baseline in
+  (* each workload's baseline profile and its plan at the experiments'
+     synthetic length, from the memo the experiments share *)
   let per_bench f =
     List.iter
       (fun (spec : Workload.Spec.t) ->
         env.check ();
-        f spec.name (E.profile env.cache cfg (E.src spec)))
+        let p = E.profile env.cache cfg (E.src spec) in
+        f spec.name p
+          (Runner.Cache.plan env.cache ~target_length:E.syn_length p))
       E.benches
   in
   let json = format = Runner.Report.Json in
   if diag then
-    per_bench (fun name p ->
-        let tr =
-          Synth.Generate.generate ~target_length:E.syn_length p ~seed:E.seed
-        in
+    per_bench (fun name p plan ->
+        let tr = Synth.Generate.generate_of_plan plan ~seed:E.seed in
         let d = Diag.compare ~label:name p tr in
         Buffer.add_string buf
           (if json then Json.to_string (Diag.to_json d) ^ "\n"
            else Diag.render_text d));
   Option.iter
     (fun n ->
-      per_bench (fun name p ->
+      per_bench (fun name _ plan ->
           let r =
-            Synth.Replicate.run ~jobs:env.jobs ~check:env.check cfg
-              (Kernel.Compile.plan ~target_length:E.syn_length p)
+            Synth.Replicate.run ~jobs:env.jobs ~check:env.check cfg plan
               ~master_seed:E.seed ~replicas:n
           in
           Buffer.add_string buf

@@ -45,7 +45,9 @@ let seed_centroids rng points k =
   done;
   Array.map Array.copy centroids
 
-let cluster ?(max_iters = 100) rng ~points ~k =
+let max_iters = 100
+
+let cluster rng ~points ~k =
   let n = Array.length points in
   if n = 0 then invalid_arg "Kmeans.cluster: no points";
   if k <= 0 then invalid_arg "Kmeans.cluster: k <= 0";

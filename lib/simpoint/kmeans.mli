@@ -9,9 +9,9 @@ type result = {
   sse : float;  (** sum of squared distances to assigned centroids *)
 }
 
-val cluster :
-  ?max_iters:int -> Prng.t -> points:float array array -> k:int -> result
-(** Raises [Invalid_argument] on an empty point set or [k <= 0]. When
+val cluster : Prng.t -> points:float array array -> k:int -> result
+(** Lloyd iterations stop when no assignment changes, or after 100.
+    Raises [Invalid_argument] on an empty point set or [k <= 0]. When
     [k] exceeds the number of distinct points, fewer clusters may end up
     non-empty. *)
 

@@ -21,7 +21,13 @@ let projection_entry ~seed ~block ~dim =
   h := (!h lsr 13) lxor !h;
   float_of_int (!h land 0xFFFF) /. 65536.0
 
-let analyze ?(max_clusters = 10) ?(dims = 16) ?(seed = 1) ~interval gen =
+(* SimPoint's clustering setup: projected dimensions, the largest k
+   the BIC selection tries, and the projection and k-means seed *)
+let dims = 16
+let max_clusters = 10
+let seed = 1
+
+let analyze ~interval gen =
   if interval <= 0 then invalid_arg "Simpoint.analyze: interval <= 0";
   let vectors = ref [] in
   let current = Hashtbl.create 256 in
@@ -130,7 +136,9 @@ let node_features (n : Profile.Sfg.node) =
     Float.min 1.0 (lat_mean /. 10.0);
   |]
 
-let classify_nodes ?(max_strata = 4) ?(seed = 1) nodes =
+let max_strata = 4
+
+let classify_nodes nodes =
   if nodes = [] then invalid_arg "Simpoint.classify_nodes: no nodes";
   let points = Array.of_list (List.map node_features nodes) in
   let rng = Prng.create ~seed in
@@ -140,11 +148,10 @@ let skip gen n =
   let rec go i = if i < n then match gen () with None -> () | Some _ -> go (i + 1) in
   go 0
 
-let simulate ?warmup cfg t ~stream_factory =
-  let warmup = Option.value warmup ~default:t.interval in
+let simulate cfg t ~stream_factory =
   let run_pick (p : pick) =
     let start = p.interval_index * t.interval in
-    let w = min warmup start in
+    let w = min t.interval start in
     (* cycles of the warmup prefix alone, subtracted from the combined
        run so the representative interval is measured warm *)
     let warm_cycles =

@@ -22,15 +22,9 @@ type t = {
   clusters : int;
 }
 
-val analyze :
-  ?max_clusters:int ->
-  ?dims:int ->
-  ?seed:int ->
-  interval:int ->
-  (unit -> Isa.Dyn_inst.t option) ->
-  t
-(** One profiling pass over the stream. [dims] is the random-projection
-    dimensionality (default 16). *)
+val analyze : interval:int -> (unit -> Isa.Dyn_inst.t option) -> t
+(** One profiling pass over the stream. Basic-block vectors are
+    projected to 16 dimensions and clustered for k up to 10. *)
 
 val skip : (unit -> Isa.Dyn_inst.t option) -> int -> unit
 (** Fast-forward a generator by [n] instructions. *)
@@ -40,26 +34,23 @@ val node_features : Profile.Sfg.node -> float array
     rates plus squashed block-shape terms — the phase-classification
     input for stratified replication (PR 10). *)
 
-val classify_nodes :
-  ?max_strata:int -> ?seed:int -> Profile.Sfg.node list -> Kmeans.result
+val classify_nodes : Profile.Sfg.node list -> Kmeans.result
 (** Cluster SFG nodes into phase strata over {!node_features} with
-    {!Kmeans.best} (BIC selection up to [max_strata], default 4).
+    {!Kmeans.best} (BIC selection up to 4 strata, seed 1).
     Deterministic given the node list order — pass nodes key-sorted.
     Raises [Invalid_argument] on an empty list. *)
 
 val simulate :
-  ?warmup:int ->
   Config.Machine.t ->
   t ->
   stream_factory:(unit -> unit -> Isa.Dyn_inst.t option) ->
   float * Uarch.Metrics.t list
 (** Run execution-driven simulation on each representative interval of a
     fresh stream and combine per-interval CPIs by cluster weight;
-    returns the weighted IPC. [warmup] (default: one interval, clipped
-    at the stream start) instructions are simulated before each
-    representative and their cycles subtracted, curing the cold-start
-    bias that would otherwise dominate at this reproduction's scaled-down
-    interval sizes. *)
+    returns the weighted IPC. One interval of warmup (clipped at the
+    stream start) is simulated before each representative and its
+    cycles subtracted, curing the cold-start bias that would otherwise
+    dominate at this reproduction's scaled-down interval sizes. *)
 
 val simulated_instructions : t -> int
 (** Total detailed-simulation budget (picks * interval). *)

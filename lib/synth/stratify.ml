@@ -303,9 +303,9 @@ let stratum_master_seed master_seed h =
      each other and from the unstratified table for the same master *)
   (master_seed lxor (0x9E3779B9 * (h + 1))) land 0x3FFFFFFF
 
-(* The partition's k-means seed and the most strata BIC may pick. *)
+(* The partition's k-means seed for a given stratum count; without one,
+   Simpoint.classify_nodes picks up to 4 strata with the same seed. *)
 let strata_seed = 1
-let max_strata = 4
 
 let partition ?strata ~reduction (p : Profile.Stat_profile.t) =
   let survivors = ref [] in
@@ -327,7 +327,7 @@ let partition ?strata ~reduction (p : Profile.Stat_profile.t) =
         Array.of_list (List.map Simpoint.node_features survivors)
       in
       Simpoint.Kmeans.cluster (Prng.create ~seed:strata_seed) ~points ~k
-    | None -> Simpoint.classify_nodes ~max_strata ~seed:strata_seed survivors
+    | None -> Simpoint.classify_nodes survivors
   in
   let nodes = Array.of_list survivors in
   (* group members per cluster, drop empties, order groups by smallest

@@ -345,6 +345,79 @@ let test_driver_oversize () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "guard should have rejected 4 > 2"
 
+(* Concurrent sweeps for different workloads on one shared cache: the
+   compile-once guard counts each call's own work, not the cache's, so
+   no call trips it, every workload is collected and compiled once, and
+   each call renders what it renders alone on a fresh cache. *)
+let test_driver_concurrent_calls () =
+  let sweep = Dse.Sweep.make ~name:"ruu" (Dse.Sweep.axis "ruu" [ 16; 32 ]) in
+  let run cache (spec : Workload.Spec.t) =
+    match
+      Dse.Driver.run ~cache ~length:20_000 ~target_length:4_000 ~sweep
+        ~bench:spec ~seed:7 ()
+    with
+    | Ok r -> Ok (Runner.Report.json_string (Dse.Driver.to_report r))
+    | Error m -> Error m
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let specs = Array.of_list Workload.Suite.all in
+  let alone = Array.map (run (Runner.Cache.create ())) specs in
+  for round = 1 to 3 do
+    let cache = Runner.Cache.create () in
+    let shared = Parallel.map ~jobs:2 (run cache) specs in
+    Array.iteri
+      (fun i (spec : Workload.Spec.t) ->
+        Alcotest.(check (result string string))
+          (Printf.sprintf "round %d, %s" round spec.name)
+          alone.(i) shared.(i))
+      specs;
+    let st = Runner.Cache.stats cache in
+    check_int "one collection per workload" (Array.length specs)
+      st.Runner.Cache.profile_computes;
+    check_int "one compile per workload" (Array.length specs)
+      st.Runner.Cache.plan_computes
+  done
+
+(* The engine on Table 4's window and cache-size machines returns, per
+   machine and seed, what the one-shot path gives on the profile at the
+   machine's profile configuration, and collects and compiles once per
+   profile group. *)
+let test_evaluate_matches_one_shot () =
+  let bench = Workload.Suite.find "twolf" in
+  let length = 20_000 and target_length = 4_000 and seeds = [| 11; 12 |] in
+  let machines =
+    List.concat_map
+      (fun f -> List.map snd (Experiments.Table4.configs f))
+      [ Experiments.Table4.Window; Experiments.Table4.Cache_size ]
+    |> Array.of_list
+  in
+  let pcfg = Profile.Stat_profile.profile_config ~base:Config.Machine.baseline in
+  let groups = List.sort_uniq compare (List.map pcfg (Array.to_list machines)) in
+  check_int "window shares the base profile, cache sizes split" 5
+    (List.length groups);
+  let cache = Runner.Cache.create () in
+  match
+    Dse.Driver.evaluate ~cache ~jobs:2 ~length ~target_length ~bench ~seeds
+      machines
+  with
+  | Error m -> Alcotest.failf "evaluate failed: %s" m
+  | Ok results ->
+    let st = Runner.Cache.stats cache in
+    check_int "one collection per group" 5 st.Runner.Cache.profile_computes;
+    check_int "one compile per group" 5 st.Runner.Cache.plan_computes;
+    Array.iteri
+      (fun i cfg ->
+        let p = Statsim.profile (pcfg cfg) (Workload.Suite.stream bench ~length) in
+        Array.iteri
+          (fun j seed ->
+            let want = Statsim.run_profile ~target_length cfg p ~seed in
+            Alcotest.(check string)
+              (Printf.sprintf "machine %d, seed %d" i seed)
+              (Uarch.Metrics.encode want.Statsim.metrics)
+              (Uarch.Metrics.encode results.(i).(j).Statsim.metrics))
+          seeds)
+      machines
+
 (* A set keeps all its ways, so a cache with more ways than blocks
    models a larger cache than configured: such a point is a usage error
    that names it, raised before any profile is collected. *)
@@ -463,6 +536,10 @@ let suite =
       test_driver_profiles_per_cache;
     Alcotest.test_case "driver rejects more ways than blocks" `Quick
       test_driver_rejects_ways_over_blocks;
+    Alcotest.test_case "driver concurrent calls on one cache" `Quick
+      test_driver_concurrent_calls;
+    Alcotest.test_case "evaluate = one-shot on Table 4 machines" `Quick
+      test_evaluate_matches_one_shot;
     Alcotest.test_case "shipped machines pass validate" `Quick
       test_shipped_points_valid;
   ]

@@ -36,8 +36,9 @@ let test_table4_configs () =
     Experiments.Table4.families
 
 let test_dse_grid () =
-  let g = Experiments.Dse.grid () in
-  check "large grid" true (List.length g > 1_000);
+  let g = Experiments.Sec46.grid () in
+  Alcotest.(check int)
+    "37 (ruu, lsq) pairs x 4^3 widths" 2_368 (List.length g);
   List.iter
     (fun (c : Config.Machine.t) ->
       check "lsq <= ruu" true (c.lsq_size <= c.ruu_size))
