@@ -327,16 +327,12 @@ let validate t =
 let axis_names = List.map (fun a -> a.axis_name) axes
 let find_axis name = List.find_opt (fun a -> a.axis_name = name) axes
 
-let render_axes t axs =
-  String.concat " "
-    (List.map
-       (fun a -> Printf.sprintf "%s=%d" a.axis_name (a.axis_get t))
-       axs)
-
-(* Every field, in declaration order, under a scheme-version tag. Any
-   new field must be appended here (and the tag bumped if the meaning of
-   an existing field changes): persistent cache keys are derived from
-   this string, so it must be exhaustive and stable. *)
+(* Every field, in declaration order, under a scheme-version tag. A new
+   field is appended here (and the tag bumped if the meaning of an
+   existing field changes): persistent cache keys and a profile's
+   record of its machine are this string, so it must be exhaustive and
+   stable. test_config walks the record's runtime representation and
+   fails for any leaf field this rendering leaves out. *)
 let canonical (t : t) =
   let b = Buffer.create 256 in
   let f fmt = Printf.bprintf b fmt in
@@ -372,16 +368,15 @@ let canonical (t : t) =
   f "inorder=%b" t.in_order;
   Buffer.contents b
 
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>machine: %d-wide (fetch x%d), IFQ=%d RUU=%d LSQ=%d@,\
-     I$=%dKB/%dw D$=%dKB/%dw L2=%dKB/%dw mem=%dcy@,\
-     bpred: meta=%d bim=%d local=%dx%d BTB=%dx%d RAS=%d@]"
-    t.decode_width t.fetch_speed t.ifq_size t.ruu_size t.lsq_size
-    (t.icache.size_bytes / 1024)
-    t.icache.assoc
-    (t.dcache.size_bytes / 1024)
-    t.dcache.assoc (t.l2.size_bytes / 1024) t.l2.assoc t.mem_latency
-    t.bpred.meta_entries t.bpred.bimodal_entries t.bpred.local_hist_entries
-    t.bpred.local_pattern_entries t.bpred.btb_sets t.bpred.btb_assoc
-    t.bpred.ras_entries
+let profiled cfg =
+  {
+    baseline with
+    icache = cfg.icache;
+    dcache = cfg.dcache;
+    l2 = cfg.l2;
+    itlb = cfg.itlb;
+    dtlb = cfg.dtlb;
+    bpred = cfg.bpred;
+    ifq_size = cfg.ifq_size;
+    in_order = cfg.in_order;
+  }

@@ -149,15 +149,21 @@ val axis_names : string list
 
 val find_axis : string -> axis option
 
-val render_axes : t -> axis list -> string
-(** Canonical rendering of the given swept fields, e.g.
-    ["ruu=128 lsq=32 width=8"] — the per-point label of a sweep
-    report. Deterministic: axis order is the caller's. *)
-
 val canonical : t -> string
 (** A stable, exhaustive textual rendering of every field, for use as a
     persistent content key. Unlike [Marshal]-based digests it does not
     change with the OCaml version or the in-memory representation: two
-    configurations are equal iff their canonical strings are equal. *)
+    configurations are equal iff their canonical strings are equal. It is
+    the record's one field-by-field rendering: store keys hash it, and a
+    statistical profile carries it as the name of the machine it was
+    collected on. *)
 
-val pp : Format.formatter -> t -> unit
+val profiled : t -> t
+(** The configuration to profile at for a machine: {!baseline} with
+    every field profiling reads taken from the machine — the cache and
+    TLB geometry, the branch predictor, [ifq_size] (the delayed-update
+    FIFO) and [in_order]. This is the one list of the fields profiling
+    reads: machines with equal answers share a profile (DSE groups its
+    points by it, and every Table 4 family profiles at it), and the
+    rest of the machine (window, widths, latencies) is applied only
+    when the synthetic trace is simulated. *)

@@ -35,12 +35,10 @@ let stat_of samples =
    window, widths or latencies have exactly one. *)
 let evaluate ~cache ~jobs ?(check = fun () -> ()) ~length ~target_length
     ~(bench : Workload.Spec.t) ~seeds machines =
-  let base = Config.Machine.baseline in
-  let pcfg_of cfg = Profile.Stat_profile.profile_config ~base cfg in
   let groups =
     Array.fold_left
       (fun acc cfg ->
-        let pcfg = pcfg_of cfg in
+        let pcfg = Config.Machine.profiled cfg in
         if List.mem pcfg acc then acc else acc @ [ pcfg ])
       [] machines
   in
@@ -77,7 +75,7 @@ let evaluate ~cache ~jobs ?(check = fun () -> ()) ~length ~target_length
          check ();
          Array.map
            (fun tr -> Statsim.result_of_metrics cfg (Synth.Run.run cfg tr))
-           (List.assoc (pcfg_of cfg) traces_of))
+           (List.assoc (Config.Machine.profiled cfg) traces_of))
        machines)
 
 let run ~cache ?(jobs = 1) ?(check = fun () -> ()) ?(replicas = 1)

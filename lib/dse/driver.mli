@@ -2,8 +2,8 @@
 
     [evaluate] is the engine: it runs a list of machines on one
     workload's synthetic traces. It groups the machines by
-    {!Profile.Stat_profile.profile_config}: profiling reads the caches,
-    TLBs, predictor, fetch queue and issue order, so the machines of a
+    {!Config.Machine.profiled}: profiling reads the caches, TLBs,
+    predictor, fetch queue and issue order, so the machines of a
     group share {b one} statistical profile and {b one} compiled
     execution plan, and machines that differ only in the window, widths
     or latencies form exactly one group. Each group's plan is drawn

@@ -11,10 +11,10 @@
 
     Expansion order is the document order: in a [cross], the first
     child is the slowest-varying axis; a [zip] advances all children in
-    lockstep. Points that agree on
-    {!Profile.Stat_profile.profile_config} share one profile and one
-    compiled execution plan (the paper's own amortization argument), so
-    {!Driver} collects one per group of points, not one per point. *)
+    lockstep. Points that agree on {!Config.Machine.profiled} share
+    one profile and one compiled execution plan (the paper's own
+    amortization argument), so {!Driver} collects one per group of
+    points, not one per point. *)
 
 type spec =
   | Axis of Config.Machine.axis * int list
@@ -85,8 +85,8 @@ val expand : ?max_points:int -> t -> (point list, string) result
     else the sweep file's own [max_points], else 4096). *)
 
 val label : point -> string
-(** ["ruu=32 lsq=16 width=4"] — the same [name=value] rendering as
-    {!Config.Machine.render_axes}, in the point's document order. *)
+(** ["ruu=32 lsq=16 width=4"]: each assignment as [name=value], in
+    the point's document order. *)
 
 val apply : Config.Machine.t -> point -> Config.Machine.t
 (** The design point's machine: every assignment applied to the base

@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 
 (* --- the decimal line codec, shared with Kernel.Plan --- *)
 
@@ -107,56 +107,6 @@ let write_hist b h =
         field b v;
         field b c)
 
-let write_config b (c : Config.Machine.t) =
-  let cache (x : Config.Machine.cache) =
-    List.iter (field b) [ x.size_bytes; x.assoc; x.block_bytes; x.hit_latency ]
-  in
-  let tlb (x : Config.Machine.tlb) =
-    List.iter (field b) [ x.entries; x.tlb_assoc; x.page_bytes; x.miss_penalty ]
-  in
-  Buffer.add_string b "config";
-  cache c.icache;
-  cache c.dcache;
-  cache c.l2;
-  tlb c.itlb;
-  tlb c.dtlb;
-  let bp = c.bpred in
-  let kind_code =
-    match bp.kind with
-    | Config.Machine.Hybrid_local -> 0
-    | Config.Machine.Gshare -> 1
-    | Config.Machine.Bimodal_only -> 2
-  in
-  List.iter (field b)
-    [
-      c.mem_latency;
-      kind_code;
-      bp.meta_entries;
-      bp.bimodal_entries;
-      bp.local_hist_entries;
-      bp.local_pattern_entries;
-      bp.local_hist_bits;
-      bp.btb_sets;
-      bp.btb_assoc;
-      bp.ras_entries;
-      c.mispredict_restart;
-      c.fetch_redirect_penalty;
-      c.ifq_size;
-      c.ruu_size;
-      c.lsq_size;
-      c.fetch_speed;
-      c.decode_width;
-      c.issue_width;
-      c.commit_width;
-      c.fu.int_alu;
-      c.fu.int_mult_div;
-      c.fu.mem_ports;
-      c.fu.fp_alu;
-      c.fu.fp_mult_div;
-      bool_int c.in_order;
-    ];
-  Buffer.add_char b '\n'
-
 (* Nodes are emitted sorted by key and edges sorted by successor, so
    the rendering is canonical: equal profiles produce equal bytes
    regardless of hash-table history — what a content-addressed store
@@ -176,8 +126,9 @@ let to_string (p : Stat_profile.t) =
       p.branches;
       p.mispredicts;
     ];
+  Buffer.add_string b "\nmachine ";
+  Buffer.add_string b p.machine;
   Buffer.add_char b '\n';
-  write_config b p.cfg;
   let nodes =
     List.sort
       (fun (a : Sfg.node) (c : Sfg.node) -> Int.compare a.key c.key)
@@ -253,89 +204,6 @@ let read_hist c =
   done;
   h
 
-let read_config c : Config.Machine.t =
-  let cache () : Config.Machine.cache =
-    let size_bytes = next_int c in
-    let assoc = next_int c in
-    let block_bytes = next_int c in
-    let hit_latency = next_int c in
-    { size_bytes; assoc; block_bytes; hit_latency }
-  in
-  let tlb () : Config.Machine.tlb =
-    let entries = next_int c in
-    let tlb_assoc = next_int c in
-    let page_bytes = next_int c in
-    let miss_penalty = next_int c in
-    { entries; tlb_assoc; page_bytes; miss_penalty }
-  in
-  let icache = cache () in
-  let dcache = cache () in
-  let l2 = cache () in
-  let itlb = tlb () in
-  let dtlb = tlb () in
-  let mem_latency = next_int c in
-  let kind =
-    match next_int c with
-    | 0 -> Config.Machine.Hybrid_local
-    | 1 -> Config.Machine.Gshare
-    | 2 -> Config.Machine.Bimodal_only
-    | n -> fail_at c (Printf.sprintf "unknown predictor kind %d" n)
-  in
-  let meta_entries = next_int c in
-  let bimodal_entries = next_int c in
-  let local_hist_entries = next_int c in
-  let local_pattern_entries = next_int c in
-  let local_hist_bits = next_int c in
-  let btb_sets = next_int c in
-  let btb_assoc = next_int c in
-  let ras_entries = next_int c in
-  let mispredict_restart = next_int c in
-  let fetch_redirect_penalty = next_int c in
-  let ifq_size = next_int c in
-  let ruu_size = next_int c in
-  let lsq_size = next_int c in
-  let fetch_speed = next_int c in
-  let decode_width = next_int c in
-  let issue_width = next_int c in
-  let commit_width = next_int c in
-  let int_alu = next_int c in
-  let int_mult_div = next_int c in
-  let mem_ports = next_int c in
-  let fp_alu = next_int c in
-  let fp_mult_div = next_int c in
-  let in_order = next_bool c in
-  {
-    icache;
-    dcache;
-    l2;
-    itlb;
-    dtlb;
-    mem_latency;
-    bpred =
-      {
-        kind;
-        meta_entries;
-        bimodal_entries;
-        local_hist_entries;
-        local_pattern_entries;
-        local_hist_bits;
-        btb_sets;
-        btb_assoc;
-        ras_entries;
-      };
-    mispredict_restart;
-    fetch_redirect_penalty;
-    ifq_size;
-    ruu_size;
-    lsq_size;
-    fetch_speed;
-    decode_width;
-    issue_width;
-    commit_width;
-    fu = { int_alu; int_mult_div; mem_ports; fp_alu; fp_mult_div };
-    in_order;
-  }
-
 let expect c tag what =
   if not (Text.next_line c && Text.token c && Text.token_is c tag) then
     fail_at c ("expected " ^ what)
@@ -364,8 +232,9 @@ let of_string s =
   let mispredicts = next_count c in
   if k < 0 || k > Sfg.max_k then
     fail_at c (Printf.sprintf "k %d out of [0, %d]" k Sfg.max_k);
-  expect c "config" "config line";
-  let cfg = read_config c in
+  expect c "machine" "machine line";
+  if not (Text.token c) then fail_at c "missing machine";
+  let machine = Text.token_string c in
   let sfg = Sfg.create ~k in
   let cur_node : Sfg.node option ref = ref None in
   let pending_slots = ref [] in
@@ -431,7 +300,7 @@ let of_string s =
   {
     Stat_profile.sfg;
     k;
-    cfg;
+    machine;
     instructions;
     perfect_caches;
     perfect_bpred;

@@ -10,9 +10,15 @@
     on every warm call, and the decoder is where bytes from disk first
     meet the program, so it fails with [Failure] only.
 
-    The machine configuration the profile was collected with is stored
-    alongside the statistics, because locality characteristics are only
-    valid for that cache/predictor configuration (paper Section 4.4). *)
+    A profile names the machine it was collected on, because locality
+    characteristics are only valid for that cache/predictor
+    configuration (paper Section 4.4). Its third line is [machine]
+    followed by that machine's {!Config.Machine.canonical} rendering,
+    one token, which the decoder keeps as read and never parses: the
+    rendering whose MD5 keys the profile in the store, not a second
+    encoding of the record. This is version 2 of the format; version 1
+    carried a [config] line of 45 integers instead and is rejected as
+    an unsupported version. *)
 
 val to_string : Stat_profile.t -> string
 (** The same format, rendered in memory. The rendering is canonical
@@ -24,15 +30,16 @@ val to_string : Stat_profile.t -> string
     [profile.encode] telemetry span. *)
 
 val of_string : string -> Stat_profile.t
-(** Parses in place, one pass over the string. Fields are integers in
-    [int_of_string] syntax separated by runs of spaces; blank lines
-    between records are skipped. Raises [Failure] with a line-numbered
-    diagnostic, and nothing else, on malformed input: an unsupported
-    version, a [k] outside [\[0, Sfg.max_k\]], an unknown instruction
-    class, a negative count, or an operand count above
-    [Sfg.max_deps - 2] (checked before the array is made, so
-    allocation stays proportional to the input). Timed under the
-    [profile.decode] telemetry span. *)
+(** Parses in place, one pass over the string. Fields other than the
+    machine token are integers in [int_of_string] syntax separated by
+    runs of spaces; blank lines between records are skipped. Raises
+    [Failure] with a line-numbered diagnostic, and nothing else, on
+    malformed input: an unsupported version, a missing machine line, a
+    [k] outside [\[0, Sfg.max_k\]], an unknown instruction class, a
+    negative count, or an operand count above [Sfg.max_deps - 2]
+    (checked before the array is made, so allocation stays
+    proportional to the input). Timed under the [profile.decode]
+    telemetry span. *)
 
 val instructions : string -> int
 (** The instruction count on an encoded profile's meta line, read

@@ -7,7 +7,7 @@ let c_instructions = Telemetry.counter "profile.instructions"
 type t = {
   sfg : Sfg.t;
   k : int;
-  cfg : Config.Machine.t;
+  machine : string;
   instructions : int;
   perfect_caches : bool;
   perfect_bpred : bool;
@@ -195,7 +195,7 @@ let finish st sfg ~instructions =
   {
     sfg;
     k = st.k;
-    cfg = st.cfg;
+    machine = Config.Machine.canonical st.cfg;
     instructions;
     perfect_caches = st.perfect_caches;
     perfect_bpred = st.perfect_bpred;
@@ -260,16 +260,3 @@ let mpki t =
 let mean_block_size t =
   let occ = Sfg.total_occurrences t.sfg in
   if occ = 0 then 0.0 else float_of_int t.instructions /. float_of_int occ
-
-let profile_config ~(base : Config.Machine.t) (cfg : Config.Machine.t) =
-  {
-    base with
-    icache = cfg.icache;
-    dcache = cfg.dcache;
-    l2 = cfg.l2;
-    itlb = cfg.itlb;
-    dtlb = cfg.dtlb;
-    bpred = cfg.bpred;
-    ifq_size = cfg.ifq_size;
-    in_order = cfg.in_order;
-  }

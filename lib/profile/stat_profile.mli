@@ -8,7 +8,9 @@
 type t = {
   sfg : Sfg.t;
   k : int;
-  cfg : Config.Machine.t;
+  machine : string;
+      (** {!Config.Machine.canonical} of the machine profiled: the
+          locality statistics hold only for its caches and predictor *)
   instructions : int;  (** profiled dynamic instruction count *)
   perfect_caches : bool;
   perfect_bpred : bool;
@@ -31,16 +33,6 @@ val collect :
     maximum {!Sfg.dep_cap} = 512, the paper's bound).
     [perfect_caches] / [perfect_bpred] zero the corresponding event
     probabilities, for the idealized studies of Figures 4 and 5. *)
-
-val profile_config : base:Config.Machine.t -> Config.Machine.t -> Config.Machine.t
-(** The configuration to profile at for a machine [cfg]: [base] with
-    every field profiling reads taken from [cfg] — the cache and TLB
-    geometry, the branch predictor, [ifq_size] (the delayed-update
-    FIFO) and [in_order]. This is the one list of the fields profiling
-    reads: machines with equal answers share a profile (DSE groups its
-    points by it, and every Table 4 family profiles at it), and the
-    rest of the machine (window, widths, latencies) is applied only
-    when the synthetic trace is simulated. *)
 
 val collect_chunked :
   ?k:int ->

@@ -235,8 +235,9 @@ let profile_plan t ?k cfg ~stream_key ~target_length mk =
     collected ();
     collect ()
   in
-  (* the plan key from the stored profile's bytes, read once per key;
-     a profile in the memo keys its plan as [plan] does *)
+  (* the plan key from the stored profile's bytes, read once per key:
+     the MD5 the store's frame check verified, not a second hash of the
+     bytes. A profile in the memo keys its plan as [plan] does *)
   let keyed =
     match t.store with
     | Some s when not (Memo.mem t.profiles ~key) -> (
@@ -245,10 +246,10 @@ let profile_plan t ?k cfg ~stream_key ~target_length mk =
             match
               Store.lookup s ~key:(profile_store_key key) ~decode:(fun b ->
                   match Profile.Serialize.instructions b with
-                  | n -> Ok (digest_hex b, n)
+                  | n -> Ok n
                   | exception Failure msg -> Error msg)
             with
-            | Some v -> v
+            | Some (n, md5) -> (Digest.to_hex md5, n)
             | None -> raise Not_found)
       with
       | v -> Some v

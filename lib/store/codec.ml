@@ -47,7 +47,7 @@ let decode ~key s =
             let payload = String.sub s pay_off pay_len in
             if Digest.string payload <> digest then
               error "payload digest mismatch"
-            else Ok payload
+            else Ok (payload, digest)
           end
         end
       end

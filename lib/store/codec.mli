@@ -22,6 +22,8 @@
 val encode : key:string -> string -> string
 (** [encode ~key payload] frames a payload. *)
 
-val decode : key:string -> string -> (string, string) result
-(** [decode ~key bytes] returns the verified payload, or [Error reason]
-    when the frame is damaged or belongs to a different key/version. *)
+val decode : key:string -> string -> (string * Digest.t, string) result
+(** [decode ~key bytes] returns the verified payload with its MD5, the
+    one just checked against the frame's (a caller that keys by the
+    payload's digest need not hash it again), or [Error reason] when
+    the frame is damaged or belongs to a different key/version. *)

@@ -159,19 +159,22 @@ let quarantine t digest path =
   Mutex.unlock t.mutex;
   Telemetry.incr c_quarantined
 
-let find t ~key =
+(* the payload and its MD5, verified against the frame's *)
+let find_verified t ~key =
   let digest = key_digest key in
   let path = entry_path t digest in
   match read_file path with
   | None -> None
   | Some bytes -> (
     match Codec.decode ~key bytes with
-    | Ok payload ->
+    | Ok v ->
       bump_atime path;
-      Some payload
+      Some v
     | Error _ ->
       quarantine t digest path;
       None)
+
+let find t ~key = Option.map fst (find_verified t ~key)
 
 (* --- writing --- *)
 
@@ -201,11 +204,11 @@ let put t ~key payload =
 (* --- the cached-computation entry point --- *)
 
 let lookup_decoded t ~key ~decode =
-  match find t ~key with
+  match find_verified t ~key with
   | None -> None
-  | Some payload -> (
+  | Some (payload, md5) -> (
     match decode payload with
-    | Ok v -> Some v
+    | Ok v -> Some (v, md5)
     | Error _ ->
       (* framed bytes were intact but the payload no longer parses
          (e.g. written by an incompatible build): same quarantine-and-
@@ -234,14 +237,14 @@ let lookup t ~key ~decode =
 
 let get_or_compute t ~key ~encode ~decode f =
   match lookup_decoded t ~key ~decode with
-  | Some v ->
+  | Some (v, _) ->
     hit t;
     v
   | None ->
     with_key_lock t ~key (fun () ->
         (* someone else may have published while we waited for the lock *)
         match lookup_decoded t ~key ~decode with
-        | Some v ->
+        | Some (v, _) ->
           hit t;
           v
         | None ->

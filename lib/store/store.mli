@@ -65,12 +65,16 @@ val get_or_compute :
     call. *)
 
 val lookup :
-  t -> key:string -> decode:(string -> ('a, string) result) -> 'a option
+  t ->
+  key:string ->
+  decode:(string -> ('a, string) result) ->
+  ('a * Digest.t) option
 (** The read {!get_or_compute} starts with, for a caller that uses the
     stored value in place of a [get_or_compute] call: a verified,
-    decoded entry counts one hit; an absent one counts nothing, since
-    the caller's fallback counts its own miss. An entry whose frame or
-    payload fails is quarantined, as in [get_or_compute]. *)
+    decoded entry, with the payload's MD5 that verification checked,
+    counts one hit; an absent one counts nothing, since the caller's
+    fallback counts its own miss. An entry whose frame or payload fails
+    is quarantined, as in [get_or_compute]. *)
 
 (** {1 Raw access} *)
 

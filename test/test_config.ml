@@ -55,6 +55,49 @@ let test_hls_baseline_smaller () =
   check "narrower" true (h.decode_width < b.decode_width);
   check "smaller window" true (h.ruu_size < b.ruu_size)
 
+(* Every leaf field of a machine, found by walking the record's runtime
+   representation instead of naming fields, so a field added later is
+   walked too: for each leaf, its path of field indices and a copy of
+   the machine with that leaf changed. An immediate (an int, a bool or
+   a constant constructor) [v] becomes 1 when it is 0 and [2 * v]
+   otherwise, which keeps every field of [baseline] valid (sizes stay
+   powers of two, [false] becomes [true]); a sub-record is walked into.
+   Any other representation fails the test with its path. *)
+let leaf_variants (cfg : Config.Machine.t) =
+  let rec walk path r =
+    List.concat
+      (List.init (Obj.size r) (fun i ->
+           let path = Printf.sprintf "%s.%d" path i in
+           let with_field v =
+             let c = Obj.dup r in
+             Obj.set_field c i v;
+             c
+           in
+           let f = Obj.field r i in
+           if Obj.is_int f then
+             let v : int = Obj.obj f in
+             [ (path, with_field (Obj.repr (if v = 0 then 1 else 2 * v))) ]
+           else if Obj.tag f = 0 then
+             List.map (fun (p, sub) -> (p, with_field sub)) (walk path f)
+           else Alcotest.failf "%s: a block of tag %d" path (Obj.tag f)))
+  in
+  List.map
+    (fun (path, r) -> (path, (Obj.obj r : Config.Machine.t)))
+    (walk "machine" (Obj.repr cfg))
+
+(* Store keys and a profile's name for its machine are [canonical], so
+   changing any leaf field must change it *)
+let test_canonical_covers_every_field () =
+  let leaves = leaf_variants b in
+  (* today's record has 45 leaves; the walk finds any added later *)
+  check "every leaf walked" true (List.length leaves >= 45);
+  let base = Config.Machine.canonical b in
+  List.iter
+    (fun (path, cfg) ->
+      if Config.Machine.canonical cfg = base then
+        Alcotest.failf "changing %s leaves canonical unchanged" path)
+    leaves
+
 let suite =
   [
     Alcotest.test_case "baseline matches Table 2" `Quick test_baseline_is_table2;
@@ -62,4 +105,6 @@ let suite =
     Alcotest.test_case "fu counts" `Quick test_fu_counts;
     Alcotest.test_case "scaling helpers" `Quick test_scaling;
     Alcotest.test_case "hls baseline" `Quick test_hls_baseline_smaller;
+    Alcotest.test_case "canonical covers every field" `Quick
+      test_canonical_covers_every_field;
   ]

@@ -391,7 +391,7 @@ let test_evaluate_matches_one_shot () =
       [ Experiments.Table4.Window; Experiments.Table4.Cache_size ]
     |> Array.of_list
   in
-  let pcfg = Profile.Stat_profile.profile_config ~base:Config.Machine.baseline in
+  let pcfg = Config.Machine.profiled in
   let groups = List.sort_uniq compare (List.map pcfg (Array.to_list machines)) in
   check_int "window shares the base profile, cache sizes split" 5
     (List.length groups);

@@ -198,7 +198,7 @@ let test_empty_count_node () =
     {
       Profile.Stat_profile.sfg;
       k = 0;
-      cfg;
+      machine = Config.Machine.canonical cfg;
       instructions = 8;
       perfect_caches = true;
       perfect_bpred = true;

@@ -32,10 +32,6 @@ let test_histogram_add_many_negative () =
     (Invalid_argument "Histogram.add_many: negative count") (fun () ->
       Stats.Histogram.add_many h 1 (-1))
 
-let test_machine_pp_smoke () =
-  let s = Format.asprintf "%a" Config.Machine.pp Config.Machine.baseline in
-  check "mentions widths" true (String.length s > 40)
-
 let test_metrics_pp_smoke () =
   let m =
     Uarch.Eds.run Config.Machine.baseline
@@ -123,7 +119,6 @@ let suite =
     Alcotest.test_case "choose uniform" `Quick test_choose_uniform;
     Alcotest.test_case "histogram negative count" `Quick
       test_histogram_add_many_negative;
-    Alcotest.test_case "machine pp" `Quick test_machine_pp_smoke;
     Alcotest.test_case "metrics pp" `Quick test_metrics_pp_smoke;
     Alcotest.test_case "dyn_inst pp" `Quick test_dyn_inst_pp_smoke;
     Alcotest.test_case "spec validation cases" `Quick test_spec_validation_cases;

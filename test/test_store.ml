@@ -24,10 +24,13 @@ let test_codec_roundtrip () =
   let payload = "hello \x00 binary \xff payload" in
   let frame = Codec.encode ~key:"k1" payload in
   (match Codec.decode ~key:"k1" frame with
-  | Ok p -> Alcotest.(check string) "payload back" payload p
+  | Ok (p, md5) ->
+    Alcotest.(check string) "payload back" payload p;
+    Alcotest.(check string) "payload digest" (Digest.string payload) md5
   | Error e -> Alcotest.failf "decode failed: %s" e);
   check "empty payload ok" true
-    (Codec.decode ~key:"k" (Codec.encode ~key:"k" "") = Ok "")
+    (Codec.decode ~key:"k" (Codec.encode ~key:"k" "")
+    = Ok ("", Digest.string ""))
 
 let test_codec_rejects () =
   let frame = Codec.encode ~key:"k1" "payload" in

@@ -70,7 +70,7 @@ let test_dep_squash_counter () =
     {
       Profile.Stat_profile.sfg;
       k = 0;
-      cfg;
+      machine = Config.Machine.canonical cfg;
       instructions = 5;
       perfect_caches = true;
       perfect_bpred = true;
