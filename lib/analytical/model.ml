@@ -2,8 +2,9 @@
    first-order model (Analytical, occurrence-weighted) and the
    steady-state estimator (Steady_state, stationary-vector-weighted).
    Both reduce a profile to the same global rates; they differ only in
-   how much mass each SFG node contributes, so the node walk takes a
-   per-node [weight] and everything downstream is shared. *)
+   how much mass each SFG node contributes, so the totals and the
+   pressure walk take a per-node [weight] and everything downstream is
+   shared. *)
 
 type breakdown = {
   base_cpi : float;
@@ -13,59 +14,27 @@ type breakdown = {
   total_cpi : float;
 }
 
-(* Aggregate the per-node profile statistics into the global rates the
-   closed-form model needs. *)
-type aggregates = {
-  instructions : float;
-  branches : float;
-  mispredicts : float;
-  redirects : float;
-  loads : float;
-  l1d : float;
-  l2d : float;
-  dtlb : float;
-  fetches : float;
-  l1i : float;
-  l2i : float;
-  itlb : float;
-  latency_weight : float;  (** mean execution latency over classes *)
-  dep_pressure : float;
-      (** E[latency / distance]: per-instruction serialization from RAW
-          dependencies; the reciprocal bounds dataflow IPC *)
-}
+(* The global rates the closed-form model needs: the profile's totals
+   ({!Profile.Sfg.totals}) and the dataflow pressure, E[latency /
+   distance] per instruction, the per-instruction serialization from
+   RAW dependencies, whose reciprocal bounds dataflow IPC. *)
+type aggregates = { totals : Profile.Sfg.totals; dep_pressure : float }
 
 (* [weight] scales every count a node contributes; 1.0 reproduces the
    raw-count aggregation bit-for-bit (integer counts are exact in
    double precision), while pi_i /. occurrences_i turns the sums into
    stationary-visit expectations. *)
 let aggregate_weighted ~weight (p : Profile.Stat_profile.t) =
-  let i = ref 0.0 and br = ref 0.0 and mis = ref 0.0 and red = ref 0.0 in
-  let loads = ref 0.0 and l1d = ref 0.0 and l2d = ref 0.0 and dtlb = ref 0.0 in
-  let fetches = ref 0.0 and l1i = ref 0.0 in
-  let l2i = ref 0.0 and itlb = ref 0.0 in
-  let lat_sum = ref 0.0 in
+  let totals = Profile.Sfg.totals ~weight p.sfg in
+  if totals.instructions = 0.0 then
+    invalid_arg "Analytical.predict: empty profile";
   let pressure_sum = ref 0.0 in
   Profile.Sfg.iter_nodes p.sfg (fun n ->
       let w = weight n in
-      if w <> 0.0 then begin
-        let add r c = r := !r +. (w *. float_of_int c) in
-        add br n.br_execs;
-        add mis n.br_mispredict;
-        add red n.br_redirect;
-        add loads n.loads;
-        add l1d n.l1d_misses;
-        add l2d n.l2d_misses;
-        add dtlb n.dtlb_misses;
-        add fetches n.fetches;
-        add l1i n.l1i_misses;
-        add l2i n.l2i_misses;
-        add itlb n.itlb_misses;
+      if w <> 0.0 then
         Array.iter
           (fun (slot : Profile.Sfg.slot) ->
-            let occ = n.occurrences in
-            add i occ;
             let lat = float_of_int (Config.Machine.op_latency slot.klass) in
-            lat_sum := !lat_sum +. (w *. lat *. float_of_int occ);
             Array.iter
               (fun h ->
                 (* each recorded (distance, count) contributes lat/distance *)
@@ -75,30 +44,14 @@ let aggregate_weighted ~weight (p : Profile.Stat_profile.t) =
                         !pressure_sum
                         +. (w *. lat /. float_of_int d *. float_of_int c)))
               slot.deps)
-          n.slots
-      end);
-  if !i = 0.0 then invalid_arg "Analytical.predict: empty profile";
-  {
-    instructions = !i;
-    branches = !br;
-    mispredicts = !mis;
-    redirects = !red;
-    loads = !loads;
-    l1d = !l1d;
-    l2d = !l2d;
-    dtlb = !dtlb;
-    fetches = !fetches;
-    l1i = !l1i;
-    l2i = !l2i;
-    itlb = !itlb;
-    latency_weight = !lat_sum /. !i;
-    dep_pressure = !pressure_sum /. !i;
-  }
+          n.slots);
+  { totals; dep_pressure = !pressure_sum /. totals.instructions }
 
 let aggregate p = aggregate_weighted ~weight:(fun _ -> 1.0) p
 
 let predict_aggregates (cfg : Config.Machine.t) (a : aggregates) =
-  let per x = x /. a.instructions in
+  let t = a.totals in
+  let per x = x /. t.instructions in
   (* base component: the machine sustains at most [width] per cycle and
      at least the dataflow serialization E[lat/dist] per instruction *)
   let width_cpi = 1.0 /. float_of_int cfg.issue_width in
@@ -114,16 +67,16 @@ let predict_aggregates (cfg : Config.Machine.t) (a : aggregates) =
     (* restart + refill through IFQ/dispatch *)
   in
   let branch_cpi =
-    per a.mispredicts *. mispredict_penalty
-    +. (per a.redirects *. float_of_int cfg.fetch_redirect_penalty)
+    per t.br_mispredict *. mispredict_penalty
+    +. (per t.br_redirect *. float_of_int cfg.fetch_redirect_penalty)
   in
   (* instruction memory: fetch stalls are architecturally exposed *)
   let l2lat = float_of_int cfg.l2.hit_latency in
   let memlat = float_of_int cfg.mem_latency in
   let imem_cpi =
-    per a.l1i *. l2lat
-    +. (per a.l2i *. memlat)
-    +. (per a.itlb *. float_of_int cfg.itlb.miss_penalty)
+    per t.l1i_misses *. l2lat
+    +. (per t.l2i_misses *. memlat)
+    +. (per t.itlb_misses *. float_of_int cfg.itlb.miss_penalty)
   in
   (* data memory: the window hides part of each load miss; the exposed
      fraction shrinks with window size relative to the miss latency *)
@@ -144,9 +97,9 @@ let predict_aggregates (cfg : Config.Machine.t) (a : aggregates) =
     r *. penalty *. overlap penalty /. mlp r
   in
   let dmem_cpi =
-    dmem_term a.l1d l2lat
-    +. dmem_term a.l2d memlat
-    +. dmem_term a.dtlb (float_of_int cfg.dtlb.miss_penalty)
+    dmem_term t.l1d_misses l2lat
+    +. dmem_term t.l2d_misses memlat
+    +. dmem_term t.dtlb_misses (float_of_int cfg.dtlb.miss_penalty)
   in
   let total_cpi = base_cpi +. branch_cpi +. imem_cpi +. dmem_cpi in
   { base_cpi; branch_cpi; imem_cpi; dmem_cpi; total_cpi }

@@ -197,73 +197,56 @@ let solve_rows ?init (rows : rows) =
 
 let stationary_dense p = solve_rows (rows_of_dense p)
 
-let of_sfg ?(reduction = 1) sfg =
-  if reduction < 1 then invalid_arg "Steady_state.of_sfg: reduction < 1";
-  let survivors =
-    List.filter
-      (fun (n : Profile.Sfg.node) -> n.occurrences / reduction > 0)
-      (Profile.Sfg.nodes sfg)
-  in
-  let survivors =
-    List.sort
-      (fun (a : Profile.Sfg.node) (b : Profile.Sfg.node) ->
-        compare a.key b.key)
-      survivors
-  in
-  if survivors = [] then
-    invalid_arg "Steady_state.of_sfg: reduction empties the graph";
-  let nodes = Array.of_list survivors in
-  let n = Array.length nodes in
-  let keys = Array.map (fun (nd : Profile.Sfg.node) -> nd.key) nodes in
-  let occ =
-    Array.map (fun (nd : Profile.Sfg.node) -> nd.occurrences / reduction) nodes
-  in
-  let index_of_key = Hashtbl.create (2 * n) in
-  Array.iteri (fun i k -> Hashtbl.replace index_of_key k i) keys;
+(* The chain of the reduced graph, over [Profile.Sfg.reduce]'s dense
+   indices. *)
+let of_reduced (r : Profile.Sfg.reduced) =
+  let n = Array.length r.survivors in
+  if n = 0 then invalid_arg "Steady_state.of_sfg: reduction empties the graph";
   (* the generator's restart distribution: reduced occurrences *)
-  let occ_total = float_of_int (Array.fold_left ( + ) 0 occ) in
+  let occ_total = float_of_int (Array.fold_left ( + ) 0 r.visits) in
   let start_row =
-    Array.mapi (fun i o -> (i, float_of_int o /. occ_total)) occ
+    Array.mapi (fun i o -> (i, float_of_int o /. occ_total)) r.visits
   in
   let dead_ends = ref 0 in
   let rows =
-    Array.map
-      (fun (nd : Profile.Sfg.node) ->
-        let cells = ref [] in
-        let total = ref 0 in
-        Hashtbl.iter
-          (fun succ count ->
-            match Hashtbl.find_opt index_of_key succ with
-            | Some j ->
-              cells := (j, !count) :: !cells;
-              total := !total + !count
-            | None -> ())
-          nd.edges;
-        if !total = 0 then begin
+    Array.init n (fun i ->
+        let cells = Profile.Sfg.successors r i in
+        let total = Array.fold_left (fun acc (_, c) -> acc + c) 0 cells in
+        if total = 0 then begin
           incr dead_ends;
           start_row
         end
         else begin
-          let t = float_of_int !total in
+          let t = float_of_int total in
           (* every survivor has occ >= 1, so the restart mixture
              densifies the row; accumulate over a dense scratch *)
           let out =
             Array.map (fun (_, sp) -> restart *. sp) start_row
           in
-          List.iter
+          Array.iter
             (fun (j, c) ->
               out.(j) <-
                 out.(j) +. ((1.0 -. restart) *. (float_of_int c /. t)))
-            !cells;
+            cells;
           let acc = ref [] in
           for j = Array.length out - 1 downto 0 do
             if out.(j) <> 0.0 then acc := (j, out.(j)) :: !acc
           done;
           Array.of_list !acc
         end)
-      nodes
   in
-  { keys; occ; rows; dead_ends = !dead_ends }
+  {
+    keys = Array.map (fun (nd : Profile.Sfg.node) -> nd.key) r.survivors;
+    occ = r.visits;
+    rows;
+    dead_ends = !dead_ends;
+  }
+
+let reduce sfg ~reduction =
+  if reduction < 1 then invalid_arg "Steady_state.of_sfg: reduction < 1";
+  Profile.Sfg.reduce sfg ~reduction
+
+let of_sfg ?(reduction = 1) sfg = of_reduced (reduce sfg ~reduction)
 
 let solve g =
   let init =
@@ -284,40 +267,22 @@ type estimate = {
 
 let estimate ?(reduction = 1) (cfg : Config.Machine.t)
     (p : Profile.Stat_profile.t) =
-  let g = of_sfg ~reduction p.sfg in
+  let r = reduce p.sfg ~reduction in
+  let g = of_reduced r in
   let sol = solve g in
-  let weight_of_key = Hashtbl.create (2 * Array.length g.keys) in
-  Array.iteri (fun i k -> Hashtbl.replace weight_of_key k sol.pi.(i)) g.keys;
   (* pi_i / occurrences_i turns raw per-node counts into per-visit
      expectations weighted by the stationary distribution *)
   let weight (n : Profile.Sfg.node) =
-    match Hashtbl.find_opt weight_of_key n.key with
-    | Some pi when n.occurrences > 0 -> pi /. float_of_int n.occurrences
-    | _ -> 0.0
+    match Hashtbl.find_opt r.index n.key with
+    | Some i -> sol.pi.(i) /. float_of_int n.occurrences
+    | None -> 0.0
   in
   let agg = Model.aggregate_weighted ~weight p in
-  let class_mass = Array.make Isa.Iclass.count 0.0 in
-  let total_mass = ref 0.0 in
-  Profile.Sfg.iter_nodes p.sfg (fun n ->
-      let w = weight n in
-      if w <> 0.0 then
-        Array.iter
-          (fun (slot : Profile.Sfg.slot) ->
-            let m = w *. float_of_int n.occurrences in
-            class_mass.(Isa.Iclass.index slot.klass) <-
-              class_mass.(Isa.Iclass.index slot.klass) +. m;
-            total_mass := !total_mass +. m)
-          n.slots);
+  let t = agg.totals in
   let mix =
     Array.to_list
       (Array.map
-         (fun k ->
-           let f =
-             if !total_mass > 0.0 then
-               class_mass.(Isa.Iclass.index k) /. !total_mass
-             else 0.0
-           in
-           (k, f))
+         (fun k -> (k, t.by_class.(Isa.Iclass.index k) /. t.instructions))
          Isa.Iclass.all)
   in
   let breakdown = Model.predict_aggregates cfg agg in

@@ -116,15 +116,6 @@ let hls_baseline =
     fu = { int_alu = 4; int_mult_div = 1; mem_ports = 2; fp_alu = 4; fp_mult_div = 1 };
   }
 
-let fu_count t (c : Isa.Iclass.t) =
-  match c with
-  | Int_alu | Int_branch -> t.fu.int_alu
-  | Int_mult | Int_div -> t.fu.int_mult_div
-  | Load | Store -> t.fu.mem_ports
-  | Fp_alu | Fp_branch -> t.fu.fp_alu
-  | Fp_mult | Fp_div | Fp_sqrt -> t.fu.fp_mult_div
-  | Indirect_branch -> t.fu.int_alu
-
 let op_latency (c : Isa.Iclass.t) =
   match c with
   | Int_alu | Int_branch | Indirect_branch -> 1
@@ -368,14 +359,18 @@ let canonical (t : t) =
   f "inorder=%b" t.in_order;
   Buffer.contents b
 
+(* Profiling reads a cache's or TLB's hit and miss outcomes, never
+   the cycles they cost, so the latencies stay the baseline's. *)
 let profiled cfg =
+  let cache (c : cache) (b : cache) = { c with hit_latency = b.hit_latency } in
+  let tlb (t : tlb) (b : tlb) = { t with miss_penalty = b.miss_penalty } in
   {
     baseline with
-    icache = cfg.icache;
-    dcache = cfg.dcache;
-    l2 = cfg.l2;
-    itlb = cfg.itlb;
-    dtlb = cfg.dtlb;
+    icache = cache cfg.icache baseline.icache;
+    dcache = cache cfg.dcache baseline.dcache;
+    l2 = cache cfg.l2 baseline.l2;
+    itlb = tlb cfg.itlb baseline.itlb;
+    dtlb = tlb cfg.dtlb baseline.dtlb;
     bpred = cfg.bpred;
     ifq_size = cfg.ifq_size;
     in_order = cfg.in_order;

@@ -22,12 +22,14 @@ let derive_reduction ?reduction ?target_length total =
     invalid_arg "Generate.generate: give reduction or target_length, not both"
 
 (* [plan]'s survival rule, checked before any engine runs: an R so large
-   that every node's [occurrences / R] is 0 leaves nothing to walk. *)
+   that no node survives leaves nothing to walk. A scan that allocates
+   nothing, not a [Profile.Sfg.reduce]: request boundaries run it on
+   every request. *)
 let check_survivors ?reduction ?target_length (p : Profile.Stat_profile.t) =
   let r = derive_reduction ?reduction ?target_length (max 1 p.instructions) in
   let survives = ref false in
   Profile.Sfg.iter_nodes p.sfg (fun n ->
-      if n.occurrences / r > 0 then survives := true);
+      if Profile.Sfg.survives ~reduction:r n then survives := true);
   if !survives then Ok ()
   else
     Error
@@ -36,63 +38,32 @@ let check_survivors ?reduction ?target_length (p : Profile.Stat_profile.t) =
           profile)"
          r)
 
-let lower_node_edges index_of_key (n : Profile.Sfg.node) =
-  let out = ref [] in
-  Hashtbl.iter
-    (fun succ count ->
-      match Hashtbl.find_opt index_of_key succ with
-      | Some idx -> out := (succ, idx, !count) :: !out
-      | None -> ())
-    n.edges;
-  (* sorted by successor key: deterministic alias construction order *)
-  let out =
-    List.sort (fun (ka, _, _) (kb, _, _) -> compare ka kb) !out
-    |> Array.of_list
-  in
-  Stats.Alias.of_weights
-    ~values:(Array.map (fun (_, idx, _) -> idx) out)
-    ~weights:(Array.map (fun (_, _, c) -> c) out)
-
 let lower_slot (slot : Profile.Sfg.slot) =
   let operand = Array.map Stats.Alias.of_histogram slot.deps in
-  let anti =
-    not
-      (Stats.Histogram.is_empty slot.waw && Stats.Histogram.is_empty slot.war)
-  in
+  (* the waw and war samplers follow the operands when the profile
+     recorded them (a machine without renaming) *)
   let samplers =
-    if anti then
+    if Stats.Histogram.is_empty slot.waw && Stats.Histogram.is_empty slot.war
+    then operand
+    else
       Array.append operand
         [|
           Stats.Alias.of_histogram slot.waw; Stats.Alias.of_histogram slot.war;
         |]
-    else operand
   in
-  let meta =
-    Plan.pack_meta ~klass:slot.klass ~anti ~ndeps:(Array.length samplers)
-  in
-  (meta, samplers)
+  (Plan.pack_meta ~klass:slot.klass ~ndeps:(Array.length samplers), samplers)
 
 let plan ?reduction ?target_length (p : Profile.Stat_profile.t) =
   let total_instructions = max 1 p.instructions in
   let r = derive_reduction ?reduction ?target_length total_instructions in
   if r < 1 then invalid_arg "Generate.generate: reduction must be >= 1";
-  let survivors = ref [] in
-  Profile.Sfg.iter_nodes p.sfg (fun n ->
-      if n.occurrences / r > 0 then survivors := n :: !survivors);
-  let nodes =
-    List.sort
-      (fun (a : Profile.Sfg.node) (b : Profile.Sfg.node) ->
-        compare a.key b.key)
-      !survivors
-    |> Array.of_list
-  in
+  let reduced = Profile.Sfg.reduce p.sfg ~reduction:r in
+  let nodes = reduced.survivors in
   let nn = Array.length nodes in
   if nn = 0 then
     invalid_arg
       "Generate.generate: reduction factor leaves an empty graph (R too \
        large for this profile)";
-  let index_of_key = Hashtbl.create (2 * nn) in
-  Array.iteri (fun i (n : Profile.Sfg.node) -> Hashtbl.add index_of_key n.key i) nodes;
   let node_slot_off = Array.make (nn + 1) 0 in
   Array.iteri
     (fun i (n : Profile.Sfg.node) ->
@@ -124,9 +95,13 @@ let plan ?reduction ?target_length (p : Profile.Stat_profile.t) =
        drawn independently from the occurrence distribution *)
     use_edges = p.k > 0;
     node_block = Array.map (fun (n : Profile.Sfg.node) -> n.block) nodes;
-    node_occ = Array.map (fun (n : Profile.Sfg.node) -> n.occurrences / r) nodes;
+    node_occ = reduced.visits;
     node_slot_off;
-    edges = Array.map (lower_node_edges index_of_key) nodes;
+    edges =
+      Array.init nn (fun i ->
+          let succ = Profile.Sfg.successors reduced i in
+          Stats.Alias.of_weights ~values:(Array.map fst succ)
+            ~weights:(Array.map snd succ));
     thr_taken =
       Array.map
         (fun (n : Profile.Sfg.node) ->

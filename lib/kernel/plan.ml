@@ -1,7 +1,7 @@
-(* The compiled execution plan: the reduced SFG and the machine's
-   static operation table lowered into flat int arrays and alias
-   samplers, so the per-instruction synthesis path does no hashing, no
-   float division and no linear CDF scans. See DESIGN.md Section 7. *)
+(* The compiled execution plan: the reduced SFG lowered into flat int
+   arrays and alias samplers, so the per-instruction synthesis path does
+   no hashing, no float division and no linear CDF scans. See DESIGN.md
+   Section 7. *)
 
 type t = {
   k : int;
@@ -23,13 +23,23 @@ type t = {
   thr_l2d : int array;  (* conditional on an L1 D-miss *)
   thr_dtlb : int array;
   (* per slot (flattened across nodes) *)
-  slot_meta : int array;  (* packed class/flag/latency/pool/ndeps bits *)
+  slot_meta : int array;  (* packed class, flag and ndeps bits *)
   slot_dep_off : int array;  (* length nslots + 1; offsets into slot_deps *)
   slot_deps : Stats.Alias.t array;  (* operand then waw/war distance samplers *)
 }
 
 let nnodes t = Array.length t.node_block
 let nslots t = Array.length t.slot_meta
+
+(* each node's slots once per reduced visit: exact, so a trace is
+   filled in place at its final size *)
+let instructions t =
+  let n = ref 0 in
+  Array.iteri
+    (fun ni occ ->
+      n := !n + (occ * (t.node_slot_off.(ni + 1) - t.node_slot_off.(ni))))
+    t.node_occ;
+  !n
 
 (* six 10-bit distances fill a synthetic instruction's deps word *)
 let max_deps = Profile.Sfg.max_deps
@@ -58,47 +68,26 @@ let sample_rate rng thr =
      Prng.bernoulli's short-circuits *)
   thr > 0 && (thr >= two32 || Prng.bits rng < thr)
 
-(* --- packed per-slot metadata ---
+(* --- packed per-slot metadata: what generation reads ---
 
-   bit 0      is_load
-   bit 1      is_branch
-   bit 2      is_mem
-   bit 3      has_dest
-   bit 4      anti-dependency samplers appended (waw then war)
-   bits 5-8   instruction class index
-   bits 9-14  base operation latency (Config.Machine.op_latency)
-   bits 15-17 functional-unit pool
-   bits 18+   dependency-sampler count (operands + anti) *)
+   bit 0     is_load
+   bit 1     is_branch
+   bit 2     has_dest
+   bits 3-6  instruction class index
+   bits 7+   dependency-sampler count (operands, then waw and war) *)
 
-(* functional-unit pools, mirroring Uarch.Pipeline.pool_of *)
-let pool_of (c : Isa.Iclass.t) =
-  match c with
-  | Int_alu | Int_branch | Indirect_branch -> 0
-  | Int_mult | Int_div -> 1
-  | Load | Store -> 2
-  | Fp_alu | Fp_branch -> 3
-  | Fp_mult | Fp_div | Fp_sqrt -> 4
-
-let pack_meta ~klass ~anti ~ndeps =
+let pack_meta ~klass ~ndeps =
   (if Isa.Iclass.is_load klass then 1 else 0)
   lor (if Isa.Iclass.is_branch klass then 2 else 0)
-  lor (if Isa.Iclass.is_mem klass then 4 else 0)
-  lor (if Isa.Iclass.has_dest klass then 8 else 0)
-  lor (if anti then 16 else 0)
-  lor (Isa.Iclass.index klass lsl 5)
-  lor (Config.Machine.op_latency klass lsl 9)
-  lor (pool_of klass lsl 15)
-  lor (ndeps lsl 18)
+  lor (if Isa.Iclass.has_dest klass then 4 else 0)
+  lor (Isa.Iclass.index klass lsl 3)
+  lor (ndeps lsl 7)
 
 let meta_is_load m = m land 1 <> 0
 let meta_is_branch m = m land 2 <> 0
-let meta_is_mem m = m land 4 <> 0
-let meta_has_dest m = m land 8 <> 0
-let meta_anti m = m land 16 <> 0
-let meta_class m = (m lsr 5) land 0xF
-let meta_klass m = Isa.Iclass.of_index (meta_class m)
-let meta_latency m = (m lsr 9) land 0x3F
-let meta_ndeps m = m lsr 18
+let meta_has_dest m = m land 4 <> 0
+let meta_class m = (m lsr 3) land 0xF
+let meta_ndeps m = m lsr 7
 
 (* --- versioned codec (store tier) ---
 
@@ -109,7 +98,7 @@ let meta_ndeps m = m lsr 18
    bit-identically to the freshly compiled one — the property the
    persistent cache tier needs. *)
 
-let version = 1
+let version = 2
 let span_encode = Telemetry.span "plan.encode"
 let span_decode = Telemetry.span "plan.decode"
 

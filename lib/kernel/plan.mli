@@ -1,7 +1,7 @@
 (** The compiled execution plan.
 
-    A plan is the reduced statistical flow graph plus the machine's
-    static operation table, lowered into flat integer arrays and
+    A plan is the reduced statistical flow graph
+    ({!Profile.Sfg.reduce}) lowered into flat integer arrays and
     {!Stats.Alias} samplers so the per-instruction synthesis path does
     no hash lookups, no float division and no linear CDF scans:
 
@@ -11,14 +11,13 @@
       alias tables (O(1) draws);
     - every miss/taken/mispredict rate becomes a fixed-point integer
       threshold compared against one raw 32-bit PRNG draw;
-    - per-slot class, flags, base latency, FU pool and dependency
-      count are packed into one int.
+    - per-slot class, flags and dependency count are packed into one
+      int.
 
-    Plans are machine-independent apart from the static per-class
-    operation latencies ({!Config.Machine.op_latency}), which are
-    module-level constants — pipeline configuration (widths, cache
-    latencies, predictor) is applied at simulation time, so one plan
-    serves every machine config at a given reduction.
+    Plans hold nothing of a machine (the [kernel] library does not
+    depend on [config]): the pipeline configuration is applied at
+    simulation time, so one plan serves every machine config at a
+    given reduction.
 
     Layout details live in DESIGN.md Section 7. *)
 
@@ -53,12 +52,16 @@ type t = {
       (** length nslots + 1; slot j's dependency samplers are
           \[[slot_dep_off.(j)], [slot_dep_off.(j+1)]) *)
   slot_deps : Stats.Alias.t array;
-      (** operand-distance samplers in operand order, then (iff the
-          meta [anti] bit is set) the waw and war samplers *)
+      (** operand-distance samplers in operand order, then the waw and
+          war samplers when the profile recorded them *)
 }
 
 val nnodes : t -> int
 val nslots : t -> int
+
+val instructions : t -> int
+(** The length of every trace the plan generates: each node's slots
+    once per reduced visit, [sum_i node_occ.(i) * slots_i]. *)
 
 val max_deps : int
 (** {!Profile.Sfg.max_deps}, 6: the most dependency samplers a slot
@@ -87,27 +90,22 @@ val sample_rate : Prng.t -> int -> bool
     [>= two32] return without consuming randomness, mirroring
     [Prng.bernoulli]'s short-circuits at p = 0 and p = 1. *)
 
-(** {1 Packed slot metadata} *)
+(** {1 Packed slot metadata}
 
-val pack_meta : klass:Isa.Iclass.t -> anti:bool -> ndeps:int -> int
+    Exactly what generation reads of a slot. *)
+
+val pack_meta : klass:Isa.Iclass.t -> ndeps:int -> int
 
 val meta_is_load : int -> bool
 val meta_is_branch : int -> bool
-val meta_is_mem : int -> bool
 val meta_has_dest : int -> bool
-
-val meta_anti : int -> bool
-(** Whether the slot's sampler list ends with waw and war samplers. *)
-
-val meta_klass : int -> Isa.Iclass.t
 
 val meta_class : int -> int
 (** The class index ({!Isa.Iclass.index}). *)
 
-val meta_latency : int -> int
-
 val meta_ndeps : int -> int
-(** Total dependency-sampler count (operands plus anti, when present). *)
+(** Total dependency-sampler count (operands, then waw and war when
+    present). *)
 
 (** {1 Codec}
 

@@ -29,7 +29,9 @@ let map ~jobs f a =
       in
       loop ()
     in
-    let extra = min jobs n - 1 in
+    (* past the hardware's domains more workers only contend, and
+       [Domain.spawn] fails past the runtime's limit *)
+    let extra = min (min jobs n) (Domain.recommended_domain_count ()) - 1 in
     let domains = Array.init extra (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join domains;

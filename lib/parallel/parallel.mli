@@ -7,9 +7,10 @@
     results in index order, whatever the execution interleaving. With
     [jobs <= 1] (or fewer than two elements) it degenerates to a plain
     sequential left-to-right map — the serial fallback. With [jobs > 1]
-    it spawns [min jobs (Array.length a) - 1] additional domains that
-    pull indices from a shared atomic counter (work stealing by
-    chunkless self-scheduling).
+    it spawns [min jobs (Array.length a) - 1] additional domains, at
+    most [Domain.recommended_domain_count () - 1], that pull indices
+    from a shared atomic counter (work stealing by chunkless
+    self-scheduling).
 
     If any application raises, the exception of the lowest-indexed
     failing element is re-raised (with its backtrace) after all domains

@@ -90,15 +90,118 @@ let iter_nodes t f = Hashtbl.iter (fun _ n -> f n) t.table
 let nodes t = Hashtbl.fold (fun _ n acc -> n :: acc) t.table []
 
 (* Sub-SFG sharing node records with the parent: stratification slices
-   the graph without copying per-node histograms.  Kernel compilation
-   already drops edges whose successor is absent from the kept set, so
-   shared edge tables are safe downstream. *)
+   the graph without copying per-node histograms. [reduce] drops edges
+   whose successor is absent from the kept set, so shared edge tables
+   are safe downstream. *)
 let restrict t ~keep =
   let sub = { k = t.k; table = Hashtbl.create 1024 } in
   Hashtbl.iter
     (fun key n -> if keep n then Hashtbl.add sub.table key n)
     t.table;
   sub
+
+(* --- the reduced graph (Section 2.2) --- *)
+
+let survives ~reduction n = n.occurrences / reduction > 0
+
+type reduced = {
+  survivors : node array;
+  visits : int array;
+  index : (int, int) Hashtbl.t;
+}
+
+let reduce t ~reduction =
+  let survivors =
+    Hashtbl.fold
+      (fun _ n acc -> if survives ~reduction n then n :: acc else acc)
+      t.table []
+    |> List.sort (fun a b -> compare a.key b.key)
+    |> Array.of_list
+  in
+  let index = Hashtbl.create (2 * Array.length survivors) in
+  Array.iteri (fun i n -> Hashtbl.add index n.key i) survivors;
+  {
+    survivors;
+    visits = Array.map (fun n -> n.occurrences / reduction) survivors;
+    index;
+  }
+
+(* dense indices follow key order, so sorting by index sorts by key *)
+let successors r i =
+  Hashtbl.fold
+    (fun succ count acc ->
+      match Hashtbl.find_opt r.index succ with
+      | Some j -> (j, !count) :: acc
+      | None -> acc)
+    r.survivors.(i).edges []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> Array.of_list
+
+(* --- totals --- *)
+
+type totals = {
+  instructions : float;
+  by_class : float array;
+  br_execs : float;
+  br_taken : float;
+  br_mispredict : float;
+  br_redirect : float;
+  fetches : float;
+  l1i_misses : float;
+  l2i_misses : float;
+  itlb_misses : float;
+  loads : float;
+  l1d_misses : float;
+  l2d_misses : float;
+  dtlb_misses : float;
+}
+
+(* Each total is summed in node-iteration order, so a weighted total
+   is the same float on every call. *)
+let totals ?(weight = fun _ -> 1.0) t =
+  let weighted =
+    List.rev
+      (Hashtbl.fold
+         (fun _ n acc ->
+           let w = weight n in
+           if w <> 0.0 then (w, n) :: acc else acc)
+         t.table [])
+  in
+  let sum count =
+    List.fold_left
+      (fun acc (w, n) -> acc +. (w *. float_of_int (count n)))
+      0.0 weighted
+  in
+  let by_class = Array.make Isa.Iclass.count 0.0 in
+  (* a node contributes its occurrences once per slot *)
+  let instructions =
+    List.fold_left
+      (fun acc (w, n) ->
+        let m = w *. float_of_int n.occurrences in
+        Array.fold_left
+          (fun acc (s : slot) ->
+            let ci = Isa.Iclass.index s.klass in
+            by_class.(ci) <- by_class.(ci) +. m;
+            acc +. m)
+          acc n.slots)
+      0.0 weighted
+  in
+  {
+    instructions;
+    by_class;
+    br_execs = sum (fun n -> n.br_execs);
+    br_taken = sum (fun n -> n.br_taken);
+    br_mispredict = sum (fun n -> n.br_mispredict);
+    br_redirect = sum (fun n -> n.br_redirect);
+    fetches = sum (fun n -> n.fetches);
+    l1i_misses = sum (fun n -> n.l1i_misses);
+    l2i_misses = sum (fun n -> n.l2i_misses);
+    itlb_misses = sum (fun n -> n.itlb_misses);
+    loads = sum (fun n -> n.loads);
+    l1d_misses = sum (fun n -> n.l1d_misses);
+    l2d_misses = sum (fun n -> n.l2d_misses);
+    dtlb_misses = sum (fun n -> n.dtlb_misses);
+  }
 
 let record_transition node ~succ_key =
   match Hashtbl.find_opt node.edges succ_key with
@@ -107,12 +210,12 @@ let record_transition node ~succ_key =
 
 let rate num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
-let taken_rate n = rate n.br_taken n.br_execs
-let mispredict_rate n = rate n.br_mispredict n.br_execs
-let redirect_rate n = rate n.br_redirect n.br_execs
-let l1i_rate n = rate n.l1i_misses n.fetches
-let l2i_rate n = rate n.l2i_misses n.fetches
-let itlb_rate n = rate n.itlb_misses n.fetches
-let l1d_rate n = rate n.l1d_misses n.loads
-let l2d_rate n = rate n.l2d_misses n.loads
-let dtlb_rate n = rate n.dtlb_misses n.loads
+let taken_rate (n : node) = rate n.br_taken n.br_execs
+let mispredict_rate (n : node) = rate n.br_mispredict n.br_execs
+let redirect_rate (n : node) = rate n.br_redirect n.br_execs
+let l1i_rate (n : node) = rate n.l1i_misses n.fetches
+let l2i_rate (n : node) = rate n.l2i_misses n.fetches
+let itlb_rate (n : node) = rate n.itlb_misses n.fetches
+let l1d_rate (n : node) = rate n.l1d_misses n.loads
+let l2d_rate (n : node) = rate n.l2d_misses n.loads
+let dtlb_rate (n : node) = rate n.dtlb_misses n.loads

@@ -85,9 +85,62 @@ val restrict : t -> keep:(node -> bool) -> t
 (** Sub-SFG containing exactly the nodes for which [keep] holds.  Node
     records are SHARED with the parent, not copied — mutation through
     either graph is visible in both; treat restricted views as
-    read-only.  Edge tables still reference dropped nodes; consumers
-    (kernel compile, steady-state analysis) already ignore edges whose
-    successor is absent. *)
+    read-only.  Edge tables still reference dropped nodes; {!reduce}
+    drops an edge whose successor is absent. *)
+
+(** {1 The reduced graph (Section 2.2)}
+
+    Every estimator reads the reduction through these three: the
+    compiled plan the generator walks, the steady-state chain and the
+    stratified partition. *)
+
+val survives : reduction:int -> node -> bool
+(** [occurrences / reduction > 0]: the node keeps at least one visit
+    at reduction factor R. The one survival rule. *)
+
+type reduced = {
+  survivors : node array;  (** the surviving nodes, ascending key *)
+  visits : int array;  (** [occurrences / R] per survivor *)
+  index : (int, int) Hashtbl.t;  (** survivor key -> dense index *)
+}
+
+val reduce : t -> reduction:int -> reduced
+(** The graph at reduction factor [reduction]: the nodes {!survives}
+    keeps, in key order, so the dense layout never depends on
+    hash-table iteration order. Empty when no node survives; each
+    caller names that error itself. *)
+
+val successors : reduced -> int -> (int * int) array
+(** Survivor [i]'s edges into other survivors as
+    [(dense index, transition count)] pairs, ascending successor key.
+    An edge into a dropped node is dropped here. *)
+
+(** {1 Totals} *)
+
+type totals = {
+  instructions : float;
+  by_class : float array;  (** instructions per {!Isa.Iclass.index} *)
+  br_execs : float;
+  br_taken : float;
+  br_mispredict : float;
+  br_redirect : float;
+  fetches : float;
+  l1i_misses : float;
+  l2i_misses : float;
+  itlb_misses : float;
+  loads : float;
+  l1d_misses : float;
+  l2d_misses : float;
+  dtlb_misses : float;
+}
+
+val totals : ?weight:(node -> float) -> t -> totals
+(** The profile's instruction count (a node contributes its occurrences
+    per slot) and its twelve branch and locality counters, each node's
+    contribution scaled by [weight] (default 1.0; nodes weighing 0.0
+    are skipped). With the default weight every total is an exact
+    integer; the steady state passes pi_i / occurrences_i to read them
+    as stationary expectations. *)
 
 (** Derived per-node probabilities (0 when the denominator is 0). *)
 

@@ -194,11 +194,10 @@ let compile (t : t) ~r p =
   Telemetry.time span_plan_compile (fun () ->
       Kernel.Compile.plan ~reduction:r p)
 
-(* Plans are machine-independent (only the static per-class operation
-   latencies are baked in, and those are covered by the plan format
-   version), so the key is just the profile's content digest and the
-   resolved reduction: one plan serves every pipeline configuration of
-   a design-space sweep. *)
+(* Plans hold nothing of a machine (the [kernel] library does not
+   depend on [config]), so the key is just the profile's content digest
+   and the resolved reduction: one plan serves every pipeline
+   configuration of a design-space sweep. *)
 let plan_tier t ~digest ~r compute =
   let key = Printf.sprintf "%s|r=%d" digest r in
   tiered t.plans t.store ~key

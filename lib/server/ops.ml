@@ -87,6 +87,13 @@ let int_opt_min params k ~min = Option.map (in_range min k) (int_opt params k)
 let k_opt params =
   Option.map (in_range ~hi:Profile.Sfg.max_k 0 "k") (int_opt params "k")
 
+(* Every op's replica count: a request holds its replicas' traces at
+   once, so one bound keeps any one request's memory in reach. *)
+let replicas_opt params =
+  Option.map
+    (in_range ~hi:Synth.Replicate.max_replicas 1 "replicas")
+    (int_opt params "replicas")
+
 let str_list params k =
   match Json.member k params with
   | None | Some Json.Null -> []
@@ -186,7 +193,7 @@ let simulate env ~force_replicas params =
   let profile_file = str_opt params "profile" in
   let stratify = bool_def params "stratify" false in
   let replicas =
-    match int_opt_min params "replicas" ~min:1 with
+    match replicas_opt params with
     | Some n -> Some n
     | None -> if force_replicas && not stratify then Some 4 else None
   in
@@ -198,16 +205,15 @@ let simulate env ~force_replicas params =
       (float_opt params "ci_target")
   in
   (* blind adaptive replication doubles from [replicas] up to
-     Replicate.run's 64-replica cap *)
+     Replicate.max_replicas *)
   (match (ci_target, replicas) with
-  | Some _, Some n when (not stratify) && (n < 2 || n > 64) ->
-    bad "%S starts the %S doubling and must be in [2, 64] (got %d)"
-      "replicas" "ci_target" n
+  | Some _, Some n when (not stratify) && n < 2 ->
+    bad "%S starts the %S doubling and must be in [2, %d] (got %d)"
+      "replicas" "ci_target" Synth.Replicate.max_replicas n
   | _ -> ());
   let control_variate = bool_def params "control_variate" true in
   let strata = int_opt_min params "strata" ~min:1 in
   let pilot = int_opt_min params "pilot" ~min:2 in
-  let jobs = max 1 (int_def params "jobs" env.jobs) in
   let json = bool_def params "json" false in
   let cfg = Config.Machine.baseline in
   let warnings = ref [] in
@@ -256,7 +262,9 @@ let simulate env ~force_replicas params =
     ok_exn (Kernel.Compile.check_survivors ~target_length:syn p);
     env.check ();
     (* the fixed budget, or the cap an adaptive run doubles up to *)
-    let default = if ci_target = None then 16 else 64 in
+    let default =
+      if ci_target = None then 16 else Synth.Replicate.max_replicas
+    in
     (* the steady-state IPC the report carries is the `estimate` op's
        memo entry for this profile, machine and reduction *)
     let steady_state ~reduction =
@@ -264,7 +272,7 @@ let simulate env ~force_replicas params =
     in
     let r =
       tspan env "replicate.run" (fun () ->
-          Synth.Stratify.run ~jobs ~check:env.check
+          Synth.Stratify.run ~jobs:env.jobs ~check:env.check
             ~target_length:syn ?strata ?pilot ~control_variate ?ci_target cfg
             p ~steady_state ~master_seed:seed
             ~replicas:(Option.value replicas ~default))
@@ -279,7 +287,7 @@ let simulate env ~force_replicas params =
     env.check ();
     let r =
       tspan env "replicate.run" (fun () ->
-          Synth.Replicate.run ~jobs ~check:env.check ?ci_target cfg
+          Synth.Replicate.run ~jobs:env.jobs ~check:env.check ?ci_target cfg
             plan ~master_seed:seed
             ~replicas:(Option.value replicas ~default:4))
     in
@@ -464,7 +472,7 @@ let experiment env params =
   let ids = str_list params "ids" in
   let format = format_param params in
   let diag = bool_def params "diag" false in
-  let replicas = int_opt_min params "replicas" ~min:1 in
+  let replicas = replicas_opt params in
   let entries =
     match ids with
     | [] -> Experiments.Registry.all
@@ -539,7 +547,7 @@ let dse env params =
   let length = int_min params "length" ~min:1 300_000 in
   let syn = int_min params "synthetic" ~min:1 40_000 in
   let seed = int_def params "seed" 42 in
-  let replicas = int_min params "replicas" ~min:1 1 in
+  let replicas = Option.value (replicas_opt params) ~default:1 in
   let max_points = int_opt params "max_points" in
   let format = format_param params in
   let spec = find_spec bench in

@@ -144,42 +144,7 @@ let classify_nodes nodes =
   let rng = Prng.create ~seed in
   Kmeans.best ~max_clusters:max_strata rng ~points
 
-let skip gen n =
-  let rec go i = if i < n then match gen () with None -> () | Some _ -> go (i + 1) in
-  go 0
-
-let simulate cfg t ~stream_factory =
-  let run_pick (p : pick) =
-    let start = p.interval_index * t.interval in
-    let w = min t.interval start in
-    (* cycles of the warmup prefix alone, subtracted from the combined
-       run so the representative interval is measured warm *)
-    let warm_cycles =
-      if w = 0 then 0
-      else begin
-        let gen = stream_factory () in
-        skip gen (start - w);
-        (Uarch.Eds.run ~max_instructions:w cfg gen).Uarch.Metrics.cycles
-      end
-    in
-    let gen = stream_factory () in
-    skip gen (start - w);
-    let m = Uarch.Eds.run ~max_instructions:(w + t.interval) cfg gen in
-    let interval_cycles = max 1 (m.Uarch.Metrics.cycles - warm_cycles) in
-    let ipc = float_of_int t.interval /. float_of_int interval_cycles in
-    (ipc, m)
-  in
-  let runs = List.map run_pick t.picks in
-  let cpi =
-    List.fold_left2
-      (fun acc p (ipc, _) -> if ipc > 0.0 then acc +. (p.weight /. ipc) else acc)
-      0.0 t.picks runs
-  in
-  let ipc = if cpi > 0.0 then 1.0 /. cpi else 0.0 in
-  (ipc, List.map snd runs)
-
 let simulated_instructions t = List.length t.picks * t.interval
-
 
 let simulate_warm cfg t ~stream_factory =
   (* one warm pass; the commit hook records the cycle at every interval

@@ -26,9 +26,6 @@ val analyze : interval:int -> (unit -> Isa.Dyn_inst.t option) -> t
 (** One profiling pass over the stream. Basic-block vectors are
     projected to 16 dimensions and clustered for k up to 10. *)
 
-val skip : (unit -> Isa.Dyn_inst.t option) -> int -> unit
-(** Fast-forward a generator by [n] instructions. *)
-
 val node_features : Profile.Sfg.node -> float array
 (** Behavioural feature vector of one SFG node — branch, cache and TLB
     rates plus squashed block-shape terms — the phase-classification
@@ -40,18 +37,6 @@ val classify_nodes : Profile.Sfg.node list -> Kmeans.result
     Deterministic given the node list order — pass nodes key-sorted.
     Raises [Invalid_argument] on an empty list. *)
 
-val simulate :
-  Config.Machine.t ->
-  t ->
-  stream_factory:(unit -> unit -> Isa.Dyn_inst.t option) ->
-  float * Uarch.Metrics.t list
-(** Run execution-driven simulation on each representative interval of a
-    fresh stream and combine per-interval CPIs by cluster weight;
-    returns the weighted IPC. One interval of warmup (clipped at the
-    stream start) is simulated before each representative and its
-    cycles subtracted, curing the cold-start bias that would otherwise
-    dominate at this reproduction's scaled-down interval sizes. *)
-
 val simulated_instructions : t -> int
 (** Total detailed-simulation budget (picks * interval). *)
 
@@ -60,12 +45,13 @@ val simulate_warm :
   t ->
   stream_factory:(unit -> unit -> Isa.Dyn_inst.t option) ->
   float
-(** Like {!simulate}, but measures each representative interval inside a
-    single warm execution-driven run of the whole stream — the
+(** The weighted IPC of the representative intervals: each pick's CPI,
+    weighted by its cluster, measured inside a single warm
+    execution-driven run of the whole stream — the
     checkpoint-with-warm-state methodology production SimPoint
     deployments use. At this reproduction's scaled-down interval sizes
     the cold-start horizon of the L2 exceeds any affordable per-pick
-    warmup, so this variant isolates SimPoint's *sampling* quality from
-    warmup modeling. Its detailed-simulation budget for reporting
+    warmup, so warm state isolates SimPoint's {e sampling} quality from
+    warmup modeling. The detailed-simulation budget for reporting
     purposes is still [simulated_instructions] — a real deployment pays
     the warm state from checkpoints, not from re-simulation. *)

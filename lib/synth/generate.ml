@@ -213,23 +213,13 @@ let follow t ni =
     if t.remaining.(succ) > 0 then succ else pick_start t
   end
 
-(* Instructions the walk emits: the slots of every reduced visit. Exact,
-   so the trace is filled in place at its final size. *)
-let expected (p : Kernel.Plan.t) =
-  let n = ref 0 in
-  Array.iteri
-    (fun ni occ ->
-      n := !n + (occ * (p.node_slot_off.(ni + 1) - p.node_slot_off.(ni))))
-    p.node_occ;
-  !n
-
 (* The walk: pick a start node, emit its slots, follow an edge or
    restart, until every reduced occurrence count is zero. Per
    instruction this costs one [emit], and the instruction counter is
    settled once at the end. *)
 let fill plan ~seed =
   let t = walk_of_plan plan ~seed in
-  let n = expected plan in
+  let n = Kernel.Plan.instructions plan in
   let out = Trace.create ~k:plan.k ~reduction:plan.reduction ~seed n in
   let i = ref 0 in
   let ni = ref (pick_start t) in
@@ -238,8 +228,8 @@ let fill plan ~seed =
     t.remaining.(node) <- t.remaining.(node) - 1;
     Kernel.Fenwick.add t.start_tree node (-1);
     for si = plan.node_slot_off.(node) to plan.node_slot_off.(node + 1) - 1 do
-      (* in bounds because [expected] counts exactly the slots this
-         loop emits (asserted below) *)
+      (* in bounds because [Plan.instructions] counts exactly the
+         slots this loop emits (asserted below) *)
       emit t node si out !i;
       incr i
     done;

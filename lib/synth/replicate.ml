@@ -142,8 +142,9 @@ let replica_runner ?(check = fun () -> ()) cfg plan seed =
   Telemetry.time span_replica (fun () ->
       observe_replica (Run.run cfg (Generate.generate_of_plan plan ~seed)))
 
-let run ?(jobs = 1) ?check ?ci_target ?(max_replicas = 64) cfg plan
-    ~master_seed ~replicas =
+let max_replicas = 64
+
+let run ?(jobs = 1) ?check ?ci_target cfg plan ~master_seed ~replicas =
   let cap =
     match ci_target with
     | None -> replicas

@@ -35,11 +35,14 @@ val split_seeds : master_seed:int -> n:int -> int array
     first [k] seeds of [split_seeds ~n] equal [split_seeds ~n:k].
     Raises [Invalid_argument] when [n < 1]. *)
 
+val max_replicas : int
+(** 64: the most replicas a request may ask for, and the count an
+    adaptive {!run} stops growing at. *)
+
 val run :
   ?jobs:int ->
   ?check:(unit -> unit) ->
   ?ci_target:float ->
-  ?max_replicas:int ->
   Config.Machine.t ->
   Kernel.Plan.t ->
   master_seed:int ->
@@ -54,8 +57,8 @@ val run :
 
     With [ci_target], [replicas] (at least 2) is the first round: the
     count doubles until the IPC confidence half-width is at most
-    [ci_target] percent of the mean IPC, or [max_replicas] (default 64)
-    is reached. Growth only extends the seed table, so a converged run's
+    [ci_target] percent of the mean IPC, or {!max_replicas} is
+    reached. Growth only extends the seed table, so a converged run's
     report equals [run ~replicas:n] for the same master seed.
 
     [check] is the cooperative cancellation point: it runs at every

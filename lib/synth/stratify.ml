@@ -176,16 +176,6 @@ let cv_sample (cfg : Config.Machine.t) (tr : Trace.t) =
   done;
   !e /. float_of_int (max 1 n)
 
-let plan_instructions (plan : Kernel.Plan.t) =
-  let insts = ref 0 in
-  for i = 0 to Kernel.Plan.nnodes plan - 1 do
-    insts :=
-      !insts
-      + (plan.node_occ.(i)
-        * (plan.node_slot_off.(i + 1) - plan.node_slot_off.(i)))
-  done;
-  !insts
-
 (* mu_X as a finite sum over the compiled plan: node i is visited
    exactly node_occ.(i) times; every slot draws the I-side flags, load
    slots additionally draw the D-side flags, branch slots classify
@@ -232,7 +222,7 @@ let cv_expectation (cfg : Config.Machine.t) (plan : Kernel.Plan.t) =
             +. (float_of_int !nload *. per_load)
             +. (float_of_int !nbr *. per_branch)))
   done;
-  !e /. float_of_int (max 1 (plan_instructions plan))
+  !e /. float_of_int (max 1 (Kernel.Plan.instructions plan))
 
 (* Pooled regression over every stratum's pilot samples:
    beta = sum_h (n-1) Cov_h / sum_h (n-1) Var_h, reducing to
@@ -308,28 +298,17 @@ let stratum_master_seed master_seed h =
 let strata_seed = 1
 
 let partition ?strata ~reduction (p : Profile.Stat_profile.t) =
-  let survivors = ref [] in
-  Profile.Sfg.iter_nodes p.sfg (fun n ->
-      if n.occurrences / reduction > 0 then survivors := n :: !survivors);
-  let survivors =
-    List.sort
-      (fun (a : Profile.Sfg.node) (b : Profile.Sfg.node) ->
-        compare a.key b.key)
-      !survivors
-  in
-  if survivors = [] then
+  let survivors = (Profile.Sfg.reduce p.sfg ~reduction).survivors in
+  if survivors = [||] then
     invalid_arg "Stratify: reduction empties the graph";
   let result =
     match strata with
     | Some k ->
       if k < 1 then invalid_arg "Stratify: strata < 1";
-      let points =
-        Array.of_list (List.map Simpoint.node_features survivors)
-      in
+      let points = Array.map Simpoint.node_features survivors in
       Simpoint.Kmeans.cluster (Prng.create ~seed:strata_seed) ~points ~k
-    | None -> Simpoint.classify_nodes survivors
+    | None -> Simpoint.classify_nodes (Array.to_list survivors)
   in
-  let nodes = Array.of_list survivors in
   (* group members per cluster, drop empties, order groups by smallest
      member key: stratum identity is content-derived, not an accident
      of k-means label order *)
@@ -339,16 +318,10 @@ let partition ?strata ~reduction (p : Profile.Stat_profile.t) =
       let c = result.assignment.(i) in
       let l = try Hashtbl.find groups c with Not_found -> [] in
       Hashtbl.replace groups c (n :: l))
-    nodes;
-  let members =
-    Hashtbl.fold (fun _ l acc -> List.rev l :: acc) groups []
-    |> List.sort
-         (fun a b ->
-           compare
-             (List.hd a).Profile.Sfg.key
-             (List.hd b).Profile.Sfg.key)
-  in
-  members
+    survivors;
+  Hashtbl.fold (fun _ l acc -> List.rev l :: acc) groups []
+  |> List.sort (fun a b ->
+         compare (List.hd a).Profile.Sfg.key (List.hd b).Profile.Sfg.key)
 
 (* Each stratum compiles its own sub-plan from the restricted SFG, with
    the reduction re-derived against the stratum's *own* unreduced
@@ -364,29 +337,27 @@ let prepare ?check ?strata ~target_length ~control_variate
         Kernel.Compile.derive_reduction ~target_length (max 1 p.instructions)
       in
       let members = partition ?strata ~reduction:r p in
-      let raw_insts =
+      let subs =
         List.map
           (fun ms ->
-            List.fold_left
-              (fun acc (n : Profile.Sfg.node) ->
-                acc + (n.occurrences * Array.length n.slots))
-              0 ms)
-          members
-      in
-      let total_insts = float_of_int (max 1 (List.fold_left ( + ) 0 raw_insts)) in
-      let check = Option.value check ~default:(fun () -> ()) in
-      let ctxs =
-        List.mapi
-          (fun idx ms ->
             let keep = Hashtbl.create (2 * List.length ms) in
             List.iter
               (fun (n : Profile.Sfg.node) -> Hashtbl.replace keep n.key ())
               ms;
-            let sub_sfg =
-              Profile.Sfg.restrict p.sfg ~keep:(fun n ->
-                  Hashtbl.mem keep n.key)
+            let sfg =
+              Profile.Sfg.restrict p.sfg ~keep:(fun n -> Hashtbl.mem keep n.key)
             in
-            let insts = List.nth raw_insts idx in
+            (ms, sfg, int_of_float (Profile.Sfg.totals sfg).instructions))
+          members
+      in
+      let total_insts =
+        float_of_int
+          (max 1 (List.fold_left (fun acc (_, _, i) -> acc + i) 0 subs))
+      in
+      let check = Option.value check ~default:(fun () -> ()) in
+      let ctxs =
+        List.mapi
+          (fun idx (ms, sub_sfg, insts) ->
             let plan =
               Kernel.Compile.plan ~target_length
                 { p with sfg = sub_sfg; instructions = insts }
@@ -398,7 +369,7 @@ let prepare ?check ?strata ~target_length ~control_variate
                   Array.of_list
                     (List.map (fun (n : Profile.Sfg.node) -> n.key) ms);
                 weight = float_of_int insts /. total_insts;
-                instructions = plan_instructions plan;
+                instructions = Kernel.Plan.instructions plan;
                 mu_x = cv_expectation cfg plan;
               }
             in
@@ -410,7 +381,7 @@ let prepare ?check ?strata ~target_length ~control_variate
                     if control_variate then cv_sample cfg tr else 0.0 ))
             in
             { meta; runner })
-          members
+          subs
       in
       (r, Array.of_list ctxs))
 

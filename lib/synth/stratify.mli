@@ -35,6 +35,19 @@ val neyman_allocate :
     Raises [Invalid_argument] when [pilot < 2], on a length mismatch,
     or when [total < pilot * strata]. *)
 
+val partition :
+  ?strata:int ->
+  reduction:int ->
+  Profile.Stat_profile.t ->
+  Profile.Sfg.node list list
+(** The phase strata of the profile's graph at [reduction]: the
+    survivors of {!Profile.Sfg.reduce}, clustered over
+    {!Simpoint.node_features}; each stratum ascends by key and the
+    strata are ordered by their smallest key. [strata] forces exactly k
+    k-means clusters (empty ones dropped); by default
+    {!Simpoint.classify_nodes} picks up to 4. Raises [Invalid_argument]
+    when no node survives or [strata < 1]. *)
+
 type stratum = {
   index : int;  (** strata ordered by smallest member node key *)
   node_keys : int array;  (** member SFG node keys, ascending *)

@@ -32,11 +32,6 @@ let test_op_latencies () =
   check "fp sqrt slowest fp" true
     (Config.Machine.op_latency Fp_sqrt > Config.Machine.op_latency Fp_mult)
 
-let test_fu_counts () =
-  Array.iter
-    (fun c -> check "has units" true (Config.Machine.fu_count b c > 0))
-    Isa.Iclass.all
-
 let test_scaling () =
   let half = Config.Machine.scale_caches b 0.5 in
   Alcotest.(check int) "halved D$" (8 * 1024) half.dcache.size_bytes;
@@ -102,7 +97,6 @@ let suite =
   [
     Alcotest.test_case "baseline matches Table 2" `Quick test_baseline_is_table2;
     Alcotest.test_case "op latencies" `Quick test_op_latencies;
-    Alcotest.test_case "fu counts" `Quick test_fu_counts;
     Alcotest.test_case "scaling helpers" `Quick test_scaling;
     Alcotest.test_case "hls baseline" `Quick test_hls_baseline_smaller;
     Alcotest.test_case "canonical covers every field" `Quick

@@ -35,23 +35,18 @@ let test_meta_packing () =
   Array.iter
     (fun klass ->
       List.iter
-        (fun (anti, ndeps) ->
-          let m = Kernel.Plan.pack_meta ~klass ~anti ~ndeps in
-          check "klass" true (Kernel.Plan.meta_klass m = klass);
+        (fun ndeps ->
+          let m = Kernel.Plan.pack_meta ~klass ~ndeps in
+          Alcotest.(check int) "class" (Isa.Iclass.index klass)
+            (Kernel.Plan.meta_class m);
           check "is_load" true
             (Kernel.Plan.meta_is_load m = Isa.Iclass.is_load klass);
           check "is_branch" true
             (Kernel.Plan.meta_is_branch m = Isa.Iclass.is_branch klass);
-          check "is_mem" true
-            (Kernel.Plan.meta_is_mem m = Isa.Iclass.is_mem klass);
           check "has_dest" true
             (Kernel.Plan.meta_has_dest m = Isa.Iclass.has_dest klass);
-          check "anti" true (Kernel.Plan.meta_anti m = anti);
-          Alcotest.(check int) "ndeps" ndeps (Kernel.Plan.meta_ndeps m);
-          Alcotest.(check int) "latency"
-            (Config.Machine.op_latency klass)
-            (Kernel.Plan.meta_latency m))
-        [ (false, 0); (true, 2); (false, 5); (true, 70) ])
+          Alcotest.(check int) "ndeps" ndeps (Kernel.Plan.meta_ndeps m))
+        [ 0; 2; 5; 70 ])
     Isa.Iclass.all
 
 (* --- Fenwick tree vs a naive prefix scan --- *)
@@ -167,6 +162,36 @@ let test_survivors_agree_with_plan () =
     [ 1; 10; 100; 1_000; 2_000; 4_000; 8_000; 100_000 ];
   check "target length 1 empties the graph" true
     (Result.is_error (Kernel.Compile.check_survivors ~target_length:1 p))
+
+(* The plan the generator walks, the steady-state chain and the
+   stratified partition read one reduced graph: for every workload and
+   R, the chain's visit counts are the plan's, its keys name the plan's
+   blocks in order, and the strata partition exactly those keys. *)
+let test_one_reduced_graph () =
+  List.iter
+    (fun bench ->
+      let p = profile_of bench 20_000 in
+      let block key =
+        match Profile.Sfg.find p.sfg ~key with Some n -> n.block | None -> -1
+      in
+      List.iter
+        (fun r ->
+          let label what = Printf.sprintf "%s, R = %d: %s" bench r what in
+          let plan = Kernel.Compile.plan ~reduction:r p in
+          let g = Analytical.Steady_state.of_sfg ~reduction:r p.sfg in
+          Alcotest.(check (array int)) (label "visits") plan.node_occ g.occ;
+          Alcotest.(check (array int))
+            (label "blocks") plan.node_block (Array.map block g.keys);
+          let members =
+            List.concat_map
+              (List.map (fun (n : Profile.Sfg.node) -> n.key))
+              (Synth.Stratify.partition ~reduction:r p)
+          in
+          Alcotest.(check (list int))
+            (label "strata") (Array.to_list g.keys)
+            (List.sort compare members))
+        [ 1; 4; 16; 64 ])
+    Workload.Suite.names
 
 let test_empty_count_node () =
   (* a node whose branch/fetch/load denominators are all zero must
@@ -329,6 +354,7 @@ let suite =
     Alcotest.test_case "fenwick bounds" `Quick test_fenwick_bounds;
     Alcotest.test_case "compiled counts match profile" `Quick
       test_compiled_counts_match_profile;
+    Alcotest.test_case "one reduced graph" `Quick test_one_reduced_graph;
     Alcotest.test_case "empty-count node" `Quick test_empty_count_node;
     Alcotest.test_case "survivor check agrees with plan" `Quick
       test_survivors_agree_with_plan;

@@ -148,8 +148,7 @@ let test_ci_target () =
   let p = Lazy.force shared_p in
   (* a huge target is satisfied immediately at the first round *)
   let loose =
-    Synth.Replicate.run ~jobs:2 ~ci_target:500.0 ~max_replicas:16
-      cfg
+    Synth.Replicate.run ~jobs:2 ~ci_target:500.0 cfg
       (Kernel.Compile.plan ~target_length:1_500 p)
       ~master_seed:5 ~replicas:3
   in
@@ -157,12 +156,11 @@ let test_ci_target () =
     (Synth.Replicate.replicas loose);
   (* an impossible target stops at max_replicas *)
   let tight =
-    Synth.Replicate.run ~jobs:2 ~ci_target:1e-9 ~max_replicas:5
-      cfg
+    Synth.Replicate.run ~jobs:2 ~ci_target:1e-9 cfg
       (Kernel.Compile.plan ~target_length:1_500 p)
       ~master_seed:5 ~replicas:2
   in
-  Alcotest.(check int) "caps at max_replicas" 5
+  Alcotest.(check int) "caps at max_replicas" Synth.Replicate.max_replicas
     (Synth.Replicate.replicas tight);
   (* adaptive growth only extends the seed table: a converged run equals
      the fixed-count run for the same master seed *)
@@ -231,8 +229,7 @@ let test_check_hook () =
   let r =
     Synth.Replicate.run
       ~check:(fun () -> Atomic.incr calls_ci)
-      ~jobs:1 ~ci_target:500.0
-      ~max_replicas:4 cfg
+      ~jobs:1 ~ci_target:500.0 cfg
       (Kernel.Compile.plan ~target_length:1_500 p) ~master_seed:5 ~replicas:3
   in
   Alcotest.(check int) "ci mode calls per replica"

@@ -98,6 +98,22 @@ let test_pool_exception () =
              else i)
            [| 0; 1; 2; 3 |]))
 
+(* Over-asking by a few domains runs on at most the recommended count:
+   the parent and its extra domains. *)
+let test_pool_caps_domains () =
+  let n = Domain.recommended_domain_count () + 4 in
+  let ids =
+    Parallel.map ~jobs:n
+      (fun _ ->
+        Unix.sleepf 0.002;
+        (Domain.self () :> int))
+      (Array.make n ())
+  in
+  let distinct = List.length (List.sort_uniq compare (Array.to_list ids)) in
+  if distinct > Domain.recommended_domain_count () then
+    Alcotest.failf "%d domains for %d recommended" distinct
+      (Domain.recommended_domain_count ())
+
 let test_pool_jobs_equal =
   QCheck.Test.make ~count:50 ~name:"pool: jobs=4 equals jobs=1"
     QCheck.(list small_int)
@@ -353,6 +369,7 @@ let suite =
     Alcotest.test_case "cache memoizes estimates" `Quick
       test_cache_estimate_memoized;
     Alcotest.test_case "pool re-raises" `Quick test_pool_exception;
+    Alcotest.test_case "pool caps its domains" `Quick test_pool_caps_domains;
     QCheck_alcotest.to_alcotest test_pool_jobs_equal;
     Alcotest.test_case "plan deterministic across jobs" `Quick
       test_plan_parallel_deterministic;

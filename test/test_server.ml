@@ -764,6 +764,9 @@ let out_of_range =
     ("simulate", [ ("ci_target", n 0) ]);
     ("simulate", [ ("ci_target", n 5); ("replicas", n 1) ]);
     ("simulate", [ ("ci_target", n 5); ("replicas", n 65) ]);
+    ("simulate", [ ("replicas", n 65) ]);
+    ("simulate", [ ("stratify", t); ("replicas", n 65) ]);
+    ("replicate", [ ("replicas", n 65) ]);
     ("simulate", [ ("stratify", t); ("pilot", n 0) ]);
     ("simulate", [ ("stratify", t); ("strata", n 0) ]);
     ("simulate", [ ("synthetic", n 0) ]);
@@ -782,7 +785,10 @@ let out_of_range =
     ("estimate", [ ("synthetic", n 1) ]);
     ( "experiment",
       [ ("ids", Json.Arr [ Json.Str "table1" ]); ("replicas", n 0) ] );
+    ( "experiment",
+      [ ("ids", Json.Arr [ Json.Str "table1" ]); ("replicas", n 65) ] );
     ("dse", [ sweep; ("replicas", n 0) ]);
+    ("dse", [ sweep; ("replicas", n 65) ]);
     ("dse", [ sweep; ("length", n 0) ]);
     ("dse", [ sweep; ("length", n 20000); ("synthetic", n 1) ]);
   ]

@@ -67,32 +67,28 @@ let test_analyze_weights () =
         Simpoint.(p.interval_index >= 0 && p.interval_index < 10))
     t.picks
 
-let test_skip () =
-  let gen = Workload.Suite.stream (Lazy.force spec) ~length:100 in
-  Simpoint.skip gen 90;
-  let rec count n = match gen () with Some _ -> count (n + 1) | None -> n in
-  Alcotest.(check int) "10 left" 10 (count 0)
-
 let test_simulate_weighted_ipc () =
   let s = Lazy.force spec in
   let factory () = Workload.Suite.stream s ~length:50_000 in
   let t = Simpoint.analyze ~interval:5_000 (factory ()) in
-  let ipc, metrics = Simpoint.simulate Config.Machine.baseline t ~stream_factory:factory in
+  let ipc =
+    Simpoint.simulate_warm Config.Machine.baseline t ~stream_factory:factory
+  in
   check "ipc plausible" true (ipc > 0.05 && ipc <= 8.0);
-  Alcotest.(check int) "one run per pick" (List.length t.picks)
-    (List.length metrics);
   check "budget accounted" true
     (Simpoint.simulated_instructions t
     = List.length t.picks * 5_000)
 
 let test_simpoint_accuracy_reasonable () =
-  (* weighted-IPC estimate should land within 30% of full EDS even with
-     cold-start bias at this tiny scale *)
+  (* the weighted-IPC estimate should land within 30% of full EDS at
+     this tiny scale *)
   let s = Lazy.force spec in
   let factory () = Workload.Suite.stream s ~length:60_000 in
   let full = Uarch.Eds.run Config.Machine.baseline (factory ()) in
   let t = Simpoint.analyze ~interval:6_000 (factory ()) in
-  let ipc, _ = Simpoint.simulate Config.Machine.baseline t ~stream_factory:factory in
+  let ipc =
+    Simpoint.simulate_warm Config.Machine.baseline t ~stream_factory:factory
+  in
   let err =
     Stats.Summary.absolute_error ~reference:(Uarch.Metrics.ipc full)
       ~predicted:ipc
@@ -107,7 +103,6 @@ let suite =
     Alcotest.test_case "kmeans errors" `Quick test_kmeans_errors;
     Alcotest.test_case "BIC selection" `Quick test_best_picks_few_for_tight_data;
     Alcotest.test_case "analyze weights" `Quick test_analyze_weights;
-    Alcotest.test_case "skip" `Quick test_skip;
     Alcotest.test_case "simulate weighted IPC" `Quick test_simulate_weighted_ipc;
     Alcotest.test_case "accuracy reasonable" `Slow test_simpoint_accuracy_reasonable;
   ]
