@@ -59,10 +59,10 @@ module Steady_state : sig
   }
 
   val of_sfg : ?reduction:int -> Profile.Sfg.t -> graph
-  (** Transition structure of the reduced SFG: survivors are nodes with
-      [occurrences / R > 0] in key order (the kernel plan's ordering);
-      edges to reduced-away nodes are dropped and dead-end rows become
-      the generator's restart distribution (reduced occurrences).
+  (** Transition structure of the reduced SFG ({!Profile.Sfg.reduce},
+      the graph the kernel plan compiles): survivors in key order,
+      edges into dropped nodes dropped, and dead-end rows become the
+      generator's restart distribution (reduced occurrences).
       Every other row is mixed with the restart distribution at weight
       0.01 — the generator's occupancy-budget renormalisation acts as
       a global restart, and the mixture makes the chain irreducible so

@@ -1,9 +1,9 @@
 (** Profile -> {!Plan} lowering.
 
     Runs once per (profile, reduction) pair; the output is purely a
-    function of the reduced SFG plus the static per-class operation
-    table, so plans are shareable across machine configs, replicas and
-    processes (via the plan codec and the runner cache). *)
+    function of the reduced SFG, so plans are shareable across machine
+    configs, replicas and processes (via the plan codec and the runner
+    cache). *)
 
 val derive_reduction : ?reduction:int -> ?target_length:int -> int -> int
 (** [derive_reduction ?reduction ?target_length total] resolves the
@@ -18,14 +18,15 @@ val check_survivors :
   Profile.Stat_profile.t ->
   (unit, string) result
 (** [Error], naming R, when the reduction {!derive_reduction} resolves
-    leaves no node with [occurrences / R > 0]: the empty graph {!plan}
-    rejects. Request boundaries call it before any engine runs. *)
+    leaves no node that {!Profile.Sfg.survives}: the empty graph
+    {!plan} rejects. Request boundaries call it before any engine
+    runs. *)
 
 val plan :
   ?reduction:int -> ?target_length:int -> Profile.Stat_profile.t -> Plan.t
-(** Compile the profile at the resolved reduction. Surviving nodes
-    (those with [occurrences / R > 0]) get dense indices in SFG key
-    order; edges to non-surviving nodes are dropped. Raises
+(** Compile the profile's graph at the resolved reduction
+    ({!Profile.Sfg.reduce}): its survivors' dense indices, visit counts
+    and edges become the plan's. Raises
     [Invalid_argument] on [R < 1] or when reduction empties the graph
     (the messages name [Generate.generate], which compiles through
     here). *)
