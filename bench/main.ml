@@ -402,8 +402,8 @@ let run_replication () =
     time (fun () ->
         Synth.Stratify.run ~jobs ~target_length:tlen ~pilot ~control_variate
           ~ci_target cfg p
-          ~steady_state:(fun ~reduction ->
-            (Analytical.Steady_state.estimate ~reduction cfg p).ipc)
+          ~analytical:(fun ~reduction ->
+            (Analytical.estimate ~reduction cfg p).ipc)
           ~master_seed:42 ~replicas:64)
   in
   let strat_rel (t : Synth.Stratify.t) =

@@ -2,7 +2,7 @@
 
    Subcommands:
      simulate    run statistical and/or execution-driven simulation
-     estimate    zero-simulation steady-state IPC/mix estimate
+     estimate    zero-simulation analytical IPC/mix estimate
      profile     print statistical-profile facts (SFG size, MPKI, ...)
      diag        profile-vs-synthetic-trace divergence diagnostics
      experiment  regenerate one of the paper's tables/figures
@@ -205,7 +205,7 @@ let simulate_cmd =
       $ stratify_arg $ no_cv_arg $ strata_arg $ pilot_arg $ jobs_arg $ json_arg
       $ cache_dir_arg)
 
-(* --- zero-simulation steady-state estimate: statsim estimate --- *)
+(* --- zero-simulation analytical estimate: statsim estimate --- *)
 
 let estimate_cmd =
   let run bench length syn reduction k profile_file json cache_dir =
@@ -226,7 +226,7 @@ let estimate_cmd =
   in
   let reduction_arg =
     let doc =
-      "Analyze the chain at reduction factor $(docv) instead of the \
+      "Estimate at reduction factor $(docv) instead of the \
        $(b,--synthetic) target length."
     in
     Arg.(value & opt (some int) None & info [ "R"; "reduction" ] ~docv:"R" ~doc)
@@ -236,8 +236,9 @@ let estimate_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let doc =
-    "zero-simulation IPC/mix estimate from the stationary distribution of \
-     the reduced SFG (closed-form, microseconds)"
+    "zero-simulation IPC/mix estimate: the first-order analytical model \
+     over the reduced SFG, each node weighted by its exact visit count \
+     (closed-form, no trace drawn)"
   in
   Cmd.v (Cmd.info "estimate" ~doc)
     Term.(

@@ -2,7 +2,7 @@ type t = {
   profiles : Profile.Stat_profile.t Memo.t;
   references : Statsim.result Memo.t;
   plans : Kernel.Plan.t Memo.t;
-  estimates : Analytical.Steady_state.estimate Memo.t;
+  estimates : Analytical.estimate Memo.t;
   store : Store.t option;
   (* actual compute-thunk executions, as opposed to memo misses (which
      also count lookups the store answered), for [stats]. Atomic
@@ -280,10 +280,11 @@ let profile_plan t ?k cfg ~stream_key ~target_length mk =
   | exception Empty_graph msg -> Error msg
 
 (* The instant-answer tier behind the server's `estimate` op: the
-   stationary solve is microseconds, but memoizing the whole estimate
-   record keyed by (profile digest, machine, reduction) makes repeat
-   estimates O(1) lookups and gives cache-stats an observable counter.
-   No store tier — recomputing is cheaper than a disk round trip. *)
+   estimate is one pass over the profile's nodes, but memoizing the
+   whole record keyed by (profile digest, machine, reduction) makes
+   repeat estimates O(1) lookups and gives cache-stats an observable
+   counter. No store tier — recomputing is cheaper than a disk round
+   trip. *)
 let estimate t ?reduction ?target_length cfg (p : Profile.Stat_profile.t) =
   let r =
     Kernel.Compile.derive_reduction ?reduction ?target_length
@@ -291,7 +292,7 @@ let estimate t ?reduction ?target_length cfg (p : Profile.Stat_profile.t) =
   in
   let key = Printf.sprintf "%s|%s|r=%d" (profile_digest t p) (cfg_key cfg) r in
   Memo.get t.estimates ~key (fun () ->
-      Analytical.Steady_state.estimate ~reduction:r cfg p)
+      Analytical.estimate ~reduction:r cfg p)
 
 let reference t ?max_instructions ?(perfect_caches = false)
     ?(perfect_bpred = false) cfg ~stream_key mk =

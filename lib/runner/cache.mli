@@ -119,10 +119,10 @@ val estimate :
   ?target_length:int ->
   Config.Machine.t ->
   Profile.Stat_profile.t ->
-  Analytical.Steady_state.estimate
-(** Memoized {!Analytical.Steady_state.estimate} at the resolved
-    reduction — the instant-answer tier behind the server's [estimate]
-    op. In-memory only (the solve is microseconds; no store round
+  Analytical.estimate
+(** Memoized {!Analytical.estimate} at the resolved reduction — the
+    instant-answer tier behind the server's [estimate] op. In-memory
+    only (the estimate is one pass over the profile; no store round
     trip). *)
 
 val reference :

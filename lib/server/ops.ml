@@ -265,16 +265,16 @@ let simulate env ~force_replicas params =
     let default =
       if ci_target = None then 16 else Synth.Replicate.max_replicas
     in
-    (* the steady-state IPC the report carries is the `estimate` op's
+    (* the analytical IPC the report carries is the `estimate` op's
        memo entry for this profile, machine and reduction *)
-    let steady_state ~reduction =
+    let analytical ~reduction =
       (Runner.Cache.estimate env.cache ~reduction cfg p).ipc
     in
     let r =
       tspan env "replicate.run" (fun () ->
           Synth.Stratify.run ~jobs:env.jobs ~check:env.check
             ~target_length:syn ?strata ?pilot ~control_variate ?ci_target cfg
-            p ~steady_state ~master_seed:seed
+            p ~analytical ~master_seed:seed
             ~replicas:(Option.value replicas ~default))
     in
     tspan env "render" (fun () ->
@@ -299,19 +299,10 @@ let simulate env ~force_replicas params =
 
 (* --- estimate --- *)
 
-let estimate_json (e : Analytical.Steady_state.estimate) =
-  let method_name =
-    match e.solution.solved_by with
-    | Analytical.Steady_state.Direct -> "direct"
-    | Analytical.Steady_state.Power -> "power"
-  in
+let estimate_json (e : Analytical.estimate) =
   Json.Obj
     [
       ("nodes", Json.Num (float_of_int e.nodes));
-      ("dead_ends", Json.Num (float_of_int e.dead_ends));
-      ("method", Json.Str method_name);
-      ("iterations", Json.Num (float_of_int e.solution.iterations));
-      ("residual", Json.Num e.solution.residual);
       ( "mix",
         Json.Obj
           (List.map
@@ -320,29 +311,21 @@ let estimate_json (e : Analytical.Steady_state.estimate) =
       ( "cpi",
         Json.Obj
           [
-            ("base", Json.Num e.breakdown.Analytical.base_cpi);
-            ("branch", Json.Num e.breakdown.Analytical.branch_cpi);
-            ("imem", Json.Num e.breakdown.Analytical.imem_cpi);
-            ("dmem", Json.Num e.breakdown.Analytical.dmem_cpi);
-            ("total", Json.Num e.breakdown.Analytical.total_cpi);
+            ("base", Json.Num e.breakdown.base_cpi);
+            ("branch", Json.Num e.breakdown.branch_cpi);
+            ("imem", Json.Num e.breakdown.imem_cpi);
+            ("dmem", Json.Num e.breakdown.dmem_cpi);
+            ("total", Json.Num e.breakdown.total_cpi);
           ] );
       ("ipc", Json.Num e.ipc);
     ]
 
-let render_estimate buf (e : Analytical.Steady_state.estimate) =
-  Printf.bprintf buf
-    "steady-state estimate: %d nodes (%d dead ends), solved %s\n" e.nodes
-    e.dead_ends
-    (match e.solution.solved_by with
-    | Analytical.Steady_state.Direct -> "directly"
-    | Analytical.Steady_state.Power ->
-      Printf.sprintf "by power iteration (%d iterations)"
-        e.solution.iterations);
-  Printf.bprintf buf "  residual %.2e\n" e.solution.residual;
+let render_estimate buf (e : Analytical.estimate) =
+  Printf.bprintf buf "analytical estimate: %d nodes\n" e.nodes;
   Buffer.add_string buf
     (Format.asprintf "%a" Analytical.pp_breakdown e.breakdown);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf "  stationary mix:";
+  Buffer.add_string buf "  mix:";
   List.iter
     (fun (c, share) ->
       if share > 0.0005 then
@@ -352,9 +335,11 @@ let render_estimate buf (e : Analytical.Steady_state.estimate) =
   Buffer.add_char buf '\n';
   Printf.bprintf buf "  estimated IPC %.4f\n" e.ipc
 
-(* Zero-simulation instant answer: the stationary solve of the reduced
-   SFG.  The profile comes through the shared cache (the only slow
-   part), the solved estimate through its own memo tier. *)
+(* Zero-simulation instant answer: the analytical model over the
+   reduced graph's visit counts. The profile comes through the shared
+   cache (the only slow part), the estimate through its own memo tier.
+   The span keeps its name [estimate.solve], which perfbench's traced
+   run reads. *)
 let estimate env params =
   let bench = str_def params "bench" "gcc" in
   let length = int_min params "length" ~min:1 300_000 in

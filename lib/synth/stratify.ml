@@ -31,8 +31,8 @@
    expectation: the synthetic walk visits every surviving node exactly
    occurrences/R times (trace length is deterministic) and every flag
    is one uniform 32-bit draw against the plan's fixed-point
-   thresholds — so mu_X is a finite sum over plan thresholds, the
-   closed-form steady-state expectation of the reduced chain.
+   thresholds — so mu_X is a finite sum over plan thresholds, weighted
+   by the reduced graph's exact visit counts.
    Exactness is what keeps Y - beta*(X - mu_X) unbiased. *)
 
 let span_replica = Telemetry.span "synth.stratify.replica"
@@ -114,7 +114,7 @@ type t = {
   beta : float option;
       (** pilot-estimated CV coefficient; [None] = plain stratified path
           (CV disabled or degenerate pilot covariance) *)
-  analytical_ipc : float;  (** zero-simulation steady-state estimate *)
+  analytical_ipc : float;  (** zero-simulation analytical estimate *)
   reports : report array;
   cpi : Stats.Summary.stratified;  (** the combined estimator *)
   ipc : Stats.Summary.stratified;
@@ -403,7 +403,7 @@ let ipc_of_cpi (c : Stats.Summary.stratified) =
 exception Budget_too_small of string
 
 let run ?(jobs = 1) ?check ~target_length ?strata ?(pilot = 3)
-    ?(control_variate = true) ?ci_target cfg p ~steady_state ~master_seed
+    ?(control_variate = true) ?ci_target cfg p ~analytical ~master_seed
     ~replicas =
   Option.iter
     (fun c ->
@@ -459,7 +459,7 @@ let run ?(jobs = 1) ?check ~target_length ?strata ?(pilot = 3)
       pilot_reports
   in
   let weights = Array.map (fun (c : ctx) -> c.meta.weight) ctxs in
-  let analytical_ipc = steady_state ~reduction:r in
+  let analytical_ipc = analytical ~reduction:r in
   let result total =
     let reports = grow_to (neyman_allocate ~weights ~sigmas ~pilot ~total) in
     let cpi = combine ~beta reports in

@@ -82,8 +82,8 @@ type t = {
       (** pilot-estimated CV coefficient; [None] = plain stratified path
           (CV disabled or degenerate pilot covariance) *)
   analytical_ipc : float;
-      (** zero-simulation {!Analytical.Steady_state} IPC at [reduction],
-          as [run]'s [steady_state] answered it, reported alongside the
+      (** zero-simulation {!Analytical.estimate} IPC at [reduction],
+          as [run]'s [analytical] answered it, reported alongside the
           measured mean *)
   reports : report array;
   cpi : Stats.Summary.stratified;  (** the combined estimator *)
@@ -110,8 +110,7 @@ val cv_expectation : Config.Machine.t -> Kernel.Plan.t -> float
     the I-side flags, load slots the D-side flags (L2 conditional on
     L1), and each branch slot classifies its outcome with one 32-bit
     draw — so mu_X is a finite sum over the plan's fixed-point
-    thresholds (the closed-form steady-state expectation of the reduced
-    chain). *)
+    thresholds, weighted by the reduced graph's exact visit counts. *)
 
 exception Budget_too_small of string
 (** Raised by {!run} when the replica budget cannot seat [pilot]
@@ -130,7 +129,7 @@ val run :
   ?ci_target:float ->
   Config.Machine.t ->
   Profile.Stat_profile.t ->
-  steady_state:(reduction:int -> float) ->
+  analytical:(reduction:int -> float) ->
   master_seed:int ->
   replicas:int ->
   t
@@ -143,11 +142,11 @@ val run :
     {!Replicate.run}.  Raises {!Budget_too_small} when
     [replicas < pilot * strata].
 
-    [steady_state ~reduction] is the profile's
-    {!Analytical.Steady_state} IPC on [cfg] at the run's resolved
-    reduction, reported as [analytical_ipc]; it is called once. A
-    caller that memoises the solve ({!Runner.Cache.estimate}) answers
-    it without re-solving per run.
+    [analytical ~reduction] is the profile's {!Analytical.estimate} IPC
+    on [cfg] at the run's resolved reduction, reported as
+    [analytical_ipc]; it is called once. A caller that memoises the
+    estimate ({!Runner.Cache.estimate}) answers it without recomputing
+    per run.
 
     With [ci_target] the budget grows from the pilot round
     ([pilot * strata]) by {!Replicate.adaptive}: it doubles until the

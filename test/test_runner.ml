@@ -65,7 +65,7 @@ let test_cache_profile_shared () =
   Alcotest.(check int) "two misses" 2 (Runner.Cache.stats c).profile_misses
 
 let test_cache_estimate_memoized () =
-  (* the zero-simulation steady-state estimate is memoized per
+  (* the zero-simulation analytical estimate is memoized per
      (profile, config, reduction): the second lookup answers from the
      memo and distinct reductions are distinct entries *)
   let c = Runner.Cache.create () in
@@ -83,8 +83,8 @@ let test_cache_estimate_memoized () =
   let e3 = Runner.Cache.estimate c ~reduction:4 cfg p in
   Alcotest.(check bool) "other reduction distinct" true (e3 != e1);
   Alcotest.(check int) "two misses" 2 (Runner.Cache.stats c).estimate_misses;
-  (* the memo returns exactly what a direct solve computes *)
-  let direct = Analytical.Steady_state.estimate ~reduction:8 cfg p in
+  (* the memo returns exactly what a direct estimate computes *)
+  let direct = Analytical.estimate ~reduction:8 cfg p in
   Alcotest.(check (float 1e-12)) "same ipc" direct.ipc e1.ipc
 
 let test_pool_exception () =
