@@ -645,7 +645,7 @@ let pinned_outputs =
       "40dc59a4df1664a81f818e12e9dbc916" );
     ( "simulate",
       base "gcc" 2000 @ [ ("stratify", t); ("replicas", Json.Num 16.0) ],
-      "b4ccaeb94247036984a271f9f0f55838" );
+      "9776f4f26c42b41b8157fef7682eb2a9" );
     ( "simulate",
       base "vortex" 2000
       @ [
@@ -654,12 +654,12 @@ let pinned_outputs =
           ("replicas", Json.Num 12.0);
           ("json", t);
         ],
-      "e6734f90b30c1a3a89cbc0dc43a7dcc8" );
+      "9c5b99939ed60e59eca70eaa281a7dcf" );
     (* the default budgets: the stratified cap of 64 and the blind first
        round of 4 *)
     ( "simulate",
       base "gcc" 2000 @ [ ("stratify", t); ("ci_target", Json.Num 5.0) ],
-      "8df0b226b54d264a5bc240d01a3cbf07" );
+      "5cf6203d4c69d0eb310366b12dd8d7e8" );
     ( "simulate",
       base "gcc" 2000 @ [ ("ci_target", Json.Num 10.0) ],
       "7e95e2f93f06746990470d94a379b300" );
@@ -672,7 +672,7 @@ let pinned_outputs =
       "7eb4f6e30e03a3a660925a2200311269" );
     ( "estimate",
       [ ("bench", Json.Str "gcc"); ("length", Json.Num 20000.0); ("json", t) ],
-      "d8fc218217ab7901d57fe2dc923b4d96" );
+      "50eef2f638005208cb27c5f9d28d569f" );
     ( "dse",
       dse_smoke @ [ ("format", Json.Str "csv") ],
       "a34b0e3f4356e9578d93be6adc94722b" );
