@@ -11,9 +11,9 @@ type t = {
   plan_computes : int Atomic.t;
   reference_computes : int Atomic.t;
   (* per-profile content digests (the plan key), by physical identity.
-     The profile tier records them from bytes it already holds — its
-     store put on a miss, the stored payload on a hit — so only a
-     profile that never passed through the store is encoded again *)
+     The profile tier records the MD5 the store hands back — its frame
+     encode's on a miss, its frame check's on a hit — so only a profile
+     that never passed through the store is encoded and hashed again *)
   mutable pdigests : (Profile.Stat_profile.t * string) list;
   pdigest_mu : Mutex.t;
   (* per profile key, the MD5 and instruction count of its stored
@@ -117,19 +117,27 @@ let mode_key = function
 
 (* Second cache tier: in-memory memo first, then the on-disk store, then
    compute. The store key carries an artifact-kind prefix and the codec
-   format version, so incompatible renderings never collide. *)
-let tiered memo store_opt ~key ~store_key ~encode ~decode compute =
+   format version, so incompatible renderings never collide. [stored]
+   sees each value the store answers or publishes, with its payload's
+   MD5. *)
+let tiered ?(stored = fun _ _ -> ()) memo store_opt ~key ~store_key ~encode
+    ~decode compute =
   Memo.get memo ~key (fun () ->
       match store_opt with
       | None -> compute ()
-      | Some s -> Store.get_or_compute s ~key:store_key ~encode ~decode compute)
+      | Some s ->
+        let v, md5 =
+          Store.get_or_compute s ~key:store_key ~encode ~decode compute
+        in
+        stored v md5;
+        v)
 
 let digest_hex bytes = Digest.to_hex (Digest.string bytes)
 
-(* [Serialize] promises [to_string (of_string s) = s], so the digest of
+(* [Serialize] promises [to_string (of_string s) = s], so the MD5 of
    the bytes a profile was decoded from is the digest of its encoding *)
-let record_digest t p bytes =
-  let d = digest_hex bytes in
+let record_digest t p md5 =
+  let d = Digest.to_hex md5 in
   Mutex.protect t.pdigest_mu (fun () -> t.pdigests <- (p, d) :: t.pdigests)
 
 let profile_digest t p =
@@ -165,17 +173,14 @@ let profile_request (t : t) ?(k = 1) ?(dep_cap = Profile.Sfg.dep_cap)
 let profile_store_key key =
   Printf.sprintf "profile/fmt%d/%s" Profile.Serialize.version key
 
+(* the store's MD5 of the profile's bytes, verified on a hit and
+   computed by the frame encode on a miss, is the profile's digest *)
 let profile_tier t key collect =
   tiered t.profiles t.store ~key ~store_key:(profile_store_key key)
-    ~encode:(fun p ->
-      let s = Profile.Serialize.to_string p in
-      record_digest t p s;
-      s)
+    ~stored:(record_digest t) ~encode:Profile.Serialize.to_string
     ~decode:(fun s ->
       match Profile.Serialize.of_string s with
-      | p ->
-        record_digest t p s;
-        Ok p
+      | p -> Ok p
       | exception Failure msg -> Error msg)
     collect
 

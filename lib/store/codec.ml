@@ -3,6 +3,7 @@ let format_version = 1
 let digest_len = 16
 
 let encode ~key payload =
+  let digest = Digest.string payload in
   let b =
     Buffer.create (String.length key + String.length payload + 40)
   in
@@ -10,10 +11,10 @@ let encode ~key payload =
   Buffer.add_uint16_be b format_version;
   Buffer.add_int32_be b (Int32.of_int (String.length key));
   Buffer.add_string b key;
-  Buffer.add_string b (Digest.string payload);
+  Buffer.add_string b digest;
   Buffer.add_int64_be b (Int64.of_int (String.length payload));
   Buffer.add_string b payload;
-  Buffer.contents b
+  (Buffer.contents b, digest)
 
 let decode ~key s =
   let len = String.length s in

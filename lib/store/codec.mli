@@ -19,8 +19,10 @@
     a truncated write, a flipped bit or a foreign file is reported as
     [Error] rather than returned as data. *)
 
-val encode : key:string -> string -> string
-(** [encode ~key payload] frames a payload. *)
+val encode : key:string -> string -> string * Digest.t
+(** [encode ~key payload] frames a payload, and returns the frame with
+    the payload's MD5 it carries (a caller that keys by the payload's
+    digest need not hash it again). *)
 
 val decode : key:string -> string -> (string * Digest.t, string) result
 (** [decode ~key bytes] returns the verified payload with its MD5, the

@@ -178,9 +178,10 @@ let find t ~key = Option.map fst (find_verified t ~key)
 
 (* --- writing --- *)
 
-let put t ~key payload =
+(* the payload's MD5, as the frame carries it *)
+let publish t ~key payload =
   let digest = key_digest key in
-  let frame = Codec.encode ~key payload in
+  let frame, md5 = Codec.encode ~key payload in
   let final = entry_path t digest in
   mkdir_p (Filename.dirname final);
   let tmp =
@@ -199,7 +200,10 @@ let put t ~key payload =
   Mutex.lock t.mutex;
   t.bytes_written <- t.bytes_written + String.length frame;
   Mutex.unlock t.mutex;
-  Telemetry.add c_bytes (String.length frame)
+  Telemetry.add c_bytes (String.length frame);
+  md5
+
+let put t ~key payload = ignore (publish t ~key payload)
 
 (* --- the cached-computation entry point --- *)
 
@@ -237,21 +241,20 @@ let lookup t ~key ~decode =
 
 let get_or_compute t ~key ~encode ~decode f =
   match lookup_decoded t ~key ~decode with
-  | Some (v, _) ->
+  | Some v ->
     hit t;
     v
   | None ->
     with_key_lock t ~key (fun () ->
         (* someone else may have published while we waited for the lock *)
         match lookup_decoded t ~key ~decode with
-        | Some (v, _) ->
+        | Some v ->
           hit t;
           v
         | None ->
           miss t;
           let v = f () in
-          put t ~key (encode v);
-          v)
+          (v, publish t ~key (encode v)))
 
 (* --- maintenance --- *)
 

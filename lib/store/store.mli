@@ -57,12 +57,15 @@ val get_or_compute :
   encode:('a -> string) ->
   decode:(string -> ('a, string) result) ->
   (unit -> 'a) ->
-  'a
+  'a * Digest.t
 (** [get_or_compute t ~key ~encode ~decode f] returns the decoded entry
     for [key] if a verified one exists, and otherwise runs [f] under the
     per-key lock (re-checking the store after acquiring it) and
-    publishes [encode (f ())] atomically. Counts one hit or one miss per
-    call. *)
+    publishes [encode (f ())] atomically. Either way it returns the
+    payload's MD5 with the value: the one the frame check verified on a
+    hit, the one the frame encode computed on a miss, so a caller that
+    keys by the payload's digest need not hash it again. Counts one hit
+    or one miss per call. *)
 
 val lookup :
   t ->

@@ -22,18 +22,19 @@ module Codec = Store.Codec
 
 let test_codec_roundtrip () =
   let payload = "hello \x00 binary \xff payload" in
-  let frame = Codec.encode ~key:"k1" payload in
+  let frame, digest = Codec.encode ~key:"k1" payload in
+  Alcotest.(check string) "frame digest" (Digest.string payload) digest;
   (match Codec.decode ~key:"k1" frame with
   | Ok (p, md5) ->
     Alcotest.(check string) "payload back" payload p;
     Alcotest.(check string) "payload digest" (Digest.string payload) md5
   | Error e -> Alcotest.failf "decode failed: %s" e);
   check "empty payload ok" true
-    (Codec.decode ~key:"k" (Codec.encode ~key:"k" "")
+    (Codec.decode ~key:"k" (fst (Codec.encode ~key:"k" ""))
     = Ok ("", Digest.string ""))
 
 let test_codec_rejects () =
-  let frame = Codec.encode ~key:"k1" "payload" in
+  let frame, _ = Codec.encode ~key:"k1" "payload" in
   let is_err = function Error _ -> true | Ok _ -> false in
   check "wrong key" true (is_err (Codec.decode ~key:"k2" frame));
   check "truncated" true
@@ -52,9 +53,11 @@ let test_codec_rejects () =
 let id_codec =
   ((fun s -> s), fun s -> Ok s)
 
-let get t ~key f =
+let get_digest t ~key f =
   let encode, decode = id_codec in
   Store.get_or_compute t ~key ~encode ~decode f
+
+let get t ~key f = fst (get_digest t ~key f)
 
 let test_store_roundtrip () =
   with_store (fun t ->
@@ -63,8 +66,15 @@ let test_store_roundtrip () =
         incr computes;
         "artifact-bytes"
       in
-      Alcotest.(check string) "computed" "artifact-bytes" (get t ~key:"a" f);
-      Alcotest.(check string) "from disk" "artifact-bytes" (get t ~key:"a" f);
+      (* the payload's MD5 comes back with the value, on the miss and
+         on the hit *)
+      let md5 = Digest.string "artifact-bytes" in
+      let v, d = get_digest t ~key:"a" f in
+      Alcotest.(check string) "computed" "artifact-bytes" v;
+      Alcotest.(check string) "miss digest" md5 d;
+      let v, d = get_digest t ~key:"a" f in
+      Alcotest.(check string) "from disk" "artifact-bytes" v;
+      Alcotest.(check string) "hit digest" md5 d;
       Alcotest.(check int) "one compute" 1 !computes;
       let s = Store.stats t in
       Alcotest.(check int) "one miss" 1 s.Store.misses;
