@@ -128,34 +128,33 @@ let metric_names f = List.map (fun m -> m.mname) (metrics f)
 let t4_ref_length = max 50_000 (Exp_common.ref_length / 2)
 let t4_syn_length = max 10_000 (Exp_common.syn_length / 2)
 
-(* one job = one (sweep family, benchmark): every design point of the
-   family evaluated by both simulators on that benchmark's stream *)
-let jobs () =
-  families
-  |> List.concat_map (fun f ->
-         List.map (fun spec -> (f, spec)) Exp_common.benches)
-  |> Array.of_list
+(* one job = one benchmark: every family's design points evaluated by
+   both simulators on that benchmark's stream *)
+let jobs () = Array.of_list Exp_common.benches
 
-(* every family's points are evaluated on the design-point engine, which
-   profiles each at its profile configuration: points that differ only
-   in what profiling does not read (the window and width families, and
-   each family's base point) share one profile and one plan through the
-   cache's memo and store tiers *)
-let exec cache ((family : family), (spec : Workload.Spec.t)) =
+(* one engine call per benchmark over all five families' machines: it
+   profiles each at its profile configuration, so points that differ
+   only in what profiling does not read (the window and width families,
+   and each family's base point) share one profile, one plan and one
+   trace. The results split back by family, in [families] order *)
+let exec cache (spec : Workload.Spec.t) =
   let s = Exp_common.src ~length:t4_ref_length spec in
-  let cfgs = List.map snd (configs family) in
+  let cfgs = List.map (fun f -> List.map snd (configs f)) families in
   match
     Dse.Driver.evaluate ~cache ~jobs:1 ~length:t4_ref_length
       ~target_length:t4_syn_length ~bench:spec ~seeds:[| Exp_common.seed |]
-      (Array.of_list cfgs)
+      (Array.of_list (List.concat cfgs))
   with
   | Error m -> failwith m
   | Ok ss ->
-    List.mapi
-      (fun i cfg ->
-        ( cfg,
-          (Exp_common.reference cache cfg s).Statsim.metrics,
-          ss.(i).(0).Statsim.metrics ))
+    let next = ref 0 in
+    List.map
+      (List.map (fun cfg ->
+           let i = !next in
+           incr next;
+           ( cfg,
+             (Exp_common.reference cache cfg s).Statsim.metrics,
+             ss.(i).(0).Statsim.metrics )))
       cfgs
 
 let family_table family per_bench =
@@ -199,10 +198,11 @@ let family_table family per_bench =
   (steps, rows)
 
 let reduce _jobs results =
-  let nb = List.length Exp_common.benches in
   let open Runner.Report in
   let family_blocks fi family =
-    let per_bench = List.init nb (fun bi -> results.((fi * nb) + bi)) in
+    let per_bench =
+      Array.to_list (Array.map (fun per_family -> List.nth per_family fi) results)
+    in
     let steps, rows = family_table family per_bench in
     [
       Line (Printf.sprintf "-- sensitivity to %s --" (family_name family));
