@@ -91,7 +91,7 @@ val restrict : t -> keep:(node -> bool) -> t
 (** {1 The reduced graph (Section 2.2)}
 
     Every estimator reads the reduction through these three: the
-    compiled plan the generator walks, the steady-state chain and the
+    compiled plan the generator walks, the analytical estimate and the
     stratified partition. *)
 
 val survives : reduction:int -> node -> bool
@@ -139,8 +139,8 @@ val totals : ?weight:(node -> float) -> t -> totals
     per slot) and its twelve branch and locality counters, each node's
     contribution scaled by [weight] (default 1.0; nodes weighing 0.0
     are skipped). With the default weight every total is an exact
-    integer; the steady state passes pi_i / occurrences_i to read them
-    as stationary expectations. *)
+    integer; the analytical estimate passes visits_i / occurrences_i
+    to read them as the reduced walk's counts. *)
 
 (** Derived per-node probabilities (0 when the denominator is 0). *)
 

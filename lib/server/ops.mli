@@ -8,7 +8,7 @@
     maintenance of two code paths.
 
     All heavy artifacts flow through the {!env}'s shared
-    {!Runner.Cache}: SFG profiles, compiled {!Kernel.Plan}s, steady-state
+    {!Runner.Cache}: SFG profiles, compiled {!Kernel.Plan}s, analytical
     estimates and EDS references are single-flight memoized, so N
     concurrent [simulate] requests against a cold cache still collect
     one profile and compile one plan ([profile_computes = 1],
@@ -49,8 +49,9 @@ val op_names : string list
     [simulate]/[replicate] accept stratified-replication params
     ([stratify], [control_variate], [strata], [pilot]) that route
     replication-mode requests through {!Synth.Stratify}; [estimate] is
-    the zero-simulation {!Analytical.Steady_state} instant answer
-    (structured reply in its ["estimate"] field, cached through
+    the zero-simulation {!Analytical.estimate} instant answer over the
+    reduced graph's visit counts (structured reply in its ["estimate"]
+    field: [nodes], [mix], [cpi] and [ipc]; cached through
     {!Runner.Cache.estimate}).
 
     After its tables, [experiment] adds per workload of

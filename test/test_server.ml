@@ -833,7 +833,7 @@ let bad_profiles () =
 
 (* A warm replication request pays only for its replicas: replicate
    walks the memoised plan (one plan hit, no compile), and a stratified
-   simulate takes its steady-state IPC from the estimate memo, which the
+   simulate takes its analytical IPC from the estimate memo, which the
    second of two such requests hits. *)
 let test_replication_reuses_memo () =
   let env = fresh_env () in
