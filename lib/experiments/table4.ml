@@ -147,15 +147,17 @@ let exec cache (spec : Workload.Spec.t) =
   with
   | Error m -> failwith m
   | Ok ss ->
-    let next = ref 0 in
-    List.map
-      (List.map (fun cfg ->
-           let i = !next in
-           incr next;
-           ( cfg,
-             (Exp_common.reference cache cfg s).Statsim.metrics,
-             ss.(i).(0).Statsim.metrics )))
-      cfgs
+    snd
+      (List.fold_left_map
+         (fun off family_cfgs ->
+           ( off + List.length family_cfgs,
+             List.mapi
+               (fun i cfg ->
+                 ( cfg,
+                   (Exp_common.reference cache cfg s).Statsim.metrics,
+                   ss.(off + i).(0).Statsim.metrics ))
+               family_cfgs ))
+         0 cfgs)
 
 let family_table family per_bench =
   let cfgs = configs family in
