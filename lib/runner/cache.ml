@@ -173,8 +173,6 @@ let profile_request (t : t) ?(k = 1) ?(dep_cap = Profile.Sfg.dep_cap)
 let profile_store_key key =
   Printf.sprintf "profile/fmt%d/%s" Profile.Serialize.version key
 
-(* the store's MD5 of the profile's bytes, verified on a hit and
-   computed by the frame encode on a miss, is the profile's digest *)
 let profile_tier t key collect =
   tiered t.profiles t.store ~key ~store_key:(profile_store_key key)
     ~stored:(record_digest t) ~encode:Profile.Serialize.to_string

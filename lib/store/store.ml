@@ -178,7 +178,7 @@ let find t ~key = Option.map fst (find_verified t ~key)
 
 (* --- writing --- *)
 
-(* the payload's MD5, as the frame carries it *)
+(* [put], returning the payload's MD5 the frame carries *)
 let publish t ~key payload =
   let digest = key_digest key in
   let frame, md5 = Codec.encode ~key payload in
