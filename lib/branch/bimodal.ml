@@ -13,5 +13,9 @@ let predict t ~pc = Char.code (Bytes.get t.counters (idx t pc)) >= 2
 let update t ~pc ~taken =
   let i = idx t pc in
   let c = Char.code (Bytes.get t.counters i) in
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+  let c' =
+    if taken then (if c >= 3 then 3 else c + 1)
+    else if c <= 0 then 0
+    else c - 1
+  in
   Bytes.set t.counters i (Char.chr c')

@@ -7,8 +7,10 @@ type t
 
 val create : sets:int -> assoc:int -> t
 
-val lookup : t -> pc:int -> int option
-(** Predicted target, if the PC hits. *)
+val predicts : t -> pc:int -> target:int -> bool
+(** Whether the PC hits and its stored target is [target]. A hit
+    refreshes the entry's LRU stamp, right target or not. PCs are
+    non-negative. *)
 
 val update : t -> pc:int -> target:int -> unit
 (** Record the resolved target of a taken branch. *)

@@ -24,6 +24,10 @@ let predict t ~pc = Char.code (Bytes.get t.counters (index t pc)) >= 2
 let update t ~pc ~taken =
   let i = index t pc in
   let c = Char.code (Bytes.get t.counters i) in
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+  let c' =
+    if taken then (if c >= 3 then 3 else c + 1)
+    else if c <= 0 then 0
+    else c - 1
+  in
   Bytes.set t.counters i (Char.chr c');
   t.history <- ((t.history lsl 1) lor if taken then 1 else 0) land t.hist_mask

@@ -54,27 +54,23 @@ let predict_direction t pc =
   | D_gshare g -> Gshare.predict g ~pc
   | D_bimodal b -> Bimodal.predict b ~pc
 
-let btb_correct t pc target =
-  match Btb.lookup t.btb ~pc with
-  | Some predicted -> predicted = target
-  | None -> false
-
 let classify t ~pc ~(branch : Isa.Dyn_inst.branch) =
   match branch.kind with
   | Cond ->
     let dir = predict_direction t pc in
     if dir <> branch.taken then Mispredict
-    else if branch.taken && not (btb_correct t pc branch.target) then
+    else if branch.taken && not (Btb.predicts t.btb ~pc ~target:branch.target)
+    then
       Fetch_redirect
     else Correct
   | Jump | Call ->
-    if btb_correct t pc branch.target then Correct else Fetch_redirect
-  | Return -> (
-    match Ras.pop t.ras with
-    | Some addr when addr = branch.target -> Correct
-    | Some _ | None -> Mispredict)
+    if Btb.predicts t.btb ~pc ~target:branch.target then Correct
+    else Fetch_redirect
+  | Return ->
+    if Ras.pop_matches t.ras branch.target then Correct else Mispredict
   | Indirect ->
-    if btb_correct t pc branch.target then Correct else Mispredict
+    if Btb.predicts t.btb ~pc ~target:branch.target then Correct
+    else Mispredict
 
 let lookup t ~pc ~branch =
   let r = classify t ~pc ~branch in

@@ -8,15 +8,15 @@ let size t = Array.length t.slots
 
 let push t addr =
   t.slots.(t.top) <- addr;
-  t.top <- (t.top + 1) mod size t;
-  t.depth <- min (t.depth + 1) (size t)
+  t.top <- (if t.top + 1 = size t then 0 else t.top + 1);
+  if t.depth < size t then t.depth <- t.depth + 1
 
-let pop t =
-  if t.depth = 0 then None
-  else begin
-    t.top <- (t.top + size t - 1) mod size t;
-    t.depth <- t.depth - 1;
-    Some t.slots.(t.top)
-  end
+let pop_matches t addr =
+  t.depth > 0
+  && begin
+       t.top <- (if t.top = 0 then size t - 1 else t.top - 1);
+       t.depth <- t.depth - 1;
+       t.slots.(t.top) = addr
+     end
 
 let copy t = { slots = Array.copy t.slots; top = t.top; depth = t.depth }

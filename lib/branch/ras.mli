@@ -7,7 +7,8 @@ type t
 val create : entries:int -> t
 val push : t -> int -> unit
 
-val pop : t -> int option
-(** [None] when empty. *)
+val pop_matches : t -> int -> bool
+(** [pop_matches t addr] pops the top entry and answers whether it is
+    [addr]; on an empty stack it pops nothing and answers [false]. *)
 
 val copy : t -> t

@@ -69,14 +69,32 @@ let evaluate ~cache ~jobs ?(check = fun () -> ()) ~length ~target_length
   in
   let* traces_of = prepare [] groups in
   Telemetry.add c_points (Array.length machines);
-  Ok
-    (Parallel.map ~jobs
-       (fun cfg ->
-         check ();
-         Array.map
-           (fun tr -> Statsim.result_of_metrics cfg (Synth.Run.run cfg tr))
-           (List.assoc (Config.Machine.profiled cfg) traces_of))
-       machines)
+  (* a machine given twice runs once: [slot.(i)] indexes machine [i]'s
+     first occurrence in [distinct], keyed by the canonical rendering *)
+  let first = Hashtbl.create 16 and distinct = ref [] in
+  let slot =
+    Array.map
+      (fun cfg ->
+        let key = Config.Machine.canonical cfg in
+        match Hashtbl.find_opt first key with
+        | Some k -> k
+        | None ->
+          let k = Hashtbl.length first in
+          Hashtbl.add first key k;
+          distinct := cfg :: !distinct;
+          k)
+      machines
+  in
+  let results =
+    Parallel.map ~jobs
+      (fun cfg ->
+        check ();
+        Array.map
+          (fun tr -> Statsim.result_of_metrics cfg (Synth.Run.run cfg tr))
+          (List.assoc (Config.Machine.profiled cfg) traces_of))
+      (Array.of_list (List.rev !distinct))
+  in
+  Ok (Array.map (fun k -> results.(k)) slot)
 
 let run ~cache ?(jobs = 1) ?(check = fun () -> ()) ?(replicas = 1)
     ?max_points ?(length = 300_000) ?(target_length = 40_000) ~sweep

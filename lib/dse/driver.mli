@@ -64,14 +64,15 @@ val evaluate :
   (Statsim.result array array, string) result
 (** [evaluate ~cache ~length ~target_length ~bench ~seeds machines] is,
     for each machine in order, its result on each seed's trace, in
-    seed order. The profile is collected from [bench]'s
+    seed order. Equal machines run once: every index naming one shares
+    its results. The profile is collected from [bench]'s
     [length]-instruction stream at the machine's profile configuration,
     and each trace is generated from that profile's plan at
     [target_length]. Each result equals
     [Statsim.run_profile ~target_length cfg p ~seed] on that profile.
     Machines run on [jobs] domains. [check] is the cooperative
     cancellation hook (default a no-op), called before each profile
-    group is prepared and before each machine is evaluated, on
+    group is prepared and before each distinct machine is evaluated, on
     whichever domain evaluates it; whatever it raises propagates. [Error] is
     {!Kernel.Compile.check_survivors}' message when [target_length]'s
     reduction empties a group's profile. *)

@@ -63,7 +63,7 @@ let threshold ~num ~den =
          (Int64.mul (Int64.of_int num) 4294967296L)
          (Int64.of_int den))
 
-let sample_rate rng thr =
+let[@inline] sample_rate rng thr =
   (* impossible and certain events consume no randomness, mirroring
      Prng.bernoulli's short-circuits *)
   thr > 0 && (thr >= two32 || Prng.bits rng < thr)
@@ -83,11 +83,11 @@ let pack_meta ~klass ~ndeps =
   lor (Isa.Iclass.index klass lsl 3)
   lor (ndeps lsl 7)
 
-let meta_is_load m = m land 1 <> 0
-let meta_is_branch m = m land 2 <> 0
-let meta_has_dest m = m land 4 <> 0
-let meta_class m = (m lsr 3) land 0xF
-let meta_ndeps m = m lsr 7
+let[@inline] meta_is_load m = m land 1 <> 0
+let[@inline] meta_is_branch m = m land 2 <> 0
+let[@inline] meta_has_dest m = m land 4 <> 0
+let[@inline] meta_class m = (m lsr 3) land 0xF
+let[@inline] meta_ndeps m = m lsr 7
 
 (* --- versioned codec (store tier) ---
 

@@ -19,7 +19,7 @@ let[@inline] step t =
 
 (* XSH-RR on the pre-step state: xorshifted = low 32 bits of
    ((state >> 18) ^ state) >> 27, rotated right by state >> 59 *)
-let bits t =
+let[@inline] bits t =
   let s = state t in
   step t;
   let xorshifted =

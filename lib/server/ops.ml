@@ -122,9 +122,19 @@ let find_spec name =
     bad "unknown workload %S; try: %s" name
       (String.concat " " Workload.Suite.names)
 
+(* The workload's program, built at most once per request: a cold
+   simulate or diag streams the workload twice (the EDS reference and
+   the profile), and both streams read one program. Forced only inside
+   a stream thunk, after [find_spec] has accepted [bench]. *)
+let request_program bench =
+  lazy (Workload.Suite.program (Workload.Suite.find bench))
+
+let stream_of spec ~program ~length () =
+  Workload.Suite.stream ~program:(Lazy.force program) spec ~length
+
 (* A profile either loaded from a file (with the CLI's -k mismatch
    warning) or collected through the shared cache. *)
-let collect_profile env ~warn cfg ~bench ~length ~k ~profile_file =
+let collect_profile env ~warn cfg ~bench ~program ~length ~k ~profile_file =
   tspan env "cache.profile" @@ fun () ->
   match profile_file with
   | Some path ->
@@ -147,17 +157,19 @@ let collect_profile env ~warn cfg ~bench ~length ~k ~profile_file =
   | None ->
     let spec = find_spec bench in
     Runner.Cache.profile env.cache ?k cfg
-      ~stream_key:(Workload.Suite.stream_key bench ~length) (fun () ->
-        Workload.Suite.stream spec ~length)
+      ~stream_key:(Workload.Suite.stream_key bench ~length)
+      (stream_of spec ~program ~length)
 
 (* The compiled plan of a profile needed only to reach it: through the
    shared cache, a stored plan answers without the profile being
    decoded; a profile file is loaded and compiled as before. *)
-let profile_plan env ~warn cfg ~bench ~length ~k ~profile_file ~target_length
-    =
+let profile_plan env ~warn cfg ~bench ~program ~length ~k ~profile_file
+    ~target_length =
   match profile_file with
   | Some _ ->
-    let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+    let p =
+      collect_profile env ~warn cfg ~bench ~program ~length ~k ~profile_file
+    in
     ok_exn (Kernel.Compile.check_survivors ~target_length p);
     env.check ();
     tspan env "cache.plan" (fun () ->
@@ -168,7 +180,8 @@ let profile_plan env ~warn cfg ~bench ~length ~k ~profile_file ~target_length
         ok_exn
           (Runner.Cache.profile_plan env.cache ?k cfg
              ~stream_key:(Workload.Suite.stream_key bench ~length)
-             ~target_length (fun () -> Workload.Suite.stream spec ~length)))
+             ~target_length
+             (stream_of spec ~program ~length)))
 
 let result_obj ?(extra = []) ~warnings buf =
   let fields = [ ("output", Json.Str (Buffer.contents buf)) ] @ extra in
@@ -218,8 +231,9 @@ let simulate env ~force_replicas params =
   let cfg = Config.Machine.baseline in
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
+  let program = request_program bench in
   let plan () =
-    profile_plan env ~warn cfg ~bench ~length ~k ~profile_file
+    profile_plan env ~warn cfg ~bench ~program ~length ~k ~profile_file
       ~target_length:syn
   in
   let buf = Buffer.create 512 in
@@ -230,8 +244,8 @@ let simulate env ~force_replicas params =
     let eds =
       tspan env "cache.reference" (fun () ->
           Runner.Cache.reference env.cache cfg
-            ~stream_key:(Workload.Suite.stream_key bench ~length) (fun () ->
-              Workload.Suite.stream spec ~length))
+            ~stream_key:(Workload.Suite.stream_key bench ~length)
+            (stream_of spec ~program ~length))
     in
     env.check ();
     let ss =
@@ -258,7 +272,9 @@ let simulate env ~force_replicas params =
       (Uarch.Metrics.mpki ss.Statsim.metrics)
   | _ when stratify ->
     (* variance-aware replication: stratified seeds + control variate *)
-    let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+    let p =
+      collect_profile env ~warn cfg ~bench ~program ~length ~k ~profile_file
+    in
     ok_exn (Kernel.Compile.check_survivors ~target_length:syn p);
     env.check ();
     (* the fixed budget, or the cap an adaptive run doubles up to *)
@@ -352,7 +368,10 @@ let estimate env params =
   let cfg = Config.Machine.baseline in
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
-  let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+  let p =
+    collect_profile env ~warn cfg ~bench ~program:(request_program bench)
+      ~length ~k ~profile_file
+  in
   ok_exn (Kernel.Compile.check_survivors ?reduction ?target_length p);
   env.check ();
   let e =
@@ -383,7 +402,10 @@ let diag env params =
   let cfg = Config.Machine.baseline in
   let warnings = ref [] in
   let warn m = warnings := m :: !warnings in
-  let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
+  let program = request_program bench in
+  let p =
+    collect_profile env ~warn cfg ~bench ~program ~length ~k ~profile_file
+  in
   ok_exn (Kernel.Compile.check_survivors ?reduction ?target_length p);
   env.check ();
   let plan =
@@ -404,8 +426,8 @@ let diag env params =
       let eds_res =
         tspan env "cache.reference" (fun () ->
             Runner.Cache.reference env.cache cfg
-              ~stream_key:(Workload.Suite.stream_key bench ~length) (fun () ->
-                Workload.Suite.stream spec ~length))
+              ~stream_key:(Workload.Suite.stream_key bench ~length)
+              (stream_of spec ~program ~length))
       in
       let syn_m = Synth.Run.run cfg tr in
       Some (Diag.compare_metrics ~eds:eds_res.Statsim.metrics ~synthetic:syn_m)

@@ -111,7 +111,7 @@ let of_histogram h =
     ~values:(Array.of_list (List.rev !values))
     ~weights:(Array.of_list (List.rev !weights))
 
-let sample t rng =
+let[@inline] sample t rng =
   match Array.length t.values with
   | 0 -> invalid_arg "Alias.sample: empty table"
   | 1 -> t.values.(0)

@@ -60,7 +60,7 @@ let walk_of_plan (plan : Kernel.Plan.t) ~seed =
     redirect_run = 0;
   }
 
-let producer_has_dest t delta =
+let[@inline] producer_has_dest t delta =
   delta > t.pos
   ||
   let len = Array.length t.recent_has_dest in
@@ -111,7 +111,7 @@ let rec try_draw t sampler n =
       | _ -> try_draw t sampler (n - 1)
     else try_draw t sampler (n - 1)
 
-let sample_dep t sampler =
+let[@inline] sample_dep t sampler =
   if Stats.Alias.is_empty sampler then 0
   else begin
     let delta = try_draw t sampler dep_retries in
@@ -125,7 +125,7 @@ let sample_dep t sampler =
    walk over [node_slot_off]; [Compile.plan] derives the offsets from
    the arrays they index, and [Plan.of_string] rejects offsets,
    dependency counts and sampler values outside them. *)
-let emit t ni si (out : Trace.t) i =
+let[@inline] emit t ni si (out : Trace.t) i =
   let p = t.plan in
   let rng = t.rng in
   let meta = Array.unsafe_get p.Kernel.Plan.slot_meta si in
@@ -197,7 +197,7 @@ let emit t ni si (out : Trace.t) i =
 (* step 1: start-node selection by cumulative occurrence distribution,
    against the Fenwick tree over remaining counts (O(log n)); -1 when
    no occurrence remains *)
-let pick_start t =
+let[@inline] pick_start t =
   let total = Kernel.Fenwick.total t.start_tree in
   if total = 0 then -1
   else Kernel.Fenwick.find t.start_tree (1 + Prng.int t.rng total)
@@ -205,7 +205,7 @@ let pick_start t =
 (* step 9: follow an outgoing edge by transition probability, via the
    node's alias table over successor indices; a dead end or an
    exhausted successor restarts at step 1 *)
-let follow t ni =
+let[@inline] follow t ni =
   let edges = t.plan.edges.(ni) in
   if (not t.plan.use_edges) || Stats.Alias.is_empty edges then pick_start t
   else begin

@@ -1,14 +1,14 @@
-module P = Uarch.Pipeline.Make (Synth_feed)
-
 (* Stage telemetry: synthetic-trace out-of-order simulation. *)
 let span_simulate = Telemetry.span "synth.simulate"
 let c_instructions = Telemetry.counter "synth.simulated_instructions"
 
-let run ?wrong_path_locality ?skip_idle cfg trace =
+let run ?wrong_path_locality ?skip_idle cfg (trace : Trace.t) =
   Telemetry.time span_simulate (fun () ->
-      let m =
-        P.run ?skip_idle cfg (Synth_feed.of_trace ?wrong_path_locality cfg trace)
+      let feed =
+        Uarch.Trace_feed.create ?wrong_path_locality cfg ~code:trace.code
+          ~deps:trace.deps
       in
+      let m = Uarch.Pipeline.run ?skip_idle cfg (Uarch.Pipeline.Trace feed) in
       Telemetry.add c_instructions m.Uarch.Metrics.committed;
       m)
 

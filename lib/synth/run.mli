@@ -1,5 +1,6 @@
-(** Convenience runner: simulate a synthetic trace on the shared pipeline
-    core (Figure 1, step 3), through {!Synth_feed}. *)
+(** Convenience runner: simulate a synthetic trace on the one compiled
+    pipeline core (Figure 1, step 3), {!Uarch.Pipeline.run}, which reads
+    the trace's packed words inline through {!Uarch.Trace_feed}. *)
 
 val run :
   ?wrong_path_locality:bool ->
@@ -7,9 +8,11 @@ val run :
   Config.Machine.t ->
   Trace.t ->
   Uarch.Metrics.t
-(** [skip_idle] is forwarded to {!Uarch.Pipeline.Make.run} (default
-    [true], the event-driven loop); [~skip_idle:false] forces the dense
-    cycle-by-cycle loop, for equivalence testing. *)
+(** [wrong_path_locality] is {!Uarch.Trace_feed.create}'s (default
+    [false], the paper's behaviour). [skip_idle] is forwarded to
+    {!Uarch.Pipeline.run} (default [true], the event-driven loop);
+    [~skip_idle:false] forces the dense cycle-by-cycle loop, for
+    equivalence testing. *)
 
 val mean_ipc : Uarch.Metrics.t list -> float
 (** Instruction-weighted mean IPC across traces (used when several

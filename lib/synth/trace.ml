@@ -21,19 +21,18 @@ type t = {
   seed : int;
 }
 
-(* code word: bits 0-10 the feed word, 11-13 the fetch outcome, 14-16
-   the load outcome, 17+ the block *)
+(* the word layout is the trace feed's: one definition for the writer
+   here and the reader in the pipeline *)
 let max_deps = Kernel.Plan.max_deps
-let dep_bits = 10
-let dep_mask = (1 lsl dep_bits) - 1
+let dep_bits = Uarch.Trace_feed.dep_bits
 
-let code ~feed ~fetch ~load ~block =
-  feed lor (fetch lsl 11) lor (load lsl 14) lor (block lsl 17)
+let[@inline] code ~feed ~fetch ~load ~block =
+  Uarch.Trace_feed.code ~feed ~fetch ~load ~block
 
-let[@inline] feed_word c = c land 0x7FF
-let[@inline] fetch_outcome c = (c lsr 11) land 7
-let[@inline] load_outcome c = (c lsr 14) land 7
-let[@inline] dep w j = (w lsr (dep_bits * j)) land dep_mask
+let[@inline] feed_word c = Uarch.Trace_feed.feed_word c
+let[@inline] fetch_outcome c = Uarch.Trace_feed.fetch_outcome c
+let[@inline] load_outcome c = Uarch.Trace_feed.load_outcome c
+let[@inline] dep w j = Uarch.Trace_feed.dep w j
 
 let create ?(k = 0) ?(reduction = 0) ?(seed = 0) n =
   { code = Array.make n 0; deps = Array.make n 0; k; reduction; seed }
@@ -53,7 +52,7 @@ let get t i =
     l1d_miss = Cache.Hierarchy.l1_miss load;
     l2d_miss = Cache.Hierarchy.l2_miss load;
     dtlb_miss = Cache.Hierarchy.tlb_miss load;
-    block = c asr 17;
+    block = Uarch.Trace_feed.block c;
     branch =
       (if Uarch.Feed.is_branch f then
          Some

@@ -6,11 +6,12 @@
 
     A trace is two int arrays with one entry per instruction and no
     per-instruction record: a {e code} word and a word of packed
-    dependency distances. {!Generate} writes them in place and
-    {!Synth_feed} reads them; {!get} rebuilds an {!inst} view for
-    diagnostics and tests.
+    dependency distances. {!Generate} writes them in place and the
+    pipeline's trace feed ({!Uarch.Trace_feed}) reads them; {!get}
+    rebuilds an {!inst} view for diagnostics and tests.
 
-    Code word: [bits 0-10] the instruction's {!Uarch.Feed} word, whose
+    The word layout is {!Uarch.Trace_feed}'s, re-exported below: [bits
+    0-10] of a code word are the instruction's {!Uarch.Feed} word, whose
     producer count is the dependency count (at most {!max_deps}, so the
     word fits), [bits 11-13] the fetch outcome and [bits 14-16] the load
     outcome as {!Cache.Hierarchy.outcome} bits (L1, L2, TLB miss),
@@ -62,7 +63,10 @@ val to_insts : t -> inst array
 
 val well_formed : inst -> bool
 
-(** {1 Packed words} *)
+(** {1 Packed words}
+
+    {!Uarch.Trace_feed}'s layout, so the writer and the reader share one
+    definition. *)
 
 val code : feed:int -> fetch:int -> load:int -> block:int -> int
 (** A code word from the instruction's feed word (its producer count at

@@ -1,5 +1,3 @@
-module P = Pipeline.Make (Eds_feed)
-
 (* Stage telemetry: execution-driven (reference) simulation. *)
 let span_run = Telemetry.span "uarch.eds"
 let c_instructions = Telemetry.counter "uarch.eds_instructions"
@@ -7,6 +5,8 @@ let c_instructions = Telemetry.counter "uarch.eds_instructions"
 let run ?max_instructions ?commit_hook ?perfect_caches ?perfect_bpred cfg gen =
   Telemetry.time span_run (fun () ->
       let feed = Eds_feed.create ?perfect_caches ?perfect_bpred cfg gen in
-      let metrics = P.run ?max_instructions ?commit_hook cfg feed in
+      let metrics =
+        Pipeline.run ?max_instructions ?commit_hook cfg (Pipeline.Eds feed)
+      in
       Telemetry.add c_instructions metrics.Metrics.committed;
       metrics)

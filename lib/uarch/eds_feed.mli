@@ -1,4 +1,6 @@
-(** Execution-driven feed: the reference simulator's instruction source.
+(** Execution-driven feed: the reference simulator's instruction source,
+    the one alternative to the trace feed that {!Pipeline.run} reaches
+    by direct calls.
 
     Wraps a dynamic instruction stream with a real memory hierarchy and a
     real branch predictor. Branch predictions (including speculative RAS
@@ -27,4 +29,27 @@ val create :
   (unit -> Isa.Dyn_inst.t option) ->
   t
 
-include Feed.S with type t := t
+val fetch : t -> int -> int
+(** The feed word of the instruction at a position, or
+    {!Feed.end_of_stream}; the same word on every call for one
+    position. *)
+
+val producer : t -> int -> int -> int
+(** [producer t pos j] is the stream position of RAW producer [j] of
+    the instruction at [pos], for [j] below its producer count; a
+    negative value is no producer. Only positions already fetched may
+    be asked. *)
+
+val ifetch_access : t -> int -> wrong_path:bool -> int
+(** The {!Cache.Hierarchy} access word of fetching a position. *)
+
+val load_access : t -> int -> wrong_path:bool -> int
+(** The access word of a load issuing at a position. *)
+
+val on_commit_store : t -> int -> int
+(** A store leaves the LSQ at commit and performs its memory write;
+    answers the write's access word. *)
+
+val on_dispatch : t -> int -> wrong_path:bool -> unit
+(** An instruction enters the RUU — the point of the paper's
+    speculative branch-predictor update. *)

@@ -6,9 +6,10 @@ let taken_bit = 0x20
 let mispredict_bit = 0x40
 let redirect_bit = 0x80
 
-let word ~klass ~branch ~producers = klass lor branch lor (producers lsl 8)
+let[@inline] word ~klass ~branch ~producers =
+  klass lor branch lor (producers lsl 8)
 
-let branch_bits ~taken ~mispredict ~redirect =
+let[@inline] branch_bits ~taken ~mispredict ~redirect =
   branch_bit
   lor (if taken then taken_bit else 0)
   lor (if mispredict then mispredict_bit else 0)
@@ -22,17 +23,6 @@ let[@inline] mispredicted w = w land mispredict_bit <> 0
 let[@inline] redirected w = w land redirect_bit <> 0
 
 let[@inline] producers w = w lsr 8
-
-module type S = sig
-  type t
-
-  val fetch : t -> int -> int
-  val producer : t -> int -> int -> int
-  val ifetch_access : t -> int -> wrong_path:bool -> int
-  val load_access : t -> int -> wrong_path:bool -> int
-  val on_commit_store : t -> int -> int
-  val on_dispatch : t -> int -> wrong_path:bool -> unit
-end
 
 (* the pipeline revisits positions only while they can still be in
    flight (a squash rewinds to just past the resolving branch), so the

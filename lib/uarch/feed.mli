@@ -1,12 +1,15 @@
-(** The interface between the pipeline core and its instruction source.
+(** The words the pipeline core reads from its instruction source, and
+    the rewind window of the execution-driven feed.
 
-    Both simulators of the paper are instances of one pipeline over
-    different feeds (DESIGN.md Section 5):
+    Both simulators of the paper run on one compiled core,
+    {!Pipeline.run} (DESIGN.md Section 5):
 
-    - the execution-driven feed answers from a real dynamic instruction
-      stream, real caches and a real branch predictor;
-    - the synthetic feed answers from a statistically generated trace
-      whose locality outcomes were pre-assigned during generation.
+    - the trace feed ({!Trace_feed}) answers from a statistically
+      generated trace whose locality outcomes were pre-assigned during
+      generation; the core reads it inline;
+    - the execution-driven feed ({!Eds_feed}) answers from a real
+      dynamic instruction stream, real caches and a real branch
+      predictor; the core calls it directly.
 
     The protocol is positional and allocates nothing per instruction.
     Positions are absolute stream indices; the pipeline asks for the
@@ -15,8 +18,8 @@
     {!Cache.Hierarchy} access word. After a misprediction squash the
     pipeline re-fetches positions it has already seen (the wrong-path
     instructions re-played as correct path, exactly as in Section 2.3).
-    The synthetic feed indexes its whole trace; the execution-driven
-    feed pulls from a generator and keeps recent positions in slots a
+    The trace feed indexes its whole trace; the execution-driven feed
+    pulls from a generator and keeps recent positions in slots a
     {!Ring} assigns, a window deep enough for every rewind. *)
 
 (** {1 Feed words}
@@ -28,7 +31,7 @@
     reads the redirect bit only when the mispredict bit is clear. *)
 
 val end_of_stream : int
-(** What {!S.fetch} answers past the last position; every word is
+(** What a feed's [fetch] answers past the last position; every word is
     non-negative. *)
 
 val word : klass:int -> branch:int -> producers:int -> int
@@ -48,36 +51,6 @@ val redirected : int -> bool
 (** The redirect bit. *)
 
 val producers : int -> int
-
-module type S = sig
-  type t
-
-  val fetch : t -> int -> int
-  (** The feed word of the instruction at a position, or
-      {!end_of_stream}. Must be consistent across repeated calls for the
-      same position. *)
-
-  val producer : t -> int -> int -> int
-  (** [producer t pos j] is the stream position of RAW producer [j] of
-      the instruction at [pos], for [j] below its producer count; a
-      negative value is no producer, and positions already committed
-      resolve as ready. Only positions the pipeline has fetched are
-      asked. *)
-
-  val ifetch_access : t -> int -> wrong_path:bool -> int
-  (** Instruction-memory behaviour when the instruction at a position is
-      fetched, as a {!Cache.Hierarchy} access word. *)
-
-  val load_access : t -> int -> wrong_path:bool -> int
-  (** Data-memory behaviour when a load issues. *)
-
-  val on_commit_store : t -> int -> int
-  (** A store leaves the LSQ at commit and performs its memory write. *)
-
-  val on_dispatch : t -> int -> wrong_path:bool -> unit
-  (** Called when an instruction enters the RUU — the point of the
-      paper's speculative branch-predictor update. *)
-end
 
 val rewind_window : Config.Machine.t -> int
 (** A ring window deep enough for every rewind on this machine: more

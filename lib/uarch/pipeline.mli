@@ -32,36 +32,50 @@
     Ready slots. The IFQ is a ring of feed words. When every stage is
     stalled, the event-driven loop scans the wheel for the next
     completion, no further than the fetch wake, the watchdog trip or
-    the overflow list's first due cycle. *)
+    the overflow list's first due cycle.
 
-module Make (F : Feed.S) : sig
-  val run :
-    ?max_instructions:int ->
-    ?skip_idle:bool ->
-    ?commit_hook:(committed:int -> cycle:int -> unit) ->
-    Config.Machine.t ->
-    F.t ->
-    Metrics.t
-  (** Run to end-of-stream (or until [max_instructions] commit). Raises
-      [Failure] if the machine stops committing for an implausibly long
-      time (a model bug, not a workload property): four times the
-      machine's worst fetch miss, load miss, longest operation and
-      front-end penalties combined, and at least 200,000 cycles. Raises
-      [Invalid_argument] when the feed names more than 8 producers for
-      one instruction.
-      [commit_hook] fires after every committed instruction with the
-      running totals — used to carve per-interval statistics out of one
-      warm run.
+    One compiled core serves both simulators. The machine holds the
+    trace feed's record and, beside it, an optional execution-driven
+    feed; at each of the six places the core asks its feed (fetch,
+    producer, instruction access, load access, a store's commit write
+    and the dispatch hook) the trace case is read inline and the EDS
+    case is a direct call. The per-cycle stages, their helpers and the
+    trace accessors carry [[\@inline]], so ocamlopt without flambda
+    folds the loop body together: no functor, no second copy of the
+    stages and no compiler flag. *)
 
-      [skip_idle] (default [true]) makes the run loop event-driven:
-      cycles in which no stage can make progress — long cache-miss
-      shadows, fetch-redirect and squash-recovery windows — are charged
-      to the cycle, occupancy and stall accounting in bulk and skipped,
-      jumping to the next completion or fetch wake-up. The resulting
-      metrics are identical to the dense loop's (a tested invariant);
-      pass [~skip_idle:false] to force the cycle-by-cycle loop.
+type feed =
+  | Trace of Trace_feed.t
+      (** a packed synthetic trace, read inline at every touch point *)
+  | Eds of Eds_feed.t
+      (** the execution-driven stream, reached by direct calls *)
 
-      Each run adds its per-stage work to the [uarch.wakeups],
-      [uarch.issue_examined], [uarch.cycles_skipped] and [uarch.squashed]
-      telemetry counters, once at the end. *)
-end
+val run :
+  ?max_instructions:int ->
+  ?skip_idle:bool ->
+  ?commit_hook:(committed:int -> cycle:int -> unit) ->
+  Config.Machine.t ->
+  feed ->
+  Metrics.t
+(** Run to end-of-stream (or until [max_instructions] commit). Raises
+    [Failure] if the machine stops committing for an implausibly long
+    time (a model bug, not a workload property): four times the
+    machine's worst fetch miss, load miss, longest operation and
+    front-end penalties combined, and at least 200,000 cycles. Raises
+    [Invalid_argument] when the feed names more than 8 producers for
+    one instruction.
+    [commit_hook] fires after every committed instruction with the
+    running totals — used to carve per-interval statistics out of one
+    warm run.
+
+    [skip_idle] (default [true]) makes the run loop event-driven:
+    cycles in which no stage can make progress — long cache-miss
+    shadows, fetch-redirect and squash-recovery windows — are charged
+    to the cycle, occupancy and stall accounting in bulk and skipped,
+    jumping to the next completion or fetch wake-up. The resulting
+    metrics are identical to the dense loop's (a tested invariant);
+    pass [~skip_idle:false] to force the cycle-by-cycle loop.
+
+    Each run adds its per-stage work to the [uarch.wakeups],
+    [uarch.issue_examined], [uarch.cycles_skipped] and [uarch.squashed]
+    telemetry counters, once at the end. *)

@@ -329,8 +329,8 @@ let program_seed (s : Spec.t) =
 
 let program s = Program.generate s ~seed:(program_seed s)
 
-let stream ?(seed_offset = 0) s ~length =
-  let p = program s in
+let stream ?(seed_offset = 0) ?program:prog s ~length =
+  let p = match prog with Some p -> p | None -> program s in
   Interp.generator p ~seed:(program_seed s + 7919 + seed_offset) ~length
 
 let stream_key ?(seed_offset = 0) name ~length =

@@ -21,13 +21,17 @@ val program : Spec.t -> Program.t
 
 val stream :
   ?seed_offset:int ->
+  ?program:Program.t ->
   Spec.t ->
   length:int ->
   unit ->
   Isa.Dyn_inst.t option
 (** Fresh dynamic-stream generator of [length] instructions.
     [seed_offset] shifts the data-behaviour seed, e.g. to model a
-    different program phase or input. *)
+    different program phase or input. [program] is the spec's
+    {!program}, for a caller that streams one workload more than once:
+    the stream only reads it, so one program serves every stream, and
+    the stream equals the one that builds its own. *)
 
 val stream_key : ?seed_offset:int -> string -> length:int -> string
 (** The cache key ["int:<name>:o<seed_offset>:n<length>"] of

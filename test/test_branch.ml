@@ -48,37 +48,47 @@ let test_two_level_learns_pattern () =
 
 let test_btb_store_lookup () =
   let btb = Branch.Btb.create ~sets:4 ~assoc:2 in
-  check "cold" true (Branch.Btb.lookup btb ~pc:100 = None);
+  check "cold" false (Branch.Btb.predicts btb ~pc:100 ~target:0xBEEF);
   Branch.Btb.update btb ~pc:100 ~target:0xBEEF;
-  check "hit" true (Branch.Btb.lookup btb ~pc:100 = Some 0xBEEF);
+  check "hit" true (Branch.Btb.predicts btb ~pc:100 ~target:0xBEEF);
+  check "hit, other target" false
+    (Branch.Btb.predicts btb ~pc:100 ~target:0xCAFE);
   Branch.Btb.update btb ~pc:100 ~target:0xCAFE;
-  check "updated" true (Branch.Btb.lookup btb ~pc:100 = Some 0xCAFE)
+  check "updated" true (Branch.Btb.predicts btb ~pc:100 ~target:0xCAFE);
+  check "old target gone" false
+    (Branch.Btb.predicts btb ~pc:100 ~target:0xBEEF)
 
 let test_btb_lru () =
   let btb = Branch.Btb.create ~sets:1 ~assoc:2 in
   Branch.Btb.update btb ~pc:1 ~target:10;
   Branch.Btb.update btb ~pc:2 ~target:20;
-  ignore (Branch.Btb.lookup btb ~pc:1);
+  (* a hit refreshes the entry even when the target differs *)
+  ignore (Branch.Btb.predicts btb ~pc:1 ~target:99);
   (* pc 2 is now LRU *)
   Branch.Btb.update btb ~pc:3 ~target:30;
-  check "pc1 kept" true (Branch.Btb.lookup btb ~pc:1 = Some 10);
-  check "pc2 evicted" true (Branch.Btb.lookup btb ~pc:2 = None)
+  check "pc1 kept" true (Branch.Btb.predicts btb ~pc:1 ~target:10);
+  check "pc2 evicted" false (Branch.Btb.predicts btb ~pc:2 ~target:20)
 
 let test_ras_lifo () =
   let r = Branch.Ras.create ~entries:4 in
-  check "empty pop" true (Branch.Ras.pop r = None);
+  check "empty pop" false (Branch.Ras.pop_matches r 0);
   Branch.Ras.push r 1;
   Branch.Ras.push r 2;
-  check "pop 2" true (Branch.Ras.pop r = Some 2);
-  check "pop 1" true (Branch.Ras.pop r = Some 1);
-  check "empty again" true (Branch.Ras.pop r = None)
+  check "pop 2" true (Branch.Ras.pop_matches r 2);
+  check "pop 1" true (Branch.Ras.pop_matches r 1);
+  check "empty again" false (Branch.Ras.pop_matches r 1);
+  (* a mismatch still pops; an empty pop moves nothing *)
+  Branch.Ras.push r 3;
+  Branch.Ras.push r 4;
+  check "mismatch" false (Branch.Ras.pop_matches r 3);
+  check "popped past 4" true (Branch.Ras.pop_matches r 3)
 
 let test_ras_overflow_wraps () =
   let r = Branch.Ras.create ~entries:2 in
   List.iter (Branch.Ras.push r) [ 1; 2; 3 ];
-  check "newest" true (Branch.Ras.pop r = Some 3);
-  check "second" true (Branch.Ras.pop r = Some 2);
-  check "oldest lost" true (Branch.Ras.pop r = None)
+  check "newest" true (Branch.Ras.pop_matches r 3);
+  check "second" true (Branch.Ras.pop_matches r 2);
+  check "oldest lost" false (Branch.Ras.pop_matches r 1)
 
 let prop_ras_push_pop =
   QCheck.Test.make ~name:"RAS pop inverts push (within capacity)" ~count:200
@@ -86,8 +96,8 @@ let prop_ras_push_pop =
     (fun xs ->
       let r = Branch.Ras.create ~entries:64 in
       List.iter (Branch.Ras.push r) xs;
-      let popped = List.init (List.length xs) (fun _ -> Branch.Ras.pop r) in
-      popped = List.rev_map (fun x -> Some x) xs)
+      List.for_all (Branch.Ras.pop_matches r) (List.rev xs)
+      && not (Branch.Ras.pop_matches r 0))
 
 let test_gshare_learns_global_correlation () =
   let g = Branch.Gshare.create ~entries:1024 ~hist_bits:8 in
@@ -195,6 +205,43 @@ let test_ras_snapshot_restore () =
   let r = Branch.Predictor.lookup p ~pc:0x900 ~branch:ret in
   check "restored RAS predicts" true (r = Branch.Predictor.Correct)
 
+(* A prediction and its update allocate nothing, on every predictor
+   kind and branch kind: conditional (both directions), jump, call,
+   return (the RAS pop) and indirect, across more PCs than the BTB
+   holds. *)
+let test_predictor_allocates_nothing () =
+  let kinds = Isa.Dyn_inst.[ Cond; Cond; Jump; Call; Return; Indirect ] in
+  let branches =
+    Array.of_list
+      (List.mapi
+         (fun j kind ->
+           {
+             Isa.Dyn_inst.kind;
+             taken = j <> 1;
+             target = 0x800 + (64 * j);
+             next_pc = 0x404;
+           })
+         kinds)
+  in
+  let nb = Array.length branches in
+  let n = 100_000 in
+  List.iter
+    (fun (name, kind) ->
+      let cfg = Config.Machine.(with_predictor baseline kind) in
+      let p = Branch.Predictor.create cfg.bpred in
+      let before = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        let branch = branches.(i mod nb) in
+        let pc = 0x400000 + (4 * (i mod 4099)) in
+        ignore (Branch.Predictor.lookup p ~pc ~branch);
+        Branch.Predictor.update p ~pc ~branch
+      done;
+      let w = (Gc.minor_words () -. before) /. float_of_int n in
+      if w >= 0.01 then
+        Alcotest.failf "%s: %.3f minor words per lookup + update" name w)
+    Config.Machine.
+      [ ("hybrid", Hybrid_local); ("gshare", Gshare); ("bimodal", Bimodal_only) ]
+
 let suite =
   [
     Alcotest.test_case "bimodal saturation" `Quick test_bimodal_saturation;
@@ -215,4 +262,6 @@ let suite =
       test_gshare_learns_global_correlation;
     Alcotest.test_case "gshare validation" `Quick test_gshare_validation;
     Alcotest.test_case "predictor kinds" `Quick test_predictor_kinds_construct;
+    Alcotest.test_case "predictor allocates nothing" `Quick
+      test_predictor_allocates_nothing;
   ]

@@ -129,6 +129,43 @@ let test_latency_of_outcome () =
     (cfg.icache.hit_latency + cfg.itlb.miss_penalty)
     (ilat (Cache.Hierarchy.outcome ~l1_miss:false ~l2_miss:false ~tlb_miss:true))
 
+(* minor words per call of [f i] over [n] calls *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* An access allocates nothing: hits, repeat hits to the last line,
+   misses and evictions alike, in a set-associative cache, a TLB and
+   both hierarchy paths. The addresses cycle through more blocks than
+   the caches hold, with each block touched twice in a row. *)
+let test_access_allocates_nothing () =
+  let cfg = Config.Machine.baseline in
+  let h = Cache.Hierarchy.create cfg in
+  let c = small_cache ~assoc:4 () and odd = small_cache ~size:(3 * 64) ~assoc:2 () in
+  let tlb = Cache.Tlb.create cfg.dtlb in
+  let addr i = ((i / 2) * 4160) land 0xFFFFFF in
+  let n = 100_000 in
+  List.iter
+    (fun (label, f) ->
+      let w = words_per_call n f in
+      if w >= 0.01 then Alcotest.failf "%s: %.3f minor words per call" label w)
+    [
+      ("Sa_cache.access", fun i -> ignore (Cache.Sa_cache.access c (addr i)));
+      ( "Sa_cache.access, 3 sets",
+        fun i -> ignore (Cache.Sa_cache.access odd (addr i)) );
+      ("Sa_cache.probe", fun i -> ignore (Cache.Sa_cache.probe c (addr i)));
+      ("Tlb.access", fun i -> ignore (Cache.Tlb.access tlb (addr i)));
+      ( "Hierarchy.ifetch",
+        fun i -> ignore (Cache.Hierarchy.ifetch h (0x400000 + addr i)) );
+      ( "Hierarchy.dload",
+        fun i -> ignore (Cache.Hierarchy.dload h (0x10000000 + addr i)) );
+      ( "Hierarchy.dstore",
+        fun i -> ignore (Cache.Hierarchy.dstore h (0x10000000 + addr i)) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "cold miss then hit" `Quick test_cold_miss_then_hit;
@@ -142,4 +179,6 @@ let suite =
     Alcotest.test_case "hierarchy latencies" `Quick test_hierarchy_latencies;
     Alcotest.test_case "hierarchy L2 split" `Quick test_hierarchy_l2_split_accounting;
     Alcotest.test_case "latency_of_outcome" `Quick test_latency_of_outcome;
+    Alcotest.test_case "access allocates nothing" `Quick
+      test_access_allocates_nothing;
   ]

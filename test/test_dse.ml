@@ -537,6 +537,45 @@ let test_shipped_points_valid () =
             Dse.Sweep.axis "width" [ 8 ];
           ]))
 
+(* A machine given twice is simulated once: the repeat shares the first
+   occurrence's results, so each seed's trace meets the pipeline once
+   per distinct machine. *)
+let test_evaluate_runs_repeats_once () =
+  let base = Config.Machine.baseline in
+  let small = Config.Machine.with_window base ~ruu:16 ~lsq:8 in
+  let seeds = [| 7; 8 |] in
+  let simulate_calls () =
+    match Telemetry.span_stat (Telemetry.snapshot ()) "synth.simulate" with
+    | Some s -> s.Telemetry.calls
+    | None -> 0
+  in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled was)
+    (fun () ->
+      let before = simulate_calls () in
+      match
+        Dse.Driver.evaluate ~cache:(Runner.Cache.create ()) ~jobs:1
+          ~length:20_000 ~target_length:4_000
+          ~bench:(Workload.Suite.find "gcc")
+          ~seeds [| base; small; base |]
+      with
+      | Error m -> Alcotest.failf "evaluate failed: %s" m
+      | Ok results ->
+        check_int "one run per distinct machine and seed"
+          (2 * Array.length seeds)
+          (simulate_calls () - before);
+        let digests i =
+          Array.to_list
+            (Array.map
+               (fun (r : Statsim.result) -> Uarch.Metrics.encode r.metrics)
+               results.(i))
+        in
+        Alcotest.(check (list string)) "the repeat's results" (digests 0)
+          (digests 2);
+        check "the other machine's differ" true (digests 0 <> digests 1))
+
 let suite =
   [
     Alcotest.test_case "cross order" `Quick test_cross_order;
@@ -562,6 +601,8 @@ let suite =
       test_driver_concurrent_calls;
     Alcotest.test_case "evaluate = one-shot on Table 4 machines" `Quick
       test_evaluate_matches_one_shot;
+    Alcotest.test_case "evaluate runs a repeated machine once" `Quick
+      test_evaluate_runs_repeats_once;
     Alcotest.test_case "shipped machines pass validate" `Quick
       test_shipped_points_valid;
     Alcotest.test_case "driver shares a profile across cache latencies"

@@ -312,6 +312,42 @@ let test_allocation_bound () =
               (fun (name, _) -> List.mem name edge_workloads)
               streams)))
 
+(* EDS allocates what its stream allocates and nearly nothing more: the
+   caches, TLBs and predictor answer in ints, and the feed keeps each
+   position in preallocated slots. On all ten workloads, an EDS run's
+   minor words per instruction stay within one word of draining the
+   same stream. *)
+let test_eds_allocation () =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled was)
+    (fun () ->
+      List.iter
+        (fun name ->
+          (* the stream's program is built before the count starts *)
+          let stream () =
+            Workload.Suite.stream (Workload.Suite.find name) ~length:20_000
+          in
+          let drain =
+            let gen = stream () in
+            words_per (fun () ->
+                let rec go n =
+                  match gen () with Some _ -> go (n + 1) | None -> n
+                in
+                go 0)
+          in
+          let eds =
+            let gen = stream () in
+            words_per (fun () ->
+                (Uarch.Eds.run base gen).Uarch.Metrics.committed)
+          in
+          if eds -. drain > 1.0 then
+            Alcotest.failf
+              "%s: EDS %.2f minor words per instruction, draining %.2f" name eds
+              drain)
+        Workload.Suite.names)
+
 let suite =
   [
     Alcotest.test_case "metrics digests pinned" `Quick test_digests_pinned;
@@ -319,4 +355,5 @@ let suite =
       test_watchdog_scales_with_latency;
     Alcotest.test_case "stage counters" `Quick test_stage_counters;
     Alcotest.test_case "allocation bound" `Quick test_allocation_bound;
+    Alcotest.test_case "EDS allocation" `Quick test_eds_allocation;
   ]

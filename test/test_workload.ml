@@ -40,6 +40,25 @@ let test_stream_deterministic () =
   let b = take 2000 (Workload.Suite.stream spec ~length:2000) in
   check "identical streams" true (a = b)
 
+(* A stream over a program built once equals the stream that builds its
+   own, on every workload; two streams over the one program, one after
+   the other, both do (a stream only reads its program). *)
+let test_stream_over_given_program () =
+  let take gen =
+    let rec go acc = match gen () with Some d -> go (d :: acc) | None -> acc in
+    List.rev (go [])
+  in
+  List.iter
+    (fun (spec : Workload.Spec.t) ->
+      let own = take (Workload.Suite.stream spec ~length:3000) in
+      let program = Workload.Suite.program spec in
+      let first = take (Workload.Suite.stream ~program spec ~length:3000) in
+      let second = take (Workload.Suite.stream ~program spec ~length:3000) in
+      Alcotest.(check int) (spec.name ^ " length") 3000 (List.length own);
+      check (spec.name ^ ": over a given program") true (own = first);
+      check (spec.name ^ ": the program reused") true (own = second))
+    Workload.Suite.all
+
 let test_stream_length_exact () =
   let spec = Workload.Suite.find "eon" in
   let gen = Workload.Suite.stream spec ~length:12345 in
@@ -216,6 +235,8 @@ let suite =
     Alcotest.test_case "program deterministic" `Quick test_program_deterministic;
     Alcotest.test_case "stream deterministic" `Quick test_stream_deterministic;
     Alcotest.test_case "stream exact length" `Quick test_stream_length_exact;
+    Alcotest.test_case "stream over a given program" `Quick
+      test_stream_over_given_program;
     Alcotest.test_case "stream well-formed" `Quick test_stream_well_formed;
     Alcotest.test_case "branch ends block" `Quick test_branch_terminates_block;
     Alcotest.test_case "pcs within code" `Quick test_pcs_within_code;
