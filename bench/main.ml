@@ -110,6 +110,13 @@ let run_kernel () =
     words_per (fun () ->
         Synth.Trace.length (Synth.Generate.generate_of_plan plan ~seed:9))
   in
+  (* profiling's words per instruction, its stream's included: the
+     stream is built before the count, so what profiling adds beyond the
+     interpreter is the graph it builds, not a per-instruction record *)
+  let profile_words =
+    let gen = Workload.Suite.stream spec ~length:plen in
+    words_per (fun () -> (Statsim.profile cfg gen).Profile.Stat_profile.instructions)
+  in
   let pipe_json (m : Uarch.Metrics.t) dt words =
     let ips = if dt > 0.0 then float_of_int m.committed /. dt else 0.0 in
     let open Telemetry.Json in
@@ -151,8 +158,9 @@ let run_kernel () =
   Gc.set gc_was;
   Telemetry.set_enabled telemetry_was;
   Format.fprintf ppf
-    "  words/instruction  generate %.2f   dense %.2f   event-driven %.2f@."
-    gen_words dense_words event_words;
+    "  words/instruction  profile %.2f   generate %.2f   dense %.2f   \
+     event-driven %.2f@."
+    profile_words gen_words dense_words event_words;
   Format.fprintf ppf "  codec words/byte  %s@."
     (String.concat "   "
        (List.map (fun (name, (_, w)) -> Printf.sprintf "%s %.3f" name w) codec));
@@ -167,6 +175,7 @@ let run_kernel () =
   kernel_results :=
     [
       ("compile_seconds", Num compile_seconds);
+      ("profile", Obj [ ("words_per_inst", Num profile_words) ]);
       ( "generate",
         Obj
           [

@@ -64,14 +64,15 @@ let default_checks =
         [ "kernel"; "pipeline"; "dense"; "seconds" ];
         [ "kernel"; "pipeline"; "event_driven"; "seconds" ];
       ]
-  (* the same layers' minor words per instruction: exact, so a
-     reintroduced per-instruction record (a few words) fails even when
-     its time hides in host noise *)
+  (* the same layers' minor words per instruction, and profiling's:
+     exact, so a reintroduced per-instruction record (a few words) fails
+     even when its time hides in host noise *)
   @ List.map
       (fun layer ->
         let path = ("kernel" :: layer) @ [ "words_per_inst" ] in
         check ~abs_slack:1.0 (String.concat "." path) path)
       [
+        [ "profile" ];
         [ "generate"; "compiled" ];
         [ "pipeline"; "dense" ];
         [ "pipeline"; "event_driven" ];

@@ -10,21 +10,35 @@ type mode =
 let default_delayed (cfg : Config.Machine.t) =
   Delayed { fifo_size = cfg.ifq_size; squash_refetch = false }
 
-type 'a entry = {
-  tag : 'a;
-  inst : Isa.Dyn_inst.t;
-  mutable resolution : Branch.Predictor.resolution option;
-  ras_before : Branch.Ras.t option;
-      (* RAS snapshot taken just before this branch's lookup, used to
-         rewind speculative RAS damage when a squash redoes lookups;
-         taken only under [squash_refetch], the one mode that squashes *)
-}
+(* The FIFO is a ring of [size] positions held in parallel arrays. Each
+   position keeps its resolution as an int ([no_branch] for a
+   non-branch); only a branch stores its tag and instruction, and, under
+   [squash_refetch] (the one mode that squashes), the RAS snapshot taken
+   just before its lookup, used to rewind speculative RAS damage when a
+   squash redoes lookups. The tag, instruction and snapshot arrays are
+   allocated by the first branch that needs them, which fills them. *)
+let no_branch = -1
+
+let code_of_resolution = function
+  | Branch.Predictor.Correct -> 0
+  | Branch.Predictor.Fetch_redirect -> 1
+  | Branch.Predictor.Mispredict -> 2
+
+let resolution_of_code = function
+  | 0 -> Branch.Predictor.Correct
+  | 1 -> Branch.Predictor.Fetch_redirect
+  | _ -> Branch.Predictor.Mispredict
 
 type 'a t = {
   pred : Branch.Predictor.t;
   mode : mode;
+  squash_refetch : bool;
   on_result : 'a -> Isa.Dyn_inst.t -> Branch.Predictor.resolution -> unit;
-  fifo : 'a entry option array;  (* ring buffer; length 1 for Immediate *)
+  size : int;  (* 1 for Immediate, which never queues *)
+  res : int array;
+  mutable tags : 'a array;
+  mutable insts : Isa.Dyn_inst.t array;
+  mutable ras_before : Branch.Ras.t array;
   mutable head : int;
   mutable count : int;
   mutable mispredicts : int;
@@ -32,92 +46,104 @@ type 'a t = {
 }
 
 let create cfg mode ~on_result =
-  let size = match mode with Immediate -> 1 | Delayed { fifo_size; _ } -> fifo_size in
+  let size, squash_refetch =
+    match mode with
+    | Immediate -> (1, false)
+    | Delayed { fifo_size; squash_refetch } -> (fifo_size, squash_refetch)
+  in
   if size <= 0 then invalid_arg "Branch_profiler.create: empty FIFO";
   {
     pred = Branch.Predictor.create cfg.Config.Machine.bpred;
     mode;
+    squash_refetch;
     on_result;
-    fifo = Array.make size None;
+    size;
+    res = Array.make size no_branch;
+    tags = [||];
+    insts = [||];
+    ras_before = [||];
     head = 0;
     count = 0;
     mispredicts = 0;
     branches = 0;
   }
 
-let deliver t (e : _ entry) r =
+(* the ring position [i] places past [head]; [i < 2 * size] always *)
+let[@inline] wrap t i = if i >= t.size then i - t.size else i
+
+let deliver t tag inst r =
   t.branches <- t.branches + 1;
   if r = Branch.Predictor.Mispredict then t.mispredicts <- t.mispredicts + 1;
-  t.on_result e.tag e.inst r
+  t.on_result tag inst r
 
 (* Redo the lookups of every branch still in the FIFO: they modeled
    wrong-path fetches and are re-fetched after the squash. The RAS is
    rewound to its state before the first in-FIFO lookup. *)
 let squash_redo t =
-  let first_ras = ref None in
-  for i = 0 to t.count - 1 do
-    match t.fifo.((t.head + i) mod Array.length t.fifo) with
-    | Some e when e.inst.branch <> None ->
-      if !first_ras = None then first_ras := e.ras_before
-    | Some _ | None -> ()
+  let first = ref (-1) and i = ref 0 in
+  while !first < 0 && !i < t.count do
+    let j = wrap t (t.head + !i) in
+    if t.res.(j) <> no_branch then first := j;
+    incr i
   done;
-  (match !first_ras with
-  | Some ras -> Branch.Predictor.ras_restore t.pred ras
-  | None -> ());
+  if !first >= 0 then Branch.Predictor.ras_restore t.pred t.ras_before.(!first);
   for i = 0 to t.count - 1 do
-    match t.fifo.((t.head + i) mod Array.length t.fifo) with
-    | Some e -> (
-      match e.inst.branch with
+    let j = wrap t (t.head + i) in
+    if t.res.(j) <> no_branch then
+      let inst = t.insts.(j) in
+      match inst.branch with
       | Some b ->
-        e.resolution <-
-          Some (Branch.Predictor.lookup t.pred ~pc:e.inst.pc ~branch:b)
-      | None -> ())
-    | None -> ()
+        t.res.(j) <-
+          code_of_resolution
+            (Branch.Predictor.lookup t.pred ~pc:inst.pc ~branch:b)
+      | None -> assert false
   done
 
+(* the FIFO is not empty *)
 let pop_oldest t =
-  match t.fifo.(t.head) with
-  | None -> ()
-  | Some e ->
-    t.fifo.(t.head) <- None;
-    t.head <- (t.head + 1) mod Array.length t.fifo;
-    t.count <- t.count - 1;
-    (match (e.inst.branch, e.resolution) with
-    | Some b, Some r ->
-      Branch.Predictor.update t.pred ~pc:e.inst.pc ~branch:b;
-      deliver t e r;
-      let squash =
-        match t.mode with
-        | Delayed { squash_refetch = true; _ } -> r = Branch.Predictor.Mispredict
-        | Delayed { squash_refetch = false; _ } | Immediate -> false
-      in
-      if squash then squash_redo t
-    | None, None -> ()
-    | Some _, None | None, Some _ -> assert false)
+  let j = t.head in
+  t.head <- wrap t (j + 1);
+  t.count <- t.count - 1;
+  let code = t.res.(j) in
+  if code <> no_branch then begin
+    let inst = t.insts.(j) in
+    (match inst.branch with
+    | Some b -> Branch.Predictor.update t.pred ~pc:inst.pc ~branch:b
+    | None -> assert false);
+    let r = resolution_of_code code in
+    deliver t t.tags.(j) inst r;
+    if t.squash_refetch && r = Branch.Predictor.Mispredict then squash_redo t
+  end
 
-let push t tag inst =
+let push t tag (inst : Isa.Dyn_inst.t) =
   match t.mode with
   | Immediate -> (
-    match inst.Isa.Dyn_inst.branch with
+    match inst.branch with
     | None -> ()
     | Some b ->
       let r = Branch.Predictor.lookup t.pred ~pc:inst.pc ~branch:b in
       Branch.Predictor.update t.pred ~pc:inst.pc ~branch:b;
-      deliver t { tag; inst; resolution = Some r; ras_before = None } r)
-  | Delayed { squash_refetch; _ } ->
-    if t.count = Array.length t.fifo then pop_oldest t;
-    let entry =
-      match inst.Isa.Dyn_inst.branch with
-      | None -> { tag; inst; resolution = None; ras_before = None }
-      | Some b ->
-        let ras_before =
-          if squash_refetch then Some (Branch.Predictor.ras_copy t.pred)
-          else None
-        in
-        let r = Branch.Predictor.lookup t.pred ~pc:inst.pc ~branch:b in
-        { tag; inst; resolution = Some r; ras_before }
-    in
-    t.fifo.((t.head + t.count) mod Array.length t.fifo) <- Some entry;
+      deliver t tag inst r)
+  | Delayed _ ->
+    if t.count = t.size then pop_oldest t;
+    let j = wrap t (t.head + t.count) in
+    (match inst.branch with
+    | None -> t.res.(j) <- no_branch
+    | Some b ->
+      if Array.length t.tags = 0 then begin
+        t.tags <- Array.make t.size tag;
+        t.insts <- Array.make t.size inst
+      end;
+      if t.squash_refetch then begin
+        let ras = Branch.Predictor.ras_copy t.pred in
+        if Array.length t.ras_before = 0 then
+          t.ras_before <- Array.make t.size ras;
+        t.ras_before.(j) <- ras
+      end;
+      t.res.(j) <-
+        code_of_resolution (Branch.Predictor.lookup t.pred ~pc:inst.pc ~branch:b);
+      t.tags.(j) <- tag;
+      t.insts.(j) <- inst);
     t.count <- t.count + 1
 
 let flush t =

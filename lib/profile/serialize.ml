@@ -194,15 +194,48 @@ let next_count c =
   if v < 0 then fail_at c (Printf.sprintf "negative count %d" v);
   v
 
+(* every histogram of a profile holds dependency, WAW or WAR distances,
+   which generation indexes its ring of recent instructions with *)
 let read_hist c =
   let h = Stats.Histogram.create () in
   let n = next_count c in
   for _ = 1 to n do
     let v = next_int c in
+    if v < 0 || v > Sfg.dep_cap then
+      fail_at c (Printf.sprintf "distance %d outside [0, %d]" v Sfg.dep_cap);
     let count = next_count c in
     Stats.Histogram.add_many h v count
   done;
   h
+
+(* The walk emits each node's slots once per visit, so the slots the
+   graph accounts for bound the trace a plan asks for. A profile's
+   occurrences times slots exceed its instruction count only through
+   occurrences cut short, which count whole: the last block of the
+   stream, and in a chunked profile the first block of its chunk as
+   well. Anything past two of the largest blocks is corrupt, and would
+   size a walk by a count the stream never had. Written so that no sum
+   or product can wrap. *)
+let check_slot_total c sfg ~instructions =
+  let largest = ref 0 in
+  Sfg.iter_nodes sfg (fun (n : Sfg.node) ->
+      largest := max !largest (Array.length n.slots));
+  let limit =
+    if instructions > max_int - (2 * !largest) then max_int
+    else instructions + (2 * !largest)
+  in
+  let sum = ref 0 in
+  Sfg.iter_nodes sfg (fun (n : Sfg.node) ->
+      let slots = Array.length n.slots in
+      if slots > 0 then begin
+        if n.occurrences > (limit - !sum) / slots then
+          fail_at c
+            (Printf.sprintf
+               "occurrences times slots exceed %d instructions by more than \
+                two blocks of %d"
+               instructions !largest);
+        sum := !sum + (n.occurrences * slots)
+      end)
 
 let expect c tag what =
   if not (Text.next_line c && Text.token c && Text.token_is c tag) then
@@ -297,6 +330,7 @@ let of_string s =
     else fail_at c ("unknown record " ^ Text.token_string c)
   done;
   flush_slots ();
+  check_slot_total c sfg ~instructions;
   {
     Stat_profile.sfg;
     k;

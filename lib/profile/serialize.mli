@@ -36,10 +36,15 @@ val of_string : string -> Stat_profile.t
     [Failure] with a line-numbered diagnostic, and nothing else, on
     malformed input: an unsupported version, a missing machine line, a
     [k] outside [\[0, Sfg.max_k\]], an unknown instruction class, a
-    negative count, or an operand count above [Sfg.max_deps - 2]
+    negative count, an operand count above [Sfg.max_deps - 2]
     (checked before the array is made, so allocation stays
-    proportional to the input). Timed under the [profile.decode]
-    telemetry span. *)
+    proportional to the input), a dependency, WAW or WAR distance
+    outside [\[0, Sfg.dep_cap\]], or a graph whose occurrences times
+    slots, summed over its nodes, exceed the instruction count by more
+    than two of its largest blocks (the blocks a stream or chunk
+    boundary may cut short). So a profile that decodes compiles,
+    generates and simulates without raising. Timed under the
+    [profile.decode] telemetry span. *)
 
 val instructions : string -> int
 (** The instruction count on an encoded profile's meta line, read

@@ -204,9 +204,14 @@ let totals ?(weight = fun _ -> 1.0) t =
   }
 
 let record_transition node ~succ_key =
-  match Hashtbl.find_opt node.edges succ_key with
-  | Some r -> incr r
-  | None -> Hashtbl.add node.edges succ_key (ref 1)
+  match Hashtbl.find node.edges succ_key with
+  | r ->
+    incr r;
+    r
+  | exception Not_found ->
+    let r = ref 1 in
+    Hashtbl.add node.edges succ_key r;
+    r
 
 let rate num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 

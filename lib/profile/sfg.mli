@@ -79,7 +79,11 @@ val node_count : t -> int
 val total_occurrences : t -> int
 val iter_nodes : t -> (node -> unit) -> unit
 val nodes : t -> node list
-val record_transition : node -> succ_key:int -> unit
+val record_transition : node -> succ_key:int -> int ref
+(** Count one transition to [succ_key] and return that edge's count
+    cell, so a caller that sees the same transition again can count it
+    without a lookup. A new edge enters the table after the node's
+    earlier ones. *)
 
 val restrict : t -> keep:(node -> bool) -> t
 (** Sub-SFG containing exactly the nodes for which [keep] holds.  Node

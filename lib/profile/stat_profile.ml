@@ -26,31 +26,102 @@ let record_branch_result (node : Sfg.node) (inst : Isa.Dyn_inst.t)
   | Branch.Predictor.Fetch_redirect -> node.br_redirect <- node.br_redirect + 1
   | Branch.Predictor.Correct -> ()
 
-let ensure_slot (node : Sfg.node) idx (inst : Isa.Dyn_inst.t) =
-  let nslots = Array.length node.slots in
-  if idx >= nslots then begin
-    (* first occurrence of this block reaches this slot: extend *)
-    let nsrcs = Array.length inst.srcs in
-    let slot =
-      {
-        Sfg.klass = inst.klass;
-        nsrcs;
-        deps = Array.init nsrcs (fun _ -> Stats.Histogram.create ());
-        waw = Stats.Histogram.create ();
-        war = Stats.Histogram.create ();
-      }
+(* The per-chunk node index beside the SFG's own table. A block start
+   looks its history key up here, not in [Sfg]'s generic table: an
+   open-addressed table over two int arrays maps the key to a dense node
+   id (a packed history's low field is at least 1, so no key is 0 and 0
+   marks a free slot). Per id it keeps the node and its last successor:
+   that successor's key, id and edge-count cell, so a block that repeats
+   its predecessor's last transition costs no lookup at all. Nodes still
+   enter the SFG through [Sfg.find_or_add] and edges through
+   [Sfg.record_transition], in first-occurrence order, so both tables
+   fill exactly as a lookup per block fills them. *)
+module Index = struct
+  type t = {
+    mutable keys : int array;  (* power-of-two length, at most half full *)
+    mutable ids : int array;
+    mutable nodes : Sfg.node array;  (* by id; allocated by the first node *)
+    mutable succ_key : int array;  (* 0: no successor seen yet *)
+    mutable succ_id : int array;
+    mutable succ_cell : int ref array;
+    mutable len : int;
+  }
+
+  let create () =
+    {
+      keys = Array.make 1024 0;
+      ids = Array.make 1024 0;
+      nodes = [||];
+      succ_key = [||];
+      succ_id = [||];
+      succ_cell = [||];
+      len = 0;
+    }
+
+  let clear t =
+    Array.fill t.keys 0 (Array.length t.keys) 0;
+    t.len <- 0
+
+  (* the slot holding [key], or the free slot where it belongs *)
+  let slot keys key =
+    let mask = Array.length keys - 1 in
+    let i = ref (((key * 0x2545F4914F6CDD1D) lsr 24) land mask) in
+    while
+      let k = Array.unsafe_get keys !i in
+      k <> key && k <> 0
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow_table t =
+    let keys = Array.make (2 * Array.length t.keys) 0 in
+    let ids = Array.make (Array.length keys) 0 in
+    Array.iteri
+      (fun i key ->
+        if key <> 0 then begin
+          let s = slot keys key in
+          keys.(s) <- key;
+          ids.(s) <- t.ids.(i)
+        end)
+      t.keys;
+    t.keys <- keys;
+    t.ids <- ids
+
+  let grow_nodes t node =
+    let n = Array.length t.nodes in
+    let cap = if n = 0 then 1024 else 2 * n in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 n;
+      b
     in
-    let slots = Array.make (idx + 1) slot in
-    Array.blit node.slots 0 slots 0 nslots;
-    slots.(idx) <- slot;
-    node.slots <- slots
-  end;
-  node.slots.(idx)
+    t.nodes <- extend t.nodes node;
+    t.succ_key <- extend t.succ_key 0;
+    t.succ_id <- extend t.succ_id 0;
+    t.succ_cell <- extend t.succ_cell (ref 0)
+
+  let find_or_add t sfg ~key ~block =
+    let s = slot t.keys key in
+    if t.keys.(s) = key then t.ids.(s)
+    else begin
+      let node = Sfg.find_or_add sfg ~key ~block in
+      let id = t.len in
+      if id = Array.length t.nodes then grow_nodes t node;
+      t.nodes.(id) <- node;
+      t.succ_key.(id) <- 0;
+      t.keys.(s) <- key;
+      t.ids.(s) <- id;
+      t.len <- id + 1;
+      if 2 * t.len > Array.length t.keys then grow_table t;
+      id
+    end
+end
 
 (* Profiling state that persists across chunk boundaries: the machine
    structures being modeled (caches, TLBs, predictor and its FIFO) and
    the architectural register history. Only the SFG under construction
-   is per-chunk. *)
+   and its index are per-chunk. *)
 type state = {
   cfg : Config.Machine.t;
   k : int;
@@ -63,8 +134,12 @@ type state = {
   mutable hist_len : int;
   last_writer : int array;
   last_reader : int array;
-  mutable cur_node : Sfg.node option;
+  index : Index.t;
+  mutable cur : int;  (* the current node's index id; -1 before a chunk's first *)
   mutable slot_idx : int;
+  (* slots the current occurrence added past its node's slot array *)
+  mutable grown : Sfg.slot array;
+  mutable ngrown : int;
   mutable seq : int;
   (* per-chunk branch accounting (the FIFO's counters are cumulative) *)
   mutable branches_base : int;
@@ -97,54 +172,118 @@ let make_state ?(k = 1) ?(dep_cap = Sfg.dep_cap) ?branch_mode
     hist_len = 0;
     last_writer = Array.make Isa.Reg.count (-1);
     last_reader = Array.make Isa.Reg.count (-1);
-    cur_node = None;
+    index = Index.create ();
+    cur = -1;
     slot_idx = 0;
+    grown = [||];
+    ngrown = 0;
     seq = 0;
     branches_base = 0;
     mispredicts_base = 0;
   }
 
-let step st sfg (inst : Isa.Dyn_inst.t) =
+(* A node's slot array grows only while an occurrence runs past its end,
+   mostly the node's first. The new slots wait in [st.grown] and join
+   the array in one copy when the occurrence ends, not one copy each. *)
+let slot_at st (node : Sfg.node) (inst : Isa.Dyn_inst.t) =
+  if st.slot_idx < Array.length node.slots then node.slots.(st.slot_idx)
+  else begin
+    let nsrcs = Array.length inst.srcs in
+    let slot =
+      {
+        Sfg.klass = inst.klass;
+        nsrcs;
+        deps = Array.init nsrcs (fun _ -> Stats.Histogram.create ());
+        waw = Stats.Histogram.create ();
+        war = Stats.Histogram.create ();
+      }
+    in
+    if st.ngrown = Array.length st.grown then begin
+      let grown = Array.make (max 16 (2 * st.ngrown)) slot in
+      Array.blit st.grown 0 grown 0 st.ngrown;
+      st.grown <- grown
+    end;
+    st.grown.(st.ngrown) <- slot;
+    st.ngrown <- st.ngrown + 1;
+    slot
+  end
+
+(* the current occurrence ended: its new slots join its node *)
+let commit_slots st =
+  if st.ngrown > 0 then begin
+    let node = st.index.nodes.(st.cur) in
+    let n = Array.length node.slots in
+    let slots = Array.make (n + st.ngrown) st.grown.(0) in
+    Array.blit node.slots 0 slots 0 n;
+    Array.blit st.grown 0 slots n st.ngrown;
+    node.slots <- slots;
+    st.ngrown <- 0
+  end
+
+(* enter the node of a new block: shift the block into the history and
+   count the transition from the previous node *)
+let enter_block st sfg block =
+  commit_slots st;
   let k = st.k in
-  if inst.first_in_block || st.cur_node = None then begin
-    (* shift a new block into the history *)
-    for i = min st.hist_len k downto 1 do
-      st.history.(i) <- st.history.(i - 1)
-    done;
-    st.history.(0) <- inst.block;
-    if st.hist_len < k + 1 then st.hist_len <- st.hist_len + 1;
-    let key = Sfg.key_of_history st.history ~len:st.hist_len in
-    let node = Sfg.find_or_add sfg ~key ~block:inst.block in
-    node.occurrences <- node.occurrences + 1;
-    (match st.cur_node with
-    | Some prev -> Sfg.record_transition prev ~succ_key:key
-    | None -> ());
-    st.cur_node <- Some node;
-    st.slot_idx <- 0
-  end;
-  let node = Option.get st.cur_node in
-  let slot = ensure_slot node st.slot_idx inst in
+  for i = (if st.hist_len < k then st.hist_len else k) downto 1 do
+    st.history.(i) <- st.history.(i - 1)
+  done;
+  st.history.(0) <- block;
+  if st.hist_len < k + 1 then st.hist_len <- st.hist_len + 1;
+  let key = Sfg.key_of_history st.history ~len:st.hist_len in
+  let ix = st.index and prev = st.cur in
+  let id =
+    if prev >= 0 && ix.succ_key.(prev) = key then begin
+      incr ix.succ_cell.(prev);
+      ix.succ_id.(prev)
+    end
+    else begin
+      let id = Index.find_or_add ix sfg ~key ~block in
+      if prev >= 0 then begin
+        ix.succ_cell.(prev) <-
+          Sfg.record_transition ix.nodes.(prev) ~succ_key:key;
+        ix.succ_key.(prev) <- key;
+        ix.succ_id.(prev) <- id
+      end;
+      id
+    end
+  in
+  let node = ix.nodes.(id) in
+  node.occurrences <- node.occurrences + 1;
+  st.cur <- id;
+  st.slot_idx <- 0
+
+(* the distance back to instruction [earlier], capped at [dep_cap] *)
+let[@inline] distance st earlier =
+  let d = st.seq - earlier in
+  if d < st.dep_cap then d else st.dep_cap
+
+let step st sfg (inst : Isa.Dyn_inst.t) =
+  if inst.first_in_block || st.cur < 0 then enter_block st sfg inst.block;
+  let node = st.index.nodes.(st.cur) in
+  let slot = slot_at st node inst in
   st.slot_idx <- st.slot_idx + 1;
+  let seq = st.seq and srcs = inst.srcs in
   (* dependency distances per operand *)
-  Array.iteri
-    (fun p r ->
-      if p < slot.nsrcs && r >= 0 && r <> Isa.Reg.zero then begin
-        let w = st.last_writer.(r) in
-        if w >= 0 then
-          Stats.Histogram.add slot.deps.(p) (min (st.seq - w) st.dep_cap)
-      end)
-    inst.srcs;
+  for p = 0 to Array.length srcs - 1 do
+    let r = srcs.(p) in
+    if p < slot.nsrcs && r >= 0 && r <> Isa.Reg.zero then begin
+      let w = st.last_writer.(r) in
+      if w >= 0 then Stats.Histogram.add slot.deps.(p) (distance st w)
+    end
+  done;
   (* WAW/WAR distances for machines without register renaming *)
   if st.cfg.Config.Machine.in_order && inst.dest >= 0 then begin
     let w = st.last_writer.(inst.dest) in
-    if w >= 0 then Stats.Histogram.add slot.waw (min (st.seq - w) st.dep_cap);
+    if w >= 0 then Stats.Histogram.add slot.waw (distance st w);
     let r = st.last_reader.(inst.dest) in
-    if r >= 0 then Stats.Histogram.add slot.war (min (st.seq - r) st.dep_cap)
+    if r >= 0 then Stats.Histogram.add slot.war (distance st r)
   end;
-  Array.iter
-    (fun r -> if r >= 0 && r <> Isa.Reg.zero then st.last_reader.(r) <- st.seq)
-    inst.srcs;
-  if inst.dest >= 0 then st.last_writer.(inst.dest) <- st.seq;
+  for p = 0 to Array.length srcs - 1 do
+    let r = srcs.(p) in
+    if r >= 0 && r <> Isa.Reg.zero then st.last_reader.(r) <- seq
+  done;
+  if inst.dest >= 0 then st.last_writer.(inst.dest) <- seq;
   (* locality events *)
   (match st.hier with
   | None -> ()
@@ -179,7 +318,7 @@ let step st sfg (inst : Isa.Dyn_inst.t) =
       node.br_execs <- node.br_execs + 1;
       if b.taken then node.br_taken <- node.br_taken + 1
     | None -> ()));
-  st.seq <- st.seq + 1
+  st.seq <- seq + 1
 
 let finish st sfg ~instructions =
   (* per-chunk deltas of the profiler's cumulative counters *)
@@ -223,6 +362,7 @@ let collect_chunks ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg
           | None -> exhausted := true
           | Some inst -> step st sfg inst
         done;
+        commit_slots st;
         (* at end of stream, drain pending delayed-update results (they are
            attributed to the nodes they were pushed with, possibly in an
            earlier chunk, which is where those branches executed) *)
@@ -232,7 +372,8 @@ let collect_chunks ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg
           profiles := finish st sfg ~instructions:(st.seq - start) :: !profiles;
         (* a new chunk starts a new SFG: the first transition of the next
            chunk must not point into the old graph *)
-        st.cur_node <- None
+        st.cur <- -1;
+        Index.clear st.index
       done;
       Telemetry.add c_instructions st.seq;
       (st, List.rev !profiles))

@@ -3,11 +3,31 @@
     This is the workhorse of the statistical profile: dependency-distance
     distributions, basic-block size distributions and instruction-mix
     tables are all histograms. Sampling uses the cumulative distribution
-    as prescribed by the paper's synthetic-trace-generation algorithm. *)
+    as prescribed by the paper's synthetic-trace-generation algorithm.
+
+    Representation: the support is one unboxed int array of (value,
+    count) pairs in ascending value order, grown by doubling. An empty
+    histogram holds no table at all, only a four-word record, so a
+    profile's never-filled distributions (the WAW/WAR tables of a
+    machine with renaming) cost next to nothing.
+
+    Costs, for a support of [n] distinct values: {!count} and an
+    {!add}/{!add_many} of a value already present take a binary
+    search, O(log n), and allocate nothing; a new value shifts the
+    larger ones up, O(n). {!is_empty}, {!support_size} and
+    {!max_value} are O(1). {!total}, {!iter}, {!support}, {!mean},
+    {!stddev} and {!merge} walk the pairs in value order, O(n)
+    ({!merge} adds each of its source's values). The first {!sample}
+    or {!percentile} after a mutation builds the cumulative counts,
+    O(n); later ones are a binary search. {!copy} is O(n) and sized to
+    the support. *)
 
 type t
 
 val create : ?initial_capacity:int -> unit -> t
+(** An empty histogram. It allocates no table unless [initial_capacity]
+    is positive, in which case room for that many distinct values is
+    allocated at once. *)
 
 val add : t -> int -> unit
 (** [add h v] records one observation of value [v]. *)
@@ -24,9 +44,13 @@ val total : t -> int
 val is_empty : t -> bool
 
 val mean : t -> float
-(** Mean of the observed values; 0 for an empty histogram. *)
+(** Mean of the observed values; 0 for an empty histogram. Exact
+    whenever every value times its count, and their sum, are below
+    2{^53} in magnitude. *)
 
 val stddev : t -> float
+(** Population standard deviation, summed in ascending value order; 0
+    for an empty histogram. *)
 
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter h f] applies [f value count] over the support in increasing

@@ -143,6 +143,26 @@ let test_default_checks_cover_words () =
         check (label ^ ": noise passes") true (verdict 0.2 0.3 = Gate.Pass))
     [ "generate.compiled"; "pipeline.dense"; "pipeline.event_driven" ]
 
+(* profiling's words per instruction include its stream's: 19.4 on the
+   kernel section's 8k gcc stream, of which draining the stream is 14.6.
+   The profiler that allocated closures, options and a FIFO record per
+   instruction read 48.0 there and must fail; drift must pass *)
+let test_default_checks_cover_profile_words () =
+  let label = "kernel.profile.words_per_inst" in
+  match List.find_opt (fun c -> c.Gate.label = label) Gate.default_checks with
+  | None -> Alcotest.failf "%s not gated" label
+  | Some c ->
+    check (label ^ " one-directional") false c.Gate.both_directions;
+    let at w = List.fold_right (fun k v -> J.Obj [ (k, v) ]) c.Gate.path (J.Num w) in
+    let verdict w =
+      let _, _, _, v =
+        Gate.evaluate ~threshold:1.0 ~baseline:(at 19.4) ~current:(at w) c
+      in
+      v
+    in
+    check (label ^ ": the old profiler fails") true (verdict 48.0 = Gate.Regressed);
+    check (label ^ ": drift passes") true (verdict 20.4 = Gate.Pass)
+
 (* the codec's words per byte at today's figures, against the costs of
    what it replaced: a Printf per field (14.0 for profiles, 4.8 for
    plans) and a token list per line (8.1 and 3.6) must fail, a few
@@ -185,4 +205,6 @@ let suite =
       test_default_checks_cover_words;
     Alcotest.test_case "codec words checks present" `Quick
       test_default_checks_cover_codec;
+    Alcotest.test_case "profile words check present" `Quick
+      test_default_checks_cover_profile_words;
   ]

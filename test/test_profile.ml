@@ -284,6 +284,96 @@ let test_ras_size_free_profiling () =
     Alcotest.failf "%.2f words per instruction at 1024 RAS entries, %.2f at 8"
       large small
 
+(* Profiling finds a block's node through its own index, and counts a
+   repeated transition through a per-node cache. Over a stream of
+   thousands of distinct histories, past every initial table size, the
+   graph must hold exactly the nodes, occurrences and edges a naive
+   count of the same histories gives. *)
+let test_many_nodes () =
+  let nblocks = 3_000 and length = 20_000 in
+  let x = ref 12_345 in
+  let blocks =
+    List.init length (fun _ ->
+        x := ((!x * 1_103_515_245) + 12_345) land 0x3fff_ffff;
+        (* mostly a short loop, sometimes a jump anywhere *)
+        if !x land 3 = 0 then (!x lsr 2) mod nblocks else (!x lsr 2) mod 7)
+  in
+  let p = profile_k 1 blocks in
+  let key hist = Profile.Sfg.key_of_history (Array.of_list hist) ~len:(List.length hist) in
+  let occ = Hashtbl.create 4096 and edges = Hashtbl.create 4096 in
+  let bump t k = Hashtbl.replace t k (1 + Option.value (Hashtbl.find_opt t k) ~default:0) in
+  ignore
+    (List.fold_left
+       (fun (prev_block, prev_key) b ->
+         let k = key (match prev_block with None -> [ b ] | Some a -> [ b; a ]) in
+         bump occ k;
+         Option.iter (fun pk -> bump edges (pk, k)) prev_key;
+         (Some b, Some k))
+       (None, None) blocks);
+  Alcotest.(check int) "node count" (Hashtbl.length occ)
+    (Profile.Sfg.node_count p.sfg);
+  Hashtbl.iter
+    (fun k n ->
+      match Profile.Sfg.find p.sfg ~key:k with
+      | None -> Alcotest.failf "node %d missing" k
+      | Some node ->
+        if node.occurrences <> n then
+          Alcotest.failf "node %d: %d occurrences, counted %d" k node.occurrences n)
+    occ;
+  let edge_count = ref 0 in
+  Profile.Sfg.iter_nodes p.sfg (fun node ->
+      Hashtbl.iter
+        (fun succ r ->
+          incr edge_count;
+          let want = Option.value (Hashtbl.find_opt edges (node.key, succ)) ~default:0 in
+          if !r <> want then
+            Alcotest.failf "edge %d -> %d: %d, counted %d" node.key succ !r want)
+        node.edges);
+  Alcotest.(check int) "edge count" (Hashtbl.length edges) !edge_count
+
+(* Profiling allocates nothing per instruction: the step loops over
+   operands without closures, the node index and FIFO live in int
+   arrays, and histograms grow in place. What it allocates beyond its
+   stream is the graph itself, a node, slot or histogram pair at a time,
+   which at 20k instructions stays within 3 minor words an instruction
+   on every workload. Each stream is built before the count starts;
+   [Gc.minor_words] is exact. *)
+let test_profiling_allocation () =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled was)
+    (fun () ->
+      let words_per f =
+        let before = Gc.minor_words () in
+        let n = f () in
+        (Gc.minor_words () -. before) /. float_of_int (max 1 n)
+      in
+      List.iter
+        (fun name ->
+          let stream () =
+            Workload.Suite.stream (Workload.Suite.find name) ~length:20_000
+          in
+          let drain =
+            let gen = stream () in
+            words_per (fun () ->
+                let rec go n =
+                  match gen () with Some _ -> go (n + 1) | None -> n
+                in
+                go 0)
+          in
+          let profile =
+            let gen = stream () in
+            words_per (fun () ->
+                (Statsim.profile Config.Machine.baseline gen)
+                  .Profile.Stat_profile.instructions)
+          in
+          if profile -. drain > 3.0 then
+            Alcotest.failf
+              "%s: profiling %.2f minor words per instruction, draining %.2f"
+              name profile drain)
+        Workload.Suite.names)
+
 let suite =
   [
     Alcotest.test_case "Figure 2, first order" `Quick test_fig2_first_order;
@@ -304,4 +394,8 @@ let suite =
       test_profile_config_sharing;
     Alcotest.test_case "allocation independent of the RAS size" `Quick
       test_ras_size_free_profiling;
+    Alcotest.test_case "profiling allocates nothing per instruction" `Quick
+      test_profiling_allocation;
+    Alcotest.test_case "thousands of nodes, counted exactly" `Quick
+      test_many_nodes;
   ]

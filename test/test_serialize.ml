@@ -501,6 +501,84 @@ let test_plan_mutations =
     ~name:"plan decoder: mutated bytes decode or raise Failure"
     Kernel.Plan.of_string gcc_plan_string
 
+(* Values that parse but break what generation assumes fail with the
+   decoder's line-numbered [Failure]: a distance generation cannot index
+   its ring with, and occurrences that would size the walk past the
+   profiled stream. *)
+let test_hostile_profile_values () =
+  let s = Lazy.force gcc_profile_string in
+  let case label s = fails_cleanly Profile.Serialize.of_string label s in
+  (* "slot class nsrcs n v c ...": the first operand histogram's first
+     value is field 4 *)
+  let hist = line_where s (fun f -> List.hd f = "slot" && List.nth f 3 <> "0") in
+  case "negative distance" (set_field s hist 4 "-5");
+  case "distance past dep_cap"
+    (set_field s hist 4 (string_of_int (Profile.Sfg.dep_cap + 1)));
+  Alcotest.check_raises "distance diagnostic"
+    (Failure
+       (Printf.sprintf "profile line %d: distance -5 outside [0, %d]" hist
+          Profile.Sfg.dep_cap))
+    (fun () -> ignore (Profile.Serialize.of_string (set_field s hist 4 "-5")));
+  (* no operands; a WAW distance of 600, or a WAR distance of -1 *)
+  let slot = line_where s (fun f -> List.hd f = "slot") in
+  case "WAW distance" (replace_line s slot "slot 0 0 1 600 1 0");
+  case "WAR distance" (replace_line s slot "slot 0 0 0 1 -1 1");
+  (* "node key block occurrences ...": occurrences are field 3 *)
+  let node = line_where s (fun f -> List.hd f = "node" && List.nth f 16 <> "0") in
+  case "occurrences of 12,147,483,648" (set_field s node 3 "12147483648");
+  case "occurrences of max_int" (set_field s node 3 (string_of_int max_int));
+  (* "meta k instructions ...": the stream shrunk under its graph *)
+  case "instructions of 10" (set_field s 2 2 "10");
+  (* the graph's slots still bound the walk when the count would wrap *)
+  case "instructions of max_int, occurrences of max_int"
+    (set_field (set_field s 2 2 (string_of_int max_int)) node 3
+       (string_of_int max_int))
+
+(* What profiling writes decodes, on every workload: whole-stream
+   profiles exceed their instruction count by at most one block (the
+   last, cut short) and chunked ones by at most two. *)
+let test_profiles_decode () =
+  let io = Config.Machine.in_order_variant cfg in
+  List.iter
+    (fun name ->
+      let stream () =
+        Workload.Suite.stream (Workload.Suite.find name) ~length:20_000
+      in
+      let decodes label p =
+        let s = Profile.Serialize.to_string p in
+        match Profile.Serialize.of_string s with
+        | q ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s re-encodes" name label)
+            true
+            (Profile.Serialize.to_string q = s)
+        | exception Failure m -> Alcotest.failf "%s %s: %s" name label m
+      in
+      decodes "k=1" (Statsim.profile cfg (stream ()));
+      decodes "k=3 in-order" (Statsim.profile ~k:3 io (stream ()));
+      List.iteri
+        (fun i p -> decodes (Printf.sprintf "chunk %d" i) p)
+        (Profile.Stat_profile.collect_chunked ~k:0 cfg (stream ())
+           ~chunk_length:2_857))
+    Workload.Suite.names
+
+(* a profile the decoder accepts runs: it compiles, generates and
+   simulates at a small target, unless no node survives that target's
+   reduction, which [check_survivors] reports as an error *)
+let runs_small p =
+  match Kernel.Compile.check_survivors ~target_length:2_000 p with
+  | Error _ -> true
+  | Ok () -> (
+    match Statsim.run_profile ~target_length:2_000 cfg p ~seed:1 with
+    | _ -> true
+    | exception e ->
+      QCheck.Test.fail_reportf "decoded, then raised %s" (Printexc.to_string e))
+
+let test_mutated_profiles_run =
+  decodes_or_fails ~valid:runs_small
+    ~name:"profile decoder: a mutated profile decodes and runs, or fails"
+    Profile.Serialize.of_string gcc_profile_string
+
 let suite =
   [
     Alcotest.test_case "meta roundtrip" `Quick test_meta_roundtrip;
@@ -522,4 +600,9 @@ let suite =
       test_hostile_plan_fields;
     QCheck_alcotest.to_alcotest test_profile_mutations;
     QCheck_alcotest.to_alcotest test_plan_mutations;
+    Alcotest.test_case "hostile profile values fail cleanly" `Quick
+      test_hostile_profile_values;
+    Alcotest.test_case "every workload's profiles decode" `Quick
+      test_profiles_decode;
+    QCheck_alcotest.to_alcotest test_mutated_profiles_run;
   ]

@@ -362,6 +362,161 @@ let test_alias_of_histogram () =
   let rate = float_of_int !eights /. float_of_int n in
   check "proportional" true (Float.abs (rate -. 0.7) < 0.03)
 
+(* Stats.Histogram against a reference model kept here: a map from
+   value to count, read the way the interface promises (ascending value
+   order, nearest-rank percentiles, a cumulative-count sample from one
+   [Prng.int] draw). Random add / add_many / merge / copy sequences, with
+   samples drawn mid-sequence so the sampling cache is rebuilt after
+   each mutation. *)
+module Model = Map.Make (Int)
+
+type hist_op =
+  | Add of int
+  | Add_many of int * int
+  | Merge of (int * int) list
+  | Copy
+  | Sample of int
+
+let model_total m = Model.fold (fun _ c acc -> acc + c) m 0
+
+(* the smallest value whose cumulative count reaches [x] *)
+let model_at_cum m x =
+  let acc = ref 0 in
+  fst
+    (List.find
+       (fun (_, c) ->
+         acc := !acc + c;
+         !acc >= x)
+       (Model.bindings m))
+
+let model_sample m seed =
+  let rng = Prng.create ~seed in
+  model_at_cum m (1 + Prng.int rng (model_total m))
+
+let model_percentile m p =
+  let total = model_total m in
+  let rank = int_of_float (Float.ceil (p *. float_of_int total)) in
+  model_at_cum m (max 1 (min total rank))
+
+let hist_op_gen =
+  let open QCheck.Gen in
+  let value = int_range (-40) 600 in
+  frequency
+    [
+      (6, map (fun v -> Add v) value);
+      (4, map2 (fun v n -> Add_many (v, n)) value (int_range 0 1_000));
+      (2, map (fun l -> Merge l) (list_size (int_range 0 12) (pair value (int_range 0 50))));
+      (1, return Copy);
+      (2, map (fun s -> Sample s) (int_range 0 1_000_000));
+    ]
+
+let show_hist_op = function
+  | Add v -> Printf.sprintf "add %d" v
+  | Add_many (v, n) -> Printf.sprintf "add_many %d %d" v n
+  | Merge l ->
+    "merge ["
+    ^ String.concat "; " (List.map (fun (v, n) -> Printf.sprintf "%d,%d" v n) l)
+    ^ "]"
+  | Copy -> "copy"
+  | Sample s -> Printf.sprintf "sample %d" s
+
+let prop_histogram_matches_model =
+  QCheck.Test.make ~name:"histogram matches a reference model" ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_hist_op ops))
+       QCheck.Gen.(list_size (int_range 0 60) hist_op_gen))
+    (fun ops ->
+      let module H = Stats.Histogram in
+      let h = ref (H.create ()) and m = ref Model.empty in
+      let model_add v n =
+        if n > 0 then
+          m := Model.update v (fun c -> Some (n + Option.value c ~default:0)) !m
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.iter
+        (function
+          | Add v ->
+            H.add !h v;
+            model_add v 1
+          | Add_many (v, n) ->
+            H.add_many !h v n;
+            model_add v n
+          | Merge l ->
+            let src = H.create () in
+            List.iter (fun (v, n) -> H.add_many src v n) l;
+            H.merge !h src;
+            List.iter (fun (v, n) -> model_add v n) l
+          | Copy ->
+            let before = !h in
+            h := H.copy before;
+            (* the copy is independent of its source (12,345 lies
+               outside the generated values) *)
+            H.add before 12_345;
+            if H.count !h 12_345 <> 0 then fail "copy shares its source's table"
+          | Sample seed ->
+            if not (Model.is_empty !m) then begin
+              let got = H.sample !h (Prng.create ~seed) in
+              let want = model_sample !m seed in
+              if got <> want then fail "sample %d: %d, model %d" seed got want
+            end)
+        ops;
+      let h = !h and m = !m in
+      let pairs = ref [] in
+      H.iter h (fun v c -> pairs := (v, c) :: !pairs);
+      let total = model_total m in
+      if List.rev !pairs <> Model.bindings m then fail "iter order or counts";
+      if H.support h <> List.map fst (Model.bindings m) then fail "support";
+      if H.support_size h <> Model.cardinal m then fail "support_size";
+      if H.total h <> total then fail "total %d, model %d" (H.total h) total;
+      if H.is_empty h <> (total = 0) then fail "is_empty";
+      Model.iter
+        (fun v c ->
+          if H.count h v <> c then fail "count %d" v;
+          if H.count h (v + 1) <> Option.value (Model.find_opt (v + 1) m) ~default:0
+          then fail "count %d" (v + 1))
+        m;
+      if total > 0 then begin
+        if H.max_value h <> fst (Model.max_binding m) then fail "max_value";
+        let sum = Model.fold (fun v c acc -> acc + (v * c)) m 0 in
+        let mean = float_of_int sum /. float_of_int total in
+        if H.mean h <> mean then fail "mean %h, model %h" (H.mean h) mean;
+        let ss =
+          Model.fold
+            (fun v c acc ->
+              let d = float_of_int v -. mean in
+              acc +. (d *. d *. float_of_int c))
+            m 0.0
+        in
+        let sd = sqrt (ss /. float_of_int total) in
+        if Float.abs (H.stddev h -. sd) > 1e-12 *. Float.max 1.0 sd then
+          fail "stddev %.17g, model %.17g" (H.stddev h) sd;
+        List.iter
+          (fun p ->
+            if H.percentile h p <> model_percentile m p then fail "percentile %g" p)
+          [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ];
+        List.iter
+          (fun seed ->
+            if H.sample h (Prng.create ~seed) <> model_sample m seed then
+              fail "final sample %d" seed)
+          [ 1; 2; 3 ]
+      end
+      else if H.mean h <> 0.0 || H.stddev h <> 0.0 then fail "empty moments";
+      true)
+
+(* An empty histogram holds no table: a profile keeps thousands of them
+   (every WAW and WAR distribution of a machine with renaming). *)
+let test_histogram_empty_is_small () =
+  let words h = Obj.reachable_words (Obj.repr h) in
+  let empty = Stats.Histogram.create () in
+  if words empty > 6 then
+    Alcotest.failf "an empty histogram reaches %d words" (words empty);
+  let h = Stats.Histogram.create () in
+  Stats.Histogram.add h 3;
+  Stats.Histogram.add_many h 3 0;
+  check "one value" true (words h > words empty);
+  check "a copy of an empty one" true
+    (words (Stats.Histogram.copy empty) <= words empty)
+
 let suite =
   [
     Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
@@ -394,4 +549,7 @@ let suite =
       test_alias_of_arrays_roundtrip;
     QCheck_alcotest.to_alcotest prop_alias_matches_distribution;
     Alcotest.test_case "alias of_histogram" `Quick test_alias_of_histogram;
+    QCheck_alcotest.to_alcotest prop_histogram_matches_model;
+    Alcotest.test_case "empty histogram holds no table" `Quick
+      test_histogram_empty_is_small;
   ]
